@@ -16,9 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, special
 
-from . import rng
+from . import rng, simulator
+from .circuit import extract_subcircuit
 from .errors import InputError
-from .samples import SampleSet
+from .samples import SampleSet, select_bits
+
+# Largest index matrix one bootstrap chunk draws (elements): 16 MiB of int64
+# plus as much for the gathered probabilities.
+_BOOTSTRAP_CHUNK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,7 @@ def bootstrap_xeb(
     gen = rng.stream(seed, rng.Stream.BOOTSTRAP)
     n = rec.n_samples
     fids = np.empty(n_resamples)
-    chunk = max(1, int(2e7) // max(n, 1))  # bound the index-matrix size
+    chunk = max(1, _BOOTSTRAP_CHUNK // max(n, 1))  # the draws do not depend on it
     for lo in range(0, n_resamples, chunk):
         hi = min(lo + chunk, n_resamples)
         idx = gen.integers(0, n, size=(hi - lo, n))
@@ -168,11 +173,7 @@ def measured_xeb(circuit, samples: SampleSet, limit: int | None = None):
     Returns (estimate, records) with one probability record per evaluated
     subsystem.
     """
-    from .circuit import extract_subcircuit
-    from .samples import select_bits
-    from .simulator import DEFAULT_QUBIT_LIMIT, probabilities, run
-
-    limit = DEFAULT_QUBIT_LIMIT if limit is None else limit
+    limit = simulator.DEFAULT_QUBIT_LIMIT if limit is None else limit
     if samples.n_qubits != circuit.n_qubits:
         raise InputError("sample width does not match the circuit")
     if circuit.variant == "patch" and circuit.bipartition:
@@ -182,13 +183,13 @@ def measured_xeb(circuit, samples: SampleSet, limit: int | None = None):
         pos = {q: i for i, q in enumerate(circuit.qubits)}
         for side in (side_a, side_b):
             sub = extract_subcircuit(circuit, side)
-            dist = probabilities(run(sub, limit=limit))
+            dist = simulator.probabilities(simulator.run(sub, limit=limit))
             sub_samples = select_bits(samples, [pos[q] for q in side])
             rec = probabilities_of_samples(dist, sub_samples)
             records.append(rec)
             estimates.append(_normalized_estimate(dist, rec))
         return product_xeb(estimates), records
-    dist = probabilities(run(circuit, limit=limit))
+    dist = simulator.probabilities(simulator.run(circuit, limit=limit))
     rec = probabilities_of_samples(dist, samples)
     return _normalized_estimate(dist, rec), [rec]
 

@@ -1,9 +1,9 @@
 """Independent reference implementations used only to check the package.
 
 These deliberately avoid the package's computational kernels: circuits are
-evaluated by building explicit 2^n x 2^n gate matrices and multiplying them
-into the state, and contraction costs are minimized by exhaustive search over
-set partitions.
+evaluated by building explicit 2^n x 2^n gate matrices (stored sparse, so
+that 16-qubit circuits fit) and multiplying them into the state, and
+contraction costs are minimized by exhaustive search over set partitions.
 """
 from __future__ import annotations
 
@@ -11,31 +11,34 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from rcsbench.gates import fsim_matrix, sq_matrix
 
 
-def dense_single(n: int, qubit: int, u: np.ndarray) -> np.ndarray:
+def dense_single(n: int, qubit: int, u: np.ndarray) -> sparse.csr_matrix:
     """Full-space matrix for a 2x2 gate; qubit 0 is the most significant."""
-    left = np.eye(1 << qubit)
-    right = np.eye(1 << (n - qubit - 1))
-    return np.kron(np.kron(left, u), right)
+    left = sparse.identity(1 << qubit)
+    right = sparse.identity(1 << (n - qubit - 1))
+    return sparse.kron(sparse.kron(left, u), right, format="csr")
 
 
-def dense_two(n: int, q1: int, q2: int, u: np.ndarray) -> np.ndarray:
+def dense_two(n: int, q1: int, q2: int, u: np.ndarray) -> sparse.csr_matrix:
     """Full-space matrix for a 4x4 gate on (q1, q2); q1 is the high gate bit."""
     d = 1 << n
-    full = np.zeros((d, d), dtype=complex)
-    rest_mask = ~((1 << (n - 1 - q1)) | (1 << (n - 1 - q2)))
-    for base in range(d):
-        if base & ~rest_mask:
-            continue
-        for c1, c2 in itertools.product((0, 1), repeat=2):
-            col = base | (c1 << (n - 1 - q1)) | (c2 << (n - 1 - q2))
-            for b1, b2 in itertools.product((0, 1), repeat=2):
-                row = base | (b1 << (n - 1 - q1)) | (b2 << (n - 1 - q2))
-                full[row, col] = u[(b1 << 1) | b2, (c1 << 1) | c2]
-    return full
+    s1, s2 = n - 1 - q1, n - 1 - q2
+    index = np.arange(d)
+    base = index[((index >> s1) | (index >> s2)) & 1 == 0]
+    rows, cols, vals = [], [], []
+    for c1, c2 in itertools.product((0, 1), repeat=2):
+        col = base | (c1 << s1) | (c2 << s2)
+        for b1, b2 in itertools.product((0, 1), repeat=2):
+            rows.append(base | (b1 << s1) | (b2 << s2))
+            cols.append(col)
+            vals.append(np.full(base.size, u[(b1 << 1) | b2, (c1 << 1) | c2], dtype=complex))
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(d, d))
 
 
 def dense_run(circuit) -> np.ndarray:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,6 +12,38 @@ from rcsbench.simulator import zero_state
 
 from conftest import random_fsim
 from oracles import dense_run, dense_single, dense_two
+
+
+# Words of sample_trajectory for a 3x4, 6-cycle circuit (seed 3) with
+# NoiseModel(e1=0.01, e2=0.02), seed 12, 300 trajectories, recorded with the
+# unfused gate-by-gate simulator.
+GOLDEN_TRAJECTORY_WORDS = (
+    3479, 1640, 3890, 3184, 2536, 3789, 2446, 86, 1049, 2847, 3097, 388,
+    1290, 769, 1586, 2169, 669, 472, 2230, 8, 2653, 2018, 1426, 3708, 616,
+    3639, 2541, 1387, 3721, 2992, 879, 3397, 475, 856, 2535, 2638, 2966,
+    2370, 2744, 2218, 2771, 3743, 1665, 1107, 2143, 1075, 2912, 2089, 1696,
+    1125, 3019, 3592, 3433, 83, 2693, 1135, 2999, 3381, 344, 4059, 476,
+    2150, 2061, 2885, 1637, 3518, 2399, 4093, 1749, 2229, 4092, 2662, 896,
+    1985, 1221, 2363, 916, 1623, 670, 2050, 1998, 46, 3199, 2084, 3843,
+    2644, 1968, 1103, 633, 2677, 2142, 3451, 3723, 475, 3609, 3115, 837,
+    3688, 709, 667, 3517, 1406, 3625, 3204, 2118, 3234, 3889, 160, 492,
+    1006, 3494, 2424, 75, 310, 3280, 1034, 3985, 2792, 3574, 4065, 1112,
+    2927, 3218, 332, 1201, 1868, 2941, 46, 2867, 2143, 662, 3630, 3483,
+    1157, 558, 1648, 890, 592, 3982, 2256, 1352, 3279, 1298, 3600, 4060,
+    1744, 3248, 1877, 3284, 422, 2460, 2525, 426, 1807, 89, 3373, 1611,
+    2500, 2782, 1965, 4087, 2649, 794, 2448, 2374, 3967, 209, 3641, 2648,
+    2803, 3445, 3718, 3181, 1808, 1533, 3740, 3058, 3232, 1759, 953, 1140,
+    2418, 2443, 2530, 1800, 1956, 704, 1062, 1109, 3236, 1301, 2691, 375,
+    2421, 1028, 1714, 2751, 1373, 2385, 1235, 2072, 2259, 681, 1510, 2678,
+    2212, 631, 3645, 1463, 3477, 2725, 1584, 1679, 3854, 1716, 2458, 1306,
+    2303, 2233, 4021, 859, 2286, 329, 298, 676, 1654, 1792, 3146, 2953,
+    2639, 227, 1495, 2340, 1809, 2770, 1215, 338, 579, 3233, 4086, 3756,
+    3493, 1238, 5, 1063, 2627, 1904, 1559, 3668, 1291, 4056, 1559, 3864,
+    1534, 1489, 145, 764, 2732, 2626, 621, 1117, 1306, 3266, 1603, 1857,
+    1044, 42, 1634, 898, 1067, 643, 3713, 85, 2226, 2308, 2447, 2680, 751,
+    1382, 2180, 3200, 722, 3588, 642, 2191, 4058, 3704, 2317, 2903, 2315,
+    1110, 3105, 2522, 873, 3883, 1697, 3704, 899, 1166, 838,
+)
 
 
 def random_state(n, gen):
@@ -75,6 +109,25 @@ class TestApplyOps:
             worst = max(worst, float(np.max(np.abs(st.amplitudes - ref))))
         assert worst <= 1e-10
 
+    def test_every_qubit_and_ordered_pair_on_five_qubits(self):
+        gen = np.random.default_rng(3)
+        n = 5
+        for q in range(n):
+            st = random_state(n, gen)
+            u = random_unitary(2, gen)
+            ref = dense_single(n, q, u) @ st.amplitudes
+            rb.apply_single(st, q, u)
+            assert np.max(np.abs(st.amplitudes - ref)) <= 1e-12
+        for q1 in range(n):
+            for q2 in range(n):
+                if q1 == q2:
+                    continue
+                st = random_state(n, gen)
+                u = random_unitary(4, gen)
+                ref = dense_two(n, q1, q2, u) @ st.amplitudes
+                rb.apply_two(st, (q1, q2), u)
+                assert np.max(np.abs(st.amplitudes - ref)) <= 1e-12
+
     def test_rejects_bad_qubits(self):
         st = zero_state(3)
         with pytest.raises(InputError):
@@ -124,6 +177,75 @@ class TestRun:
         a = rb.run(c).amplitudes
         b = rb.run(c, dtype=np.complex64).amplitudes.astype(np.complex128)
         assert np.max(np.abs(a - b)) < 1e-5
+
+
+def assert_matches_oracle(circuit):
+    got = rb.run(circuit).amplitudes
+    assert np.max(np.abs(got - dense_run(circuit))) <= 1e-12
+
+
+def random_param_circuit(rows, cols, n_cycles, seed):
+    gen = np.random.default_rng(seed)
+    topo = rb.assign_patterns(rb.build_grid(rows, cols))
+    params = {c.key: random_fsim(gen) for c in topo.enabled_couplers}
+    return rb.standard_circuit(topo, n_cycles, seed=seed, params=params)
+
+
+class TestCompiledProgram:
+    """The fused program of run() against the explicit-matrix oracle."""
+
+    @pytest.mark.parametrize("rows, cols, n_cycles", [(3, 4, 10), (4, 4, 6)])
+    def test_random_grid_circuits(self, rows, cols, n_cycles):
+        # vertical couplers join qubits `cols` positions apart
+        assert_matches_oracle(random_param_circuit(rows, cols, n_cycles, seed=31))
+
+    def test_patch_elided_and_subcircuit(self):
+        c = random_param_circuit(3, 4, 8, seed=32)
+        bip = rb.column_bipartition(c)
+        assert_matches_oracle(rb.make_patch(c, bip))
+        assert_matches_oracle(rb.make_elided(c, bip, keep_last=3))
+        assert_matches_oracle(rb.extract_subcircuit(c, sorted(bip[0])))
+
+    def test_one_qubit_circuit(self):
+        from rcsbench.topology import restrict
+
+        topo = restrict(rb.assign_patterns(rb.build_grid(1, 2)), (0,))
+        cycles = tuple(Cycle(pattern="A", single=(g,), two_qubit=())
+                       for g in (SingleQubitGate.SQRT_X, SingleQubitGate.SQRT_W,
+                                 SingleQubitGate.SQRT_Y, SingleQubitGate.SQRT_X))
+        assert_matches_oracle(Circuit(topology=topo, qubits=(0,), cycles=cycles,
+                                      seed=0, kind="standard"))
+
+    def test_fewer_qubits_than_a_group(self):
+        assert_matches_oracle(random_param_circuit(2, 2, 9, seed=33))
+
+    def test_cycle_without_two_qubit_gates(self):
+        c = random_param_circuit(3, 4, 5, seed=34)
+        cycles = list(c.cycles)
+        cycles[2] = replace(cycles[2], two_qubit=())
+        assert_matches_oracle(replace(c, cycles=tuple(cycles)))
+
+    def test_two_qubit_gates_sharing_a_qubit(self):
+        # hand-built layer: chains through qubits 0-1-2-6 and 2-3 with a
+        # reversed pair (6, 2), a repeated pair (0, 1) and a separate (4, 5)
+        c = random_param_circuit(3, 4, 3, seed=35)
+        gen = np.random.default_rng(35)
+        gates = ((0, 1), (1, 2), (6, 2), (4, 5), (0, 1), (2, 3))
+        layer = replace(c.cycles[1], two_qubit=tuple(
+            (a, b, random_fsim(gen)) for a, b in gates))
+        assert_matches_oracle(replace(c, cycles=(c.cycles[0], layer, c.cycles[2])))
+
+    def test_gate_sites_in_circuit_order(self, grid_3x4):
+        from rcsbench.simulator import compile_circuit
+
+        c = rb.standard_circuit(grid_3x4, 4, seed=36)
+        sites = compile_circuit(c).sites
+        pos = {q: i for i, q in enumerate(c.qubits)}
+        want = []
+        for k, cyc in enumerate(c.cycles):
+            want += [(k, (i,)) for i in range(c.n_qubits)]
+            want += [(k, (pos[a], pos[b])) for a, b, _ in cyc.two_qubit]
+        assert [(s.cycle, s.qubits) for s in sites] == want
 
 
 class TestProbabilities:
@@ -207,6 +329,20 @@ class TestTrajectory:
         est = rb.linear_xeb(rb.probabilities_of_samples(dist, ss))
         assert abs(est.fidelity - 1.0) < 3 * est.sigma
 
+    @pytest.mark.parametrize("budget_states", [None, 2])
+    def test_golden_words(self, grid_3x4, monkeypatch, budget_states):
+        # pins the error sites, the Pauli draw order and the final draw; a
+        # budget of 2 states keeps every 4th cycle, so replays also run
+        # ideal cycles between a checkpoint and the first error
+        from rcsbench import simulator
+
+        if budget_states:
+            monkeypatch.setattr(simulator, "_CHECKPOINT_BUDGET", budget_states * 16 << 12)
+        c = rb.standard_circuit(grid_3x4, 6, seed=3)
+        noise = rb.NoiseModel(e1=0.01, e2=0.02)
+        ss = rb.sample_trajectory(c, noise, 300, seed=12, threads=1)
+        assert ss.words.tolist() == list(GOLDEN_TRAJECTORY_WORDS)
+
     def test_thread_count_invariant(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 6, seed=3)
         noise = rb.NoiseModel(e1=0.01, e2=0.02)
@@ -217,17 +353,17 @@ class TestTrajectory:
     def test_error_count_matches_rates(self, grid_3x4):
         # count injected errors by replaying the per-trajectory streams
         from rcsbench import rng as rngmod
-        from rcsbench.simulator import _op_list
+        from rcsbench.simulator import compile_circuit
 
         c = rb.standard_circuit(grid_3x4, 10, seed=3)
         noise = rb.NoiseModel(e1=0.004, e2=0.012)
-        ops, _ = _op_list(c)
-        e_vec = np.array([noise.e2 if two else noise.e1 for _, _, two in ops])
+        sites = compile_circuit(c).sites
+        e_vec = np.array([noise.e2 if len(s.qubits) == 2 else noise.e1 for s in sites])
         n_traj = 4000
         total = 0
         for t in range(n_traj):
             gen = rngmod.stream(12, rngmod.Stream.TRAJECTORY, index=t)
-            total += int(np.sum(gen.random(len(ops)) < e_vec))
+            total += int(np.sum(gen.random(len(sites)) < e_vec))
         mean_expected = float(e_vec.sum())
         sigma = np.sqrt(mean_expected * n_traj)  # ~Poisson
         assert abs(total - n_traj * mean_expected) < 3 * sigma

@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate, stats
 
 import rcsbench as rb
+from rcsbench import xeb
 from rcsbench.errors import InputError
 from rcsbench.xeb import ProbabilityRecord, fit_gaussian_sigma
 
@@ -145,6 +146,14 @@ class TestBootstrap:
         sigma_boot, fids = rb.bootstrap_xeb(rec, 2500, seed=3)
         sigma_fit = fit_gaussian_sigma(fids)
         assert abs(sigma_fit - sigma_boot) / sigma_boot < 0.10
+
+    def test_chunking_does_not_change_resamples(self, monkeypatch):
+        gen = np.random.default_rng(30)
+        rec = model_draws(0.5, 1001, gen)
+        want = rb.bootstrap_xeb(rec, 101, seed=4)
+        monkeypatch.setattr(xeb, "_BOOTSTRAP_CHUNK", 2 * 1001)  # 2 rows, then 1
+        got = rb.bootstrap_xeb(rec, 101, seed=4)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
     def test_rejects_few_resamples(self):
         rec = ProbabilityRecord(np.full(100, 0.01), 8)
