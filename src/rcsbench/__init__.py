@@ -6,10 +6,8 @@ from .calibration import (
     OptimizerConfig,
     PatchPartition,
     bfgs_minimize,
-    calibrate_four_patch,
     calibrate_partition_family,
     calibrate_patches,
-    gradient_fd,
     loss,
     split_four_patches,
     split_grid_patches,

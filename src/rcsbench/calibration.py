@@ -2,11 +2,20 @@
 
 The full circuit is split into non-overlapping patches (quadrants by
 default).  For each patch, the loss 1 - F_XEB(gamma, b_train) is minimized
-over the patch's gate parameters with a quasi-Newton (BFGS) optimizer using
-central finite-difference gradients; b_train is a set of training bitstrings
-sampled from the patch circuit.  A single 4-way split cannot calibrate the
-couplers crossing its boundaries, so a staggered pair of splits is provided
-whose internal couplers jointly cover every enabled coupler.
+over the patch's gate parameters with a quasi-Newton (BFGS) optimizer;
+b_train is a set of training bitstrings sampled from the patch circuit.  A
+single 4-way split cannot calibrate the couplers crossing its boundaries, so
+a staggered pair of splits is provided whose internal couplers jointly cover
+every enabled coupler.
+
+The training bitstrings enter the loss only through their histogram w over
+the D outcomes, so F = D * (w . p) - 1 for the candidate distribution p.
+The optimizer gets the loss and its exact gradient from one forward and one
+backward sweep through the compiled patch circuit
+(`simulator.adjoint_gradient`): the loss is a function of the final state
+with cotangent -(dF/dp) * psi, and each coupler's gradient sums the
+analytic fSim derivatives (`gates.fsim_derivative`) over every cycle in
+which the coupler fires.
 
 The loss is a deterministic pure function of (gamma, b_train); patch
 optimizations are independent of each other and of evaluation order.
@@ -20,9 +29,16 @@ import numpy as np
 
 from .circuit import Circuit, ParamMap, extract_subcircuit, with_coupler_params
 from .errors import InputError
-from .gates import FsimParams
+from .gates import FsimParams, fsim_derivative
 from .samples import SampleSet
-from .simulator import DEFAULT_QUBIT_LIMIT, probabilities, run
+from .simulator import (
+    DEFAULT_QUBIT_LIMIT,
+    _check_limit,
+    adjoint_gradient,
+    compile_circuit,
+    probabilities,
+    run,
+)
 
 PARAM_NAMES = ("theta", "phi", "delta_plus", "delta_minus", "delta_minus_off")
 
@@ -30,15 +46,14 @@ PARAM_NAMES = ("theta", "phi", "delta_plus", "delta_minus", "delta_minus_off")
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 200
-    fd_step: float = 1e-3          # central-difference step, radians
     grad_tol: float = 1e-5         # infinity-norm convergence threshold
     armijo_c: float = 1e-4
     backtrack: float = 0.5
     max_backtracks: int = 40
 
     def __post_init__(self) -> None:
-        if self.fd_step <= 0 or self.grad_tol <= 0:
-            raise InputError("fd_step and grad_tol must be positive")
+        if self.grad_tol <= 0:
+            raise InputError("grad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -74,6 +89,9 @@ class CalibrationProblem:
     trainable: tuple[str, ...] = PARAM_NAMES
     limit: int = DEFAULT_QUBIT_LIMIT
     normalized: bool = True
+    weights: np.ndarray = field(init=False, repr=False)  # training histogram
+    # (gate site, coupler index) of each firing of a trained coupler
+    coupler_sites: list[tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         unknown = set(self.trainable) - set(PARAM_NAMES)
@@ -81,18 +99,28 @@ class CalibrationProblem:
             raise InputError(f"unknown trainable parameters: {sorted(unknown)}")
         if self.b_train.n_qubits != self.patch_circuit.n_qubits:
             raise InputError("training bitstring width does not match the patch")
+        if self.b_train.n_samples < 1:
+            raise InputError("training set holds no bitstrings")
+        _check_limit(self.patch_circuit.n_qubits, self.limit)
+        # SampleSet words fit the bitstring width, so the int64 view is exact.
+        counts = np.bincount(self.b_train.words.view(np.int64),
+                             minlength=1 << self.patch_circuit.n_qubits)
+        self.weights = counts / float(self.b_train.n_samples)
+        # Sites in `Program.sites` order: per cycle the single-qubit sites,
+        # then `two_qubit`.
+        index = {key: i for i, key in enumerate(self.couplers)}
+        self.coupler_sites = []
+        site = 0
+        for cyc in self.patch_circuit.cycles:
+            site += len(cyc.single)
+            for a, b, _ in cyc.two_qubit:
+                if (a, b) in index:
+                    self.coupler_sites.append((site, index[(a, b)]))
+                site += 1
 
     @property
     def dim(self) -> int:
         return len(self.couplers) * len(self.trainable)
-
-    @property
-    def train_words(self) -> np.ndarray:
-        words = getattr(self, "_train_words", None)
-        if words is None:
-            words = self.b_train.words.astype(np.int64)
-            object.__setattr__(self, "_train_words", words)
-        return words
 
 
 def pack_params(
@@ -128,31 +156,55 @@ def unpack_params(
     return out
 
 
+def training_fidelity(weights: np.ndarray, dist: np.ndarray, normalized: bool):
+    """Training fidelity F = D * (w . p) - 1 of the distribution ``dist`` on
+    the training histogram ``weights``, and dF/dp.
+
+    With ``normalized``, F is divided by the square root of the collision
+    ratio C = D * sum(p^2) - 1.  C is clamped below at 1e-12; a clamped C is
+    a constant, so it contributes nothing to dF/dp.
+    """
+    d = dist.size
+    raw = d * float(weights @ dist) - 1.0
+    slope = d * weights
+    if not normalized:
+        return raw, slope
+    collision = d * float(np.sum(dist * dist)) - 1.0
+    if collision <= 1e-12:
+        scale = 1.0 / np.sqrt(1e-12)
+        return raw * scale, slope * scale
+    scale = 1.0 / np.sqrt(collision)
+    return raw * scale, (slope - raw * d * dist / collision) * scale
+
+
 def loss(gamma: np.ndarray, problem: CalibrationProblem) -> float:
     """1 - F_XEB of the patch rebuilt with candidate parameters, evaluated on
     the training bitstrings.  Deterministic given (gamma, b_train)."""
     mapping = unpack_params(gamma, problem.base, problem.couplers, problem.trainable)
     circ = with_coupler_params(problem.patch_circuit, mapping)
     dist = probabilities(run(circ, limit=problem.limit))
-    d = dist.size
-    fidelity = d * float(np.mean(dist[problem.train_words])) - 1.0
-    if problem.normalized:
-        collision = d * float(np.sum(dist * dist)) - 1.0
-        fidelity /= np.sqrt(max(collision, 1e-12))
-    return 1.0 - fidelity
+    return 1.0 - training_fidelity(problem.weights, dist, problem.normalized)[0]
 
 
-def gradient_fd(fn, x: np.ndarray, h: float) -> np.ndarray:
-    """Central differences per coordinate: (f(x+h e_k) - f(x-h e_k)) / 2h."""
-    if h <= 0:
-        raise InputError(f"finite-difference step must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for k in range(x.size):
-        step = np.zeros_like(x)
-        step[k] = h
-        grad[k] = (fn(x + step) - fn(x - step)) / (2.0 * h)
-    return grad
+def loss_and_gradient(gamma: np.ndarray, problem: CalibrationProblem):
+    """`loss` and its exact gradient by gamma, from one forward and one
+    backward sweep through the compiled patch circuit."""
+    mapping = unpack_params(gamma, problem.base, problem.couplers, problem.trainable)
+    program = compile_circuit(with_coupler_params(problem.patch_circuit, mapping))
+    per_coupler = [[fsim_derivative(mapping[key], name) for name in problem.trainable]
+                   for key in problem.couplers]
+    derivatives = {site: per_coupler[i] for site, i in problem.coupler_sites}
+
+    def cotangent(amps: np.ndarray):
+        f, slope = training_fidelity(problem.weights, np.abs(amps) ** 2, problem.normalized)
+        return 1.0 - f, -slope * amps
+
+    value, site_grads = adjoint_gradient(program, cotangent, derivatives)
+    k = len(problem.trainable)
+    grad = np.zeros(problem.dim)
+    for site, i in problem.coupler_sites:
+        grad[i * k:(i + 1) * k] += site_grads[site]
+    return value, grad
 
 
 @dataclass
@@ -164,9 +216,13 @@ class BfgsResult:
     status: str                  # converged | max_iters | line_search_failed
 
 
-def bfgs_minimize(fn, x0: np.ndarray, config: OptimizerConfig = OptimizerConfig()) -> BfgsResult:
+def bfgs_minimize(fun, x0: np.ndarray, config: OptimizerConfig = OptimizerConfig()) -> BfgsResult:
     """Quasi-Newton minimization with inverse-Hessian updates and a
     backtracking line search enforcing sufficient (Armijo) decrease.
+
+    ``fun(x)`` returns the loss and its gradient.  Each line-search trial
+    evaluates both, and the accepted trial's gradient is the next iterate's,
+    so an iteration whose full step is accepted costs one evaluation.
 
     The returned point never has a larger loss than the starting point, and
     the trace is nonincreasing.  A failed line search returns the best point
@@ -176,8 +232,7 @@ def bfgs_minimize(fn, x0: np.ndarray, config: OptimizerConfig = OptimizerConfig(
     if not np.all(np.isfinite(x)):
         raise InputError("initial point is not finite")
     dim = x.size
-    f = float(fn(x))
-    g = gradient_fd(fn, x, config.fd_step)
+    f, g = fun(x)
     h_inv = np.eye(dim)
     trace = [f]
     status = "max_iters"
@@ -191,9 +246,9 @@ def bfgs_minimize(fn, x0: np.ndarray, config: OptimizerConfig = OptimizerConfig(
             h_inv = np.eye(dim)
             direction = -g
             slope = float(g @ direction)
-        alpha, accepted, f_new = 1.0, False, f
+        alpha, accepted = 1.0, False
         for _ in range(config.max_backtracks):
-            f_new = float(fn(x + alpha * direction))
+            f_new, g_new = fun(x + alpha * direction)
             if f_new <= f + config.armijo_c * alpha * slope:
                 accepted = True
                 break
@@ -203,7 +258,6 @@ def bfgs_minimize(fn, x0: np.ndarray, config: OptimizerConfig = OptimizerConfig(
             break
         s = alpha * direction
         x_new = x + s
-        g_new = gradient_fd(fn, x_new, config.fd_step)
         y = g_new - g
         sy = float(s @ y)
         if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
@@ -347,7 +401,7 @@ def calibrate_patches(
         )
         x0 = pack_params(problem.base, couplers, trainable)
         before = loss(x0, problem)
-        res = bfgs_minimize(lambda g: loss(g, problem), x0, config)
+        res = bfgs_minimize(lambda g: loss_and_gradient(g, problem), x0, config)
         optimized = unpack_params(res.x, problem.base, couplers, trainable)
         return (
             PatchResult(couplers, before, res.fun, res.trace, res.status),
@@ -367,23 +421,6 @@ def calibrate_patches(
         merged.update(optimized)
         result.patches.append(patch_result)
     return result
-
-
-def calibrate_four_patch(
-    circuit: Circuit,
-    trains: list[SampleSet],
-    gamma0: ParamMap | None = None,
-    config: OptimizerConfig = OptimizerConfig(),
-    trainable: tuple[str, ...] = PARAM_NAMES,
-    row_at: int | None = None,
-    col_at: int | None = None,
-    limit: int = DEFAULT_QUBIT_LIMIT,
-    threads: int = 1,
-) -> CalibrationResult:
-    """Calibrate a quadrant split: four training sets, one per patch."""
-    partition, patch_circuits = split_four_patches(circuit, row_at, col_at)
-    return calibrate_patches(circuit, patch_circuits, partition, trains,
-                             gamma0, config, trainable, limit, threads)
 
 
 def calibrate_partition_family(

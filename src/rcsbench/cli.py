@@ -317,7 +317,7 @@ def cmd_calibrate(args) -> int:
     trains = [load_samples(p) for p in args.train]
     trainable = tuple(args.trainable.split(",")) if args.trainable else calibration.PARAM_NAMES
     config = calibration.OptimizerConfig(
-        max_iters=args.max_iters, fd_step=args.fd_step, grad_tol=args.grad_tol)
+        max_iters=args.max_iters, grad_tol=args.grad_tol)
     result = calibration.calibrate_patches(
         circ, patch_circuits, partition, trains,
         config=config, trainable=trainable, threads=args.threads)
@@ -351,8 +351,7 @@ def cmd_calibrate(args) -> int:
         outputs.append(args.trace_csv)
     _write_manifest(args.output, "calibrate", {
         "patches": args.patches, "trainable": list(trainable),
-        "max_iters": args.max_iters, "fd_step": args.fd_step,
-        "grad_tol": args.grad_tol,
+        "max_iters": args.max_iters, "grad_tol": args.grad_tol,
     }, [args.circuit] + list(args.train), outputs)
     return EXIT_OK
 
@@ -579,7 +578,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patches", type=int, choices=(2, 4), default=4)
     p.add_argument("--trainable", help="comma list, e.g. theta,phi")
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--fd-step", type=float, default=1e-3)
     p.add_argument("--grad-tol", type=float, default=1e-5)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--trace-csv", help="write per-iteration losses")

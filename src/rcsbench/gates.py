@@ -17,7 +17,11 @@ high bit.  Its matrix is
      [0, 0,                               0,                e^{i(2 d+ - f)}]]
 
 with swap angle t, conditional phase f, and phase parameters d+, d-, d-off.
-It is unitary for any real parameter values.
+It is unitary for any real parameter values.  Each phase parameter enters
+an entry only through its exponent, so the derivative by d+, d-, d-off or f
+is i times the entry times that parameter's coefficient in the exponent;
+the derivative by t turns each cos(t) into -sin(t) and each sin(t) into
+cos(t) (`fsim_derivative`).
 """
 from __future__ import annotations
 
@@ -107,3 +111,33 @@ def fsim_matrix(params: FsimParams) -> np.ndarray:
         ],
         dtype=complex,
     )
+
+
+# Coefficient of each phase parameter in the exponent of each matrix entry.
+_PHASE_COEFFICIENTS = {
+    "phi": np.diag([0.0, 0.0, 0.0, -1.0]),
+    "delta_plus": np.array([[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 2]],
+                           dtype=float),
+    "delta_minus": np.diag([0.0, 1.0, -1.0, 0.0]),
+    "delta_minus_off": np.array([[0, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 0]],
+                                dtype=float),
+}
+
+
+def fsim_derivative(params: FsimParams, name: str) -> np.ndarray:
+    """Derivative of `fsim_matrix` by the named parameter (a field of
+    `FsimParams`)."""
+    if name == "theta":
+        t = params.theta
+        dp, dm, dmo = params.delta_plus, params.delta_minus, params.delta_minus_off
+        c, s = math.cos(t), math.sin(t)
+        out = np.zeros((4, 4), dtype=complex)
+        out[1, 1] = -np.exp(1j * (dp + dm)) * s
+        out[1, 2] = -1j * np.exp(1j * (dp - dmo)) * c
+        out[2, 1] = -1j * np.exp(1j * (dp + dmo)) * c
+        out[2, 2] = -np.exp(1j * (dp - dm)) * s
+        return out
+    coefficients = _PHASE_COEFFICIENTS.get(name)
+    if coefficients is None:
+        raise InputError(f"unknown gate parameter {name!r}")
+    return 1j * coefficients * fsim_matrix(params)

@@ -18,7 +18,9 @@ in their order and never fused into the same op.  The state is held as a
 which puts the op's axes first.  That axis order depends only on the
 circuit, so every op's axes are fixed at compile time and no op copies its
 result back; one transpose at the end restores the canonical order.  `run`,
-the trajectory replay, `apply_single` and `apply_two` all use one executor.
+the trajectory replay, `apply_single`, `apply_two` and the forward sweep of
+`adjoint_gradient` all use one executor; its backward sweep applies the
+adjoints of the same ops.
 
 Two noise models ship: a speckle mixture (each sample comes from the ideal
 distribution with probability F, uniform otherwise) and Pauli-trajectory
@@ -322,6 +324,45 @@ def run(circuit: Circuit, limit: int = DEFAULT_QUBIT_LIMIT,
     for ops in program.cycles:
         psi = _execute(ops, psi)
     return StateVector(n, program.canonical(psi))
+
+
+def adjoint_gradient(program: Program, cotangent, derivatives: dict[int, list[np.ndarray]]):
+    """A real function of the final state and its derivatives by gate-site
+    matrices, from one forward and one backward sweep over the program.
+
+    ``cotangent`` maps the final amplitudes, in canonical order, to the
+    function's value L and the cotangent lambda = dL/dpsi* (canonical order).
+    ``derivatives`` maps a gate site to derivative matrices dG of its matrix.
+    The forward sweep keeps each op's input state (one state per op).  The
+    backward sweep carries lambda through each op's adjoint in reverse order;
+    at an op holding requested sites it contracts lambda after the op with the
+    op's input into the 2^k x 2^k environment E, and each dG contributes
+    dL = 2 Re sum(dM * E), where dM is the op re-fused with the site's matrix
+    replaced by dG.  Returns L and, per requested site, one derivative per dG.
+    """
+    n = len(program.layout)
+    ops = [op for cycle in program.cycles for op in cycle]
+    inputs = []
+    psi = _zero_tensor(n, program.dtype)
+    for op in ops:
+        inputs.append(psi)
+        psi = _execute((op,), psi)
+    value, lam = cotangent(program.canonical(psi))
+    lam = lam.reshape((2,) * n).transpose(program.layout)
+    grads = {s: np.zeros(len(d)) for s, d in derivatives.items()}
+    for op, psi_in in zip(reversed(ops), reversed(inputs)):
+        k = len(op.axes)
+        wanted = op.sites.intersection(derivatives)
+        if wanted:
+            psi_in = np.moveaxis(psi_in, op.axes, range(k))  # as lam's axes
+            env = np.tensordot(lam.conj(), psi_in, axes=(range(k, n), range(k, n)))
+            for s in wanted:
+                for j, dg in enumerate(derivatives[s]):
+                    dm = _fuse(op.blocks, program.sites, {s: dg}, program.dtype)
+                    grads[s][j] = 2.0 * float(np.sum(dm * env).real)
+        lam = np.tensordot(op.matrix.conj(), lam, axes=(range(k), range(k)))
+        lam = np.moveaxis(lam, range(k), op.axes)
+    return value, grads
 
 
 def probabilities(state: StateVector) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's computational kernels: circuits are
 evaluated by building explicit 2^n x 2^n gate matrices (stored sparse, so
-that 16-qubit circuits fit) and multiplying them into the state, and
+that 16-qubit circuits fit) and multiplying them into the state, gradients
+are taken by central finite differences of the function itself, and
 contraction costs are minimized by exhaustive search over set partitions.
 """
 from __future__ import annotations
@@ -13,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
+from rcsbench.errors import InputError
 from rcsbench.gates import fsim_matrix, sq_matrix
 
 
@@ -53,6 +55,19 @@ def dense_run(circuit) -> np.ndarray:
         for a, b, p in cyc.two_qubit:
             state = dense_two(n, pos[a], pos[b], fsim_matrix(p)) @ state
     return state
+
+
+def gradient_fd(fn, x: np.ndarray, h: float) -> np.ndarray:
+    """Central differences per coordinate: (f(x+h e_k) - f(x-h e_k)) / 2h."""
+    if h <= 0:
+        raise InputError(f"finite-difference step must be positive, got {h}")
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for k in range(x.size):
+        step = np.zeros_like(x)
+        step[k] = h
+        grad[k] = (fn(x + step) - fn(x - step)) / (2.0 * h)
+    return grad
 
 
 def exhaustive_min_cost(tn) -> float:

@@ -5,10 +5,11 @@ import rcsbench as rb
 from rcsbench.calibration import (
     CalibrationProblem,
     OptimizerConfig,
+    PARAM_NAMES,
     bfgs_minimize,
     calibrate_patches,
-    gradient_fd,
     loss,
+    loss_and_gradient,
     pack_params,
     split_four_patches,
     split_grid_patches,
@@ -17,6 +18,9 @@ from rcsbench.calibration import (
 )
 from rcsbench.errors import InputError
 from rcsbench.gates import FsimParams
+from rcsbench.simulator import compile_circuit
+
+from oracles import gradient_fd
 
 
 def make_truth(topology, seed=2024, spread=0.1):
@@ -46,6 +50,18 @@ def two_patch_problem():
         for i, pc in enumerate(patches)
     ]
     return topo, truth, circuit, partition, patches, trains
+
+
+@pytest.fixture(scope="module")
+def nine_qubit_patch():
+    """The 3x3 left patch of a 14-cycle 3x6 circuit with truth parameters
+    and an ideal training set."""
+    topo = rb.assign_patterns(rb.build_grid(3, 6))
+    truth = make_truth(topo, seed=9)
+    circuit = rb.standard_circuit(topo, 14, seed=31, params=truth)
+    partition, patches = split_grid_patches(circuit, col_cuts=(3,))
+    train = rb.sample_ideal(rb.run(patches[0]), 20_000, seed=5)
+    return truth, partition.internal[0], patches[0], train
 
 
 class TestSplits:
@@ -121,6 +137,27 @@ class TestLoss:
         x = pack_params(base, couplers) + 0.01
         assert loss(x, problem) == loss(x, problem)
 
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_loss_matches_gather_formula(self, nine_qubit_patch, normalized):
+        truth, couplers, patch, train = nine_qubit_patch
+        base = {k: truth[k] for k in couplers}
+        problem = CalibrationProblem(patch, train, couplers, base,
+                                     normalized=normalized)
+        x = pack_params(base, couplers) + 0.02
+        mapping = unpack_params(x, base, couplers)
+        dist = rb.probabilities(rb.run(rb.with_coupler_params(patch, mapping)))
+        d = dist.size
+        want = d * np.mean(dist[train.words.astype(np.int64)]) - 1.0
+        if normalized:
+            want /= np.sqrt(d * np.sum(dist * dist) - 1.0)
+        assert abs((1.0 - loss(x, problem)) - want) < 1e-12
+
+    def test_empty_training_set_rejected(self, nine_qubit_patch):
+        truth, couplers, patch, _ = nine_qubit_patch
+        empty = rb.SampleSet(patch.n_qubits, np.zeros(0, dtype=np.uint64))
+        with pytest.raises(InputError):
+            CalibrationProblem(patch, empty, couplers, {k: truth[k] for k in couplers})
+
     def test_pack_unpack_round_trip(self, two_patch_problem):
         _, truth, _, partition, _, _ = two_patch_problem
         couplers = partition.internal[0]
@@ -178,8 +215,31 @@ class TestGradient:
         problem = CalibrationProblem(patches[0], trains[0], couplers, base,
                                      trainable=("theta", "phi"))
         x = pack_params(base, couplers, ("theta", "phi"))
-        grad = gradient_fd(lambda g: loss(g, problem), x, 1e-3)
+        _, grad = loss_and_gradient(x, problem)
         assert np.max(np.abs(grad)) < 0.02
+
+    @pytest.mark.parametrize("trainable", [("theta", "phi"), PARAM_NAMES])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_adjoint_matches_finite_differences(self, nine_qubit_patch, trainable,
+                                                normalized):
+        truth, couplers, patch, train = nine_qubit_patch
+        base = {k: truth[k] for k in couplers}
+        problem = CalibrationProblem(patch, train, couplers, base,
+                                     trainable=trainable, normalized=normalized)
+        # Couplers fire in several cycles, and some op fuses two trained sites.
+        fired = [i for _, i in problem.coupler_sites]
+        assert max(fired.count(i) for i in set(fired)) >= 3
+        trained = {site for site, _ in problem.coupler_sites}
+        ops = [op for cycle in compile_circuit(patch).cycles for op in cycle]
+        assert max(len(op.sites & trained) for op in ops) >= 2
+
+        gen = np.random.default_rng(4)
+        x = pack_params(base, couplers, trainable) + gen.uniform(-0.05, 0.05, problem.dim)
+        value, grad = loss_and_gradient(x, problem)
+        assert value == loss(x, problem)
+        want = gradient_fd(lambda g: loss(g, problem), x, 1e-4)
+        assert np.max(np.abs(grad - want)) < 1e-6
+        assert np.max(np.abs(want)) > 1e-2
 
     def test_rejects_bad_step(self):
         with pytest.raises(InputError):
@@ -189,11 +249,12 @@ class TestGradient:
 class TestBfgs:
     def test_rosenbrock(self):
         def rosen(x):
-            return float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
+            r = x[1] - x[0] ** 2
+            f = float((1 - x[0]) ** 2 + 100 * r ** 2)
+            return f, np.array([-2 * (1 - x[0]) - 400 * x[0] * r, 200 * r])
 
         res = bfgs_minimize(rosen, np.array([-1.2, 1.0]),
-                            OptimizerConfig(max_iters=500, fd_step=1e-6,
-                                            grad_tol=1e-9))
+                            OptimizerConfig(max_iters=500, grad_tol=1e-9))
         assert res.status == "converged"
         assert np.max(np.abs(res.x - 1.0)) < 1e-6
 
@@ -201,18 +262,17 @@ class TestBfgs:
         dim = 8
 
         def quad(x):
-            return float(np.sum((x - 3.0) ** 2))
+            return float(np.sum((x - 3.0) ** 2)), 2 * (x - 3.0)
 
-        res = bfgs_minimize(quad, np.zeros(dim),
-                            OptimizerConfig(fd_step=1e-6, grad_tol=1e-8))
+        res = bfgs_minimize(quad, np.zeros(dim), OptimizerConfig(grad_tol=1e-8))
         assert res.status == "converged"
         assert res.iterations <= 3 * dim
 
     def test_trace_monotone(self):
         def f(x):
-            return float(np.sum(x**4) + np.sum((x - 1) ** 2))
+            return float(np.sum(x**4) + np.sum((x - 1) ** 2)), 4 * x**3 + 2 * (x - 1)
 
-        res = bfgs_minimize(f, np.full(4, 2.5), OptimizerConfig(fd_step=1e-6))
+        res = bfgs_minimize(f, np.full(4, 2.5))
         assert np.all(np.diff(res.trace) <= 0)
 
     def test_never_above_start(self):
@@ -221,16 +281,16 @@ class TestBfgs:
         h = a @ a.T + np.eye(5)
 
         def f(x):
-            return float(x @ h @ x + np.sin(3 * x).sum())
+            return float(x @ h @ x + np.sin(3 * x).sum()), 2 * h @ x + 3 * np.cos(3 * x)
 
         for trial in range(5):
             x0 = gen.standard_normal(5)
-            res = bfgs_minimize(f, x0, OptimizerConfig(max_iters=50, fd_step=1e-6))
-            assert res.fun <= f(x0) + 1e-12
+            res = bfgs_minimize(f, x0, OptimizerConfig(max_iters=50))
+            assert res.fun <= f(x0)[0] + 1e-12
 
     def test_rejects_non_finite_start(self):
         with pytest.raises(InputError):
-            bfgs_minimize(lambda x: 0.0, np.array([np.nan]))
+            bfgs_minimize(lambda x: (0.0, np.zeros_like(x)), np.array([np.nan]))
 
 
 class TestCalibration:
@@ -238,7 +298,7 @@ class TestCalibration:
         _, truth, circuit, partition, patches, trains = two_patch_problem
         result = calibrate_patches(
             circuit, patches, partition, trains, gamma0=dict(truth),
-            config=OptimizerConfig(max_iters=60, fd_step=1e-3, grad_tol=1e-6),
+            config=OptimizerConfig(max_iters=60, grad_tol=1e-6),
             trainable=("theta", "phi"))
         for keys in partition.internal:
             for key in keys:
@@ -256,7 +316,7 @@ class TestCalibration:
         }
         result = calibrate_patches(
             circuit, patches, partition, trains, gamma0=perturbed,
-            config=OptimizerConfig(max_iters=150, fd_step=1e-3, grad_tol=1e-6),
+            config=OptimizerConfig(max_iters=150, grad_tol=1e-6),
             trainable=("theta", "phi"))
         for keys in partition.internal:
             for key in keys:
@@ -283,14 +343,14 @@ class TestCalibration:
         _, truth, circuit, partition, patches, trains = two_patch_problem
         result = calibrate_patches(
             circuit, patches, partition, trains, gamma0=dict(truth),
-            config=OptimizerConfig(max_iters=5, fd_step=1e-3, grad_tol=1e-6),
+            config=OptimizerConfig(max_iters=5, grad_tol=1e-6),
             trainable=("theta", "phi"))
         for key in partition.cross:
             assert result.params[key] == truth[key]
 
     def test_thread_count_invariant(self, two_patch_problem):
         _, truth, circuit, partition, patches, trains = two_patch_problem
-        cfg = OptimizerConfig(max_iters=3, fd_step=1e-3, grad_tol=1e-6)
+        cfg = OptimizerConfig(max_iters=3, grad_tol=1e-6)
         a = calibrate_patches(circuit, patches, partition, trains,
                               gamma0=dict(truth), config=cfg, threads=1,
                               trainable=("theta",))

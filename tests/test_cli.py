@@ -1,0 +1,73 @@
+import json
+
+import numpy as np
+import pytest
+
+import rcsbench as rb
+from rcsbench.cli import EXIT_INPUT, EXIT_OK, main
+
+
+@pytest.fixture(scope="module")
+def calibrate_inputs(tmp_path_factory):
+    """A 2x6, 10-cycle circuit with perturbed theta, phi and one ideal
+    training file per 2x3 patch of the circuit with the true parameters."""
+    root = tmp_path_factory.mktemp("calibrate")
+    topo = rb.assign_patterns(rb.build_grid(2, 6))
+    gen = np.random.default_rng(6)
+    truth = {
+        c.key: rb.FsimParams(np.pi / 2 + float(gen.uniform(-0.1, 0.1)),
+                             np.pi / 18 + float(gen.uniform(-0.1, 0.1)))
+        for c in topo.enabled_couplers
+    }
+    circuit = rb.standard_circuit(topo, 10, seed=3, params=truth)
+    _, patches = rb.split_grid_patches(circuit, col_cuts=(3,))
+    trains = []
+    for i, patch in enumerate(patches):
+        path = str(root / f"train{i}.bin")
+        rb.save_samples(path, rb.sample_ideal(rb.run(patch), 50_000, seed=10 + i))
+        trains.append(path)
+    start = {k: rb.FsimParams(p.theta + 0.03, p.phi - 0.03) for k, p in truth.items()}
+    circuit_path = str(root / "start.json")
+    rb.save_circuit(circuit_path, rb.with_coupler_params(circuit, start))
+    argv = ["calibrate", "--circuit", circuit_path, "--patches", "2",
+            "--trainable", "theta,phi"]
+    for path in trains:
+        argv += ["--train", path]
+    return argv
+
+
+def _calibrate(argv, out, *extra):
+    return main(argv + list(extra) + ["-o", str(out)])
+
+
+class TestCalibrate:
+    def test_rerun_byte_identical(self, calibrate_inputs, tmp_path):
+        out = tmp_path / "calibration.json"
+        manifest = tmp_path / "calibration.json.manifest.json"
+        assert _calibrate(calibrate_inputs, out) == EXIT_OK
+        first = out.read_bytes(), manifest.read_bytes()
+        assert _calibrate(calibrate_inputs, out) == EXIT_OK
+        assert (out.read_bytes(), manifest.read_bytes()) == first
+        patches = json.loads(first[0])["patches"]
+        assert [p["status"] for p in patches] == ["converged", "converged"]
+        assert all(p["after_loss"] < p["before_loss"] for p in patches)
+
+    def test_thread_count_invariant(self, calibrate_inputs, tmp_path):
+        one, two = tmp_path / "one.json", tmp_path / "two.json"
+        assert _calibrate(calibrate_inputs, one, "--threads", "1") == EXIT_OK
+        assert _calibrate(calibrate_inputs, two, "--threads", "2") == EXIT_OK
+        assert one.read_bytes() == two.read_bytes()
+
+    def test_wrong_train_count_exits_2(self, calibrate_inputs, tmp_path):
+        argv = calibrate_inputs[:-2]  # drop the second --train
+        assert _calibrate(argv, tmp_path / "c.json") == EXIT_INPUT
+
+    def test_unknown_trainable_exits_2(self, calibrate_inputs, tmp_path):
+        argv = list(calibrate_inputs)
+        argv[argv.index("theta,phi")] = "theta,gamma"
+        assert _calibrate(argv, tmp_path / "c.json") == EXIT_INPUT
+
+    def test_fd_step_rejected(self, calibrate_inputs, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            _calibrate(calibrate_inputs, tmp_path / "c.json", "--fd-step", "1e-3")
+        assert exc.value.code == EXIT_INPUT

@@ -3,7 +3,7 @@ import pytest
 
 import rcsbench as rb
 from rcsbench.errors import InputError
-from rcsbench.gates import GATE_KINDS, FsimParams, fsim_matrix, sq_matrix
+from rcsbench.gates import GATE_KINDS, FsimParams, fsim_derivative, fsim_matrix, sq_matrix
 
 from conftest import random_fsim
 
@@ -72,3 +72,22 @@ class TestFsimMatrix:
     def test_tuple_round_trip(self):
         p = FsimParams(0.1, 0.2, 0.3, 0.4, 0.5)
         assert FsimParams.from_tuple(p.as_tuple()) == p
+
+
+class TestFsimDerivative:
+    @pytest.mark.parametrize("name", ["theta", "phi", "delta_plus", "delta_minus",
+                                      "delta_minus_off"])
+    def test_matches_central_differences(self, name):
+        gen = np.random.default_rng(8)
+        h = 1e-5
+        for _ in range(20):
+            p = random_fsim(gen)
+            up, down = p.as_dict(), p.as_dict()
+            up[name] += h
+            down[name] -= h
+            want = (fsim_matrix(FsimParams(**up)) - fsim_matrix(FsimParams(**down))) / (2 * h)
+            assert np.max(np.abs(fsim_derivative(p, name) - want)) < 1e-8
+
+    def test_rejects_unknown_name(self):
+        with pytest.raises(InputError):
+            fsim_derivative(FsimParams(0.1, 0.2), "gamma")
