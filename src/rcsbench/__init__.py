@@ -6,7 +6,6 @@ from .calibration import (
     OptimizerConfig,
     PatchPartition,
     bfgs_minimize,
-    calibrate_partition_family,
     calibrate_patches,
     loss,
     split_four_patches,

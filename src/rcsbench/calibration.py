@@ -3,18 +3,20 @@
 The full circuit is split into non-overlapping patches (quadrants by
 default).  For each patch, the loss 1 - F_XEB(gamma, b_train) is minimized
 over the patch's gate parameters with a quasi-Newton (BFGS) optimizer;
-b_train is a set of training bitstrings sampled from the patch circuit.  A
-single 4-way split cannot calibrate the couplers crossing its boundaries, so
-a staggered pair of splits is provided whose internal couplers jointly cover
-every enabled coupler.
+b_train is a set of training bitstrings sampled from the patch circuit.
+`calibrate_patches` is the one entry point; it calibrates only the couplers
+inside a patch.  `staggered_split_pair` gives two splits whose internal
+couplers jointly cover every enabled coupler, including those that cross
+one split's boundaries.
 
 The training bitstrings enter the loss only through their histogram w over
 the D outcomes, so F = D * (w . p) - 1 for the candidate distribution p.
-The optimizer gets the loss and its exact gradient from one forward and one
-backward sweep through the compiled patch circuit
-(`simulator.adjoint_gradient`): the loss is a function of the final state
-with cotangent -(dF/dp) * psi, and each coupler's gradient sums the
-analytic fSim derivatives (`gates.fsim_derivative`) over every cycle in
+Each patch is compiled once.  An evaluation swaps the candidate couplers'
+fSim matrices into that program (`Program.with_sites`), and the optimizer
+gets the loss and its exact gradient from one forward and one backward sweep
+through it (`simulator.adjoint_gradient`): the loss is a function of the
+final state with cotangent -(dF/dp) * psi, and each coupler's gradient sums
+the analytic fSim derivatives (`gates.fsim_derivative`) over every cycle in
 which the coupler fires.
 
 The loss is a deterministic pure function of (gamma, b_train); patch
@@ -29,15 +31,15 @@ import numpy as np
 
 from .circuit import Circuit, ParamMap, extract_subcircuit, with_coupler_params
 from .errors import InputError
-from .gates import FsimParams, fsim_derivative
+from .gates import FsimParams, fsim_derivative, fsim_matrix
 from .samples import SampleSet
 from .simulator import (
     DEFAULT_QUBIT_LIMIT,
+    Program,
     _check_limit,
     adjoint_gradient,
     compile_circuit,
-    probabilities,
-    run,
+    execute,
 )
 
 PARAM_NAMES = ("theta", "phi", "delta_plus", "delta_minus", "delta_minus_off")
@@ -90,6 +92,7 @@ class CalibrationProblem:
     limit: int = DEFAULT_QUBIT_LIMIT
     normalized: bool = True
     weights: np.ndarray = field(init=False, repr=False)  # training histogram
+    program: Program = field(init=False, repr=False)     # the compiled patch
     # (gate site, coupler index) of each firing of a trained coupler
     coupler_sites: list[tuple[int, int]] = field(init=False, repr=False)
 
@@ -106,17 +109,14 @@ class CalibrationProblem:
         counts = np.bincount(self.b_train.words.view(np.int64),
                              minlength=1 << self.patch_circuit.n_qubits)
         self.weights = counts / float(self.b_train.n_samples)
-        # Sites in `Program.sites` order: per cycle the single-qubit sites,
-        # then `two_qubit`.
+        self.program = compile_circuit(self.patch_circuit)
         index = {key: i for i, key in enumerate(self.couplers)}
-        self.coupler_sites = []
-        site = 0
-        for cyc in self.patch_circuit.cycles:
-            site += len(cyc.single)
-            for a, b, _ in cyc.two_qubit:
-                if (a, b) in index:
-                    self.coupler_sites.append((site, index[(a, b)]))
-                site += 1
+        # A site's qubits mapped back to circuit qubits; a single-qubit
+        # site's 1-tuple is never a coupler key.
+        qubits = self.patch_circuit.qubits
+        keys = (tuple(qubits[i] for i in site.qubits) for site in self.program.sites)
+        self.coupler_sites = [(s, index[key]) for s, key in enumerate(keys)
+                              if key in index]
 
     @property
     def dim(self) -> int:
@@ -177,20 +177,29 @@ def training_fidelity(weights: np.ndarray, dist: np.ndarray, normalized: bool):
     return raw * scale, (slope - raw * d * dist / collision) * scale
 
 
-def loss(gamma: np.ndarray, problem: CalibrationProblem) -> float:
-    """1 - F_XEB of the patch rebuilt with candidate parameters, evaluated on
-    the training bitstrings.  Deterministic given (gamma, b_train)."""
+def _candidate(gamma: np.ndarray,
+               problem: CalibrationProblem) -> tuple[ParamMap, Program]:
+    """The trained couplers' candidate parameters, and the patch program with
+    their fSim matrices swapped in."""
     mapping = unpack_params(gamma, problem.base, problem.couplers, problem.trainable)
-    circ = with_coupler_params(problem.patch_circuit, mapping)
-    dist = probabilities(run(circ, limit=problem.limit))
+    matrices = [fsim_matrix(mapping[key]) for key in problem.couplers]
+    program = problem.program.with_sites(
+        {site: matrices[i] for site, i in problem.coupler_sites})
+    return mapping, program
+
+
+def loss(gamma: np.ndarray, problem: CalibrationProblem) -> float:
+    """1 - F_XEB of the patch with candidate parameters, evaluated on the
+    training bitstrings.  Deterministic given (gamma, b_train)."""
+    _, program = _candidate(gamma, problem)
+    dist = np.abs(execute(program)) ** 2
     return 1.0 - training_fidelity(problem.weights, dist, problem.normalized)[0]
 
 
 def loss_and_gradient(gamma: np.ndarray, problem: CalibrationProblem):
     """`loss` and its exact gradient by gamma, from one forward and one
-    backward sweep through the compiled patch circuit."""
-    mapping = unpack_params(gamma, problem.base, problem.couplers, problem.trainable)
-    program = compile_circuit(with_coupler_params(problem.patch_circuit, mapping))
+    backward sweep through the patch program."""
+    mapping, program = _candidate(gamma, problem)
     per_coupler = [[fsim_derivative(mapping[key], name) for name in problem.trainable]
                    for key in problem.couplers]
     derivatives = {site: per_coupler[i] for site, i in problem.coupler_sites}
@@ -400,11 +409,11 @@ def calibrate_patches(
             normalized=normalized,
         )
         x0 = pack_params(problem.base, couplers, trainable)
-        before = loss(x0, problem)
         res = bfgs_minimize(lambda g: loss_and_gradient(g, problem), x0, config)
         optimized = unpack_params(res.x, problem.base, couplers, trainable)
+        # trace[0] is the loss at x0
         return (
-            PatchResult(couplers, before, res.fun, res.trace, res.status),
+            PatchResult(couplers, float(res.trace[0]), res.fun, res.trace, res.status),
             optimized,
         )
 
@@ -421,30 +430,3 @@ def calibrate_patches(
         merged.update(optimized)
         result.patches.append(patch_result)
     return result
-
-
-def calibrate_partition_family(
-    circuit: Circuit,
-    splits: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
-    trains_per_split: list[list[SampleSet]],
-    gamma0: ParamMap | None = None,
-    config: OptimizerConfig = OptimizerConfig(),
-    trainable: tuple[str, ...] = PARAM_NAMES,
-    limit: int = DEFAULT_QUBIT_LIMIT,
-    threads: int = 1,
-) -> CalibrationResult:
-    """Run several splits sequentially, feeding each split's merged
-    parameters into the next; with a staggered pair every coupler is
-    calibrated by at least one split."""
-    if len(trains_per_split) != len(splits):
-        raise InputError("one training-set list is needed per split")
-    current = gamma0
-    combined = CalibrationResult(params=dict(circuit.coupler_params()))
-    for (row_cuts, col_cuts), trains in zip(splits, trains_per_split):
-        partition, patch_circuits = split_grid_patches(circuit, row_cuts, col_cuts)
-        res = calibrate_patches(circuit, patch_circuits, partition, trains,
-                                current, config, trainable, limit, threads)
-        current = res.params
-        combined.params = res.params
-        combined.patches.extend(res.patches)
-    return combined

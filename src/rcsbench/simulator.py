@@ -18,9 +18,10 @@ in their order and never fused into the same op.  The state is held as a
 which puts the op's axes first.  That axis order depends only on the
 circuit, so every op's axes are fixed at compile time and no op copies its
 result back; one transpose at the end restores the canonical order.  `run`,
-the trajectory replay, `apply_single`, `apply_two` and the forward sweep of
-`adjoint_gradient` all use one executor; its backward sweep applies the
-adjoints of the same ops.
+the trajectory replay, the calibration loss (on a compiled program with its
+trained gate sites swapped in, `Program.with_sites`), `apply_single`,
+`apply_two` and the forward sweep of `adjoint_gradient` all use one
+executor; its backward sweep applies the adjoints of the same ops.
 
 Two noise models ship: a speckle mixture (each sample comes from the ideal
 distribution with probability F, uniform otherwise) and Pauli-trajectory
@@ -152,6 +153,15 @@ class Program:
             replace(op, matrix=_fuse(op.blocks, self.sites, replaced, self.dtype))
             if op.sites.intersection(replaced) else op
             for op in ops)
+
+    def with_sites(self, replaced: dict[int, np.ndarray]) -> Program:
+        """The program with the given gate sites' matrices replaced; only the
+        ops that hold a replaced site are re-fused."""
+        sites = list(self.sites)
+        for s, matrix in replaced.items():
+            sites[s] = replace(sites[s], matrix=matrix)
+        cycles = tuple(self.cycle_ops(c, replaced) for c in range(len(self.cycles)))
+        return replace(self, sites=tuple(sites), cycles=cycles)
 
     def canonical(self, psi: np.ndarray) -> np.ndarray:
         """Flat amplitudes in the canonical qubit order from a final tensor."""
@@ -317,13 +327,16 @@ def run(circuit: Circuit, limit: int = DEFAULT_QUBIT_LIMIT,
     ``numpy.complex64`` for speed at reduced precision; the fused matrices
     are formed in double precision and then rounded.
     """
-    n = circuit.n_qubits
-    _check_limit(n, limit)
-    program = compile_circuit(circuit, dtype)
-    psi = _zero_tensor(n, program.dtype)
+    _check_limit(circuit.n_qubits, limit)
+    return StateVector(circuit.n_qubits, execute(compile_circuit(circuit, dtype)))
+
+
+def execute(program: Program) -> np.ndarray:
+    """Final amplitudes, in canonical order, of the program run on |0...0>."""
+    psi = _zero_tensor(len(program.layout), program.dtype)
     for ops in program.cycles:
         psi = _execute(ops, psi)
-    return StateVector(n, program.canonical(psi))
+    return program.canonical(psi)
 
 
 def adjoint_gradient(program: Program, cotangent, derivatives: dict[int, list[np.ndarray]]):

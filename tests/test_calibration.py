@@ -322,9 +322,14 @@ class TestCalibration:
             for key in keys:
                 assert abs(result.params[key].theta - truth[key].theta) <= 0.01
                 assert abs(result.params[key].phi - truth[key].phi) <= 0.01
-        for pr in result.patches:
+        for patch, train, pr in zip(patches, trains, result.patches):
             assert pr.after_loss <= pr.before_loss
             assert np.all(np.diff(pr.trace) <= 1e-12)
+            base = {k: perturbed[k] for k in pr.couplers}
+            problem = CalibrationProblem(rb.with_coupler_params(patch, perturbed), train,
+                                         pr.couplers, base, trainable=("theta", "phi"))
+            x0 = pack_params(base, pr.couplers, ("theta", "phi"))
+            assert pr.before_loss == loss(x0, problem)
 
         # held-out circuit: fresh instance with truth parameters; XEB of its
         # ideal samples must improve with the calibrated parameters

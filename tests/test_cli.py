@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rcsbench as rb
-from rcsbench.cli import EXIT_INPUT, EXIT_OK, main
+from rcsbench.cli import EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +71,30 @@ class TestCalibrate:
         with pytest.raises(SystemExit) as exc:
             _calibrate(calibrate_inputs, tmp_path / "c.json", "--fd-step", "1e-3")
         assert exc.value.code == EXIT_INPUT
+
+
+@pytest.fixture(scope="module")
+def small_circuit(tmp_path_factory):
+    """A 3x3, 6-cycle circuit and 2000 ideal samples of it, written by the CLI."""
+    root = tmp_path_factory.mktemp("small")
+    circuit, samples = str(root / "c.json"), str(root / "s.bin")
+    assert main(["generate", "--topology", "grid:3x3", "--cycles", "6",
+                 "--seed", "1", "-o", circuit]) == EXIT_OK
+    assert main(["sample", "--circuit", circuit, "-n", "2000", "--seed", "2",
+                 "-o", samples]) == EXIT_OK
+    return circuit, samples
+
+
+class TestExitCodes:
+    def test_qubit_limit_exits_4(self, small_circuit, tmp_path):
+        circuit, _ = small_circuit
+        argv = ["sample", "--circuit", circuit, "-n", "10", "--seed", "2",
+                "--limit", "4", "-o", str(tmp_path / "s.bin")]
+        assert main(argv) == EXIT_RESOURCE
+
+    def test_failed_ks_threshold_exits_3(self, small_circuit, tmp_path):
+        circuit, samples = small_circuit
+        argv = ["analyze", "--circuit", circuit, "--samples", samples,
+                "--bootstrap", "0", "-o", str(tmp_path / "a.json")]
+        assert main(argv) == EXIT_OK
+        assert main(argv + ["--min-p-fhat", "1.01"]) == EXIT_HYPOTHESIS

@@ -8,7 +8,7 @@ import rcsbench as rb
 from rcsbench.circuit import Circuit, Cycle
 from rcsbench.errors import InputError, ResourceLimitError
 from rcsbench.gates import FsimParams, SingleQubitGate, fsim_matrix
-from rcsbench.simulator import zero_state
+from rcsbench.simulator import compile_circuit, execute, zero_state
 
 from conftest import random_fsim
 from oracles import dense_run, dense_single, dense_two
@@ -235,9 +235,27 @@ class TestCompiledProgram:
             (a, b, random_fsim(gen)) for a, b in gates))
         assert_matches_oracle(replace(c, cycles=(c.cycles[0], layer, c.cycles[2])))
 
-    def test_gate_sites_in_circuit_order(self, grid_3x4):
-        from rcsbench.simulator import compile_circuit
+    @pytest.mark.parametrize("seed", [40, 41, 42])
+    @pytest.mark.parametrize("rows, cols, n_cycles", [(3, 4, 8), (4, 4, 6)])
+    def test_site_swap_matches_recompile(self, rows, cols, n_cycles, seed):
+        # every two-qubit site gets a random fSim, as calibration swaps them in
+        c = random_param_circuit(rows, cols, n_cycles, seed)
+        gen = np.random.default_rng([seed, 1])  # not the circuit's own stream
+        params = {key: random_fsim(gen) for key in sorted(c.coupler_params())}
+        assert all(params[k] != p for k, p in c.coupler_params().items())
+        program = compile_circuit(c)
+        replaced = {s: fsim_matrix(params[tuple(c.qubits[i] for i in site.qubits)])
+                    for s, site in enumerate(program.sites) if len(site.qubits) == 2}
+        swapped = program.with_sites(replaced)
+        target = rb.with_coupler_params(c, params)
+        want = compile_circuit(target)
+        assert all(np.array_equal(a.matrix, b.matrix)
+                   for a, b in zip(swapped.sites, want.sites))
+        got = execute(swapped)
+        assert np.array_equal(got, execute(want))
+        assert np.max(np.abs(got - dense_run(target))) <= 1e-12
 
+    def test_gate_sites_in_circuit_order(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 4, seed=36)
         sites = compile_circuit(c).sites
         pos = {q: i for i, q in enumerate(c.qubits)}
@@ -353,7 +371,6 @@ class TestTrajectory:
     def test_error_count_matches_rates(self, grid_3x4):
         # count injected errors by replaying the per-trajectory streams
         from rcsbench import rng as rngmod
-        from rcsbench.simulator import compile_circuit
 
         c = rb.standard_circuit(grid_3x4, 10, seed=3)
         noise = rb.NoiseModel(e1=0.004, e2=0.012)
