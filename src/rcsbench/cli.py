@@ -417,7 +417,7 @@ def cmd_cost_sfa(args) -> int:
     if args.circuit:
         circ = circuit_mod.load_circuit(args.circuit)
         parts = _bipartition(circ, args.split, args.at)
-        cut = costmodel.sfa_cut(circ, parts, fidelity_budget=args.fidelity)
+        cut = costmodel.sfa_cut(circ, parts)
         inputs = [args.circuit]
         halves = (len(parts[0]), len(parts[1]))
     elif args.g is not None:
@@ -429,18 +429,18 @@ def cmd_cost_sfa(args) -> int:
         cut = costmodel.CutAnalysis(
             bipartition=(), g=args.g, spectra=(spectrum,) * args.g,
             delta_theta=(abs(args.delta_theta),) * args.g,
-            path_count=4.0 ** args.g, fidelity_budget=args.fidelity)
+            path_count=4.0 ** args.g)
         inputs = []
         halves = None
     else:
         raise InputError("need --circuit or synthetic --g/--delta-theta flags")
 
-    speedup = costmodel.sfa_speedup(cut)
+    speedup = costmodel.sfa_speedup(cut, args.fidelity)
     doc = {
         "format": "rcsbench.cost.v1",
         "mode": "sfa",
         "g": cut.g,
-        "fidelity_budget": cut.fidelity_budget,
+        "fidelity_budget": args.fidelity,
         "delta_theta_mean": (
             float(np.mean(cut.delta_theta)) if cut.delta_theta else 0.0),
         "path_count": cut.path_count,

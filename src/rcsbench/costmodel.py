@@ -9,13 +9,19 @@ carries it and it is not open.  Slicing fixes index values to bound the
 largest intermediate tensor, multiplying the work by the slice count.
 Slicing an open index computes the amplitude batch in parts, one part per
 slice; ``total_flops`` counts all parts.
+
+Paths are in single-assignment form: the network's tensors are 0..n-1 and
+the k-th merge (from 0) makes tensor n+k, so a merge names its operands by
+id and every id is merged at most once.  Slicing an index removes it from
+every intermediate and changes no other index's occurrence count, so one
+replay of a path gives the intermediates under any sliced set.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +41,9 @@ SUMMIT_REFERENCE = (6.66e18, 833.75)
 FUGAKU_CORES = 7_630_848
 
 _ZERO_WEIGHT = 1e-12
+
+# Randomized greedy restarts pick uniformly among this many best merges.
+_GREEDY_TOP_K = 4
 
 
 @dataclass(frozen=True)
@@ -73,9 +82,9 @@ class TensorNetwork:
 
 @dataclass(frozen=True)
 class ContractionPath:
-    """Ordered pairwise merges in the evolving-list convention: (i, j) are
-    positions in the current tensor list; both are removed and the result is
-    appended."""
+    """Ordered pairwise merges in single-assignment form: merge k, (a, b),
+    contracts tensors a and b into tensor n+k, where tensors 0..n-1 are the
+    network's; a tensor is merged once and only after it is made."""
 
     merges: tuple[tuple[int, int], ...]
     step_costs: tuple[float, ...]
@@ -101,7 +110,6 @@ class CutAnalysis:
     spectra: tuple[tuple[float, float, float, float], ...]
     delta_theta: tuple[float, ...]           # |theta - pi/2| per cross gate
     path_count: float                        # product of retained ranks
-    fidelity_budget: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -173,11 +181,17 @@ def replay_path(
     sliced: frozenset[str] = frozenset(),
 ):
     """Execute a path structurally.  Returns (step costs, total cost,
-    largest result rank, per-step result index sets, final index set)."""
+    largest result rank, per-step result index sets, final index set).
+    Raises `InputError` unless the path has n-1 merges, each of two
+    distinct tensors that exist and are not yet merged."""
     dims = tn.indices
-    cur = [frozenset(idx) - sliced for _, idx in tn.tensors]
+    n = len(tn.tensors)
+    if len(merges) != n - 1:
+        raise InputError(f"path has {len(merges)} merges, expected {n - 1}")
+    tensors = [frozenset(idx) - sliced for _, idx in tn.tensors]
+    used = [False] * (2 * n - 1)
     occ = Counter()
-    for fs in cur:
+    for fs in tensors:
         occ.update(fs)
     open_set = frozenset(tn.open_indices) - sliced
     # phantom occurrence: open indices are never dropped unless sliced
@@ -185,84 +199,56 @@ def replay_path(
         occ[name] += 1
 
     costs: list[float] = []
-    results: list[frozenset[str]] = []
     largest = 0
-    for i, j in merges:
-        if not (0 <= i < j < len(cur)):
-            raise InputError(f"bad merge positions ({i}, {j})")
-        a, b = cur[i], cur[j]
-        union = a | b
+    for a, b in merges:
+        if a == b or not (0 <= a < len(tensors) and 0 <= b < len(tensors)):
+            raise InputError(f"bad merge ({a}, {b}) making tensor {len(tensors)}")
+        if used[a] or used[b]:
+            raise InputError(f"merge ({a}, {b}) reuses a merged tensor")
+        used[a] = used[b] = True
+        union = tensors[a] | tensors[b]
         costs.append(_size(union, dims))
-        for name in a:
+        for name in tensors[a]:
             occ[name] -= 1
-        for name in b:
+        for name in tensors[b]:
             occ[name] -= 1
         keep = frozenset(name for name in union if occ[name] >= 1)
         for name in keep:
             occ[name] += 1
-        del cur[j]
-        del cur[i]
-        cur.append(keep)
-        results.append(keep)
+        tensors.append(keep)
         largest = max(largest, len(keep))
-    if len(cur) != 1:
-        raise InputError(f"path leaves {len(cur)} tensors, expected 1")
-    return costs, float(sum(costs)), largest, results, cur[0]
-
-
-def _positions_from_id_merges(n_leaves: int, id_merges, id_of_leaf) -> list[tuple[int, int]]:
-    """Convert merges over node ids into evolving-list positions."""
-    order = [id_of_leaf(k) for k in range(n_leaves)]
-    out = []
-    for a, b, m in id_merges:
-        ia, ib = order.index(a), order.index(b)
-        if ia > ib:
-            ia, ib = ib, ia
-        out.append((ia, ib))
-        del order[ib]
-        del order[ia]
-        order.append(m)
-    return out
+    return costs, float(sum(costs)), largest, tensors[n:], tensors[-1]
 
 
 def find_path_greedy_full(
-    tn: TensorNetwork, seed: int = 0, restarts: int = 64, top_k: int = 4
+    tn: TensorNetwork, seed: int = 0, restarts: int = 64
 ) -> tuple[ContractionPath, tuple[float, ...]]:
     """Randomized-greedy path search; returns the best path plus every
     restart's total cost (for cost-distribution reporting).
 
     The greedy score of a merge is the size growth of the result; restart 0
     always takes the best-scoring merge, later restarts pick uniformly among
-    the ``top_k`` best candidates.  Disconnected components are contracted
-    independently and joined by outer products at the end.  Deterministic per
-    (seed, restarts): ties and the final winner resolve by (cost, restart).
+    the ``_GREEDY_TOP_K`` best candidates.  Disconnected components are
+    contracted independently and joined by outer products at the end.
+    Deterministic per (seed, restarts): ties and the final winner resolve by
+    (cost, restart).
     """
     tn.validate()
     if restarts < 1:
         raise InputError("need at least one restart")
-    best: tuple[float, int, list] | None = None
+    best: ContractionPath | None = None
     totals = []
     for r in range(restarts):
         gen = rng.stream(seed, rng.Stream.PATH_SEARCH, index=r) if r else None
-        id_merges = _greedy_once(tn, gen, top_k)
-        merges = _positions_from_id_merges(len(tn.tensors), id_merges, lambda k: k)
-        _, total, _, _, _ = replay_path(tn, tuple(merges))
+        merges = _greedy_once(tn, gen)
+        costs, total, largest, _, _ = replay_path(tn, merges)
         totals.append(total)
-        if best is None or (total, r) < (best[0], best[1]):
-            best = (total, r, merges)
-    merges = tuple(best[2])
-    costs, total, largest, _, _ = replay_path(tn, merges)
-    return ContractionPath(merges, tuple(costs), total, largest), tuple(totals)
+        if best is None or total < best.total_flops:
+            best = ContractionPath(merges, tuple(costs), total, largest)
+    return best, tuple(totals)
 
 
-def find_path_greedy(
-    tn: TensorNetwork, seed: int = 0, restarts: int = 64, top_k: int = 4
-) -> ContractionPath:
-    """Best randomized-greedy contraction path; see find_path_greedy_full."""
-    return find_path_greedy_full(tn, seed, restarts, top_k)[0]
-
-
-def _greedy_once(tn: TensorNetwork, gen, top_k: int) -> list[tuple[int, int, int]]:
+def _greedy_once(tn: TensorNetwork, gen) -> tuple[tuple[int, int], ...]:
     dims = tn.indices
     open_set = frozenset(tn.open_indices)
     nodes: dict[int, frozenset[str]] = {
@@ -307,7 +293,7 @@ def _greedy_once(tn: TensorNetwork, gen, top_k: int) -> list[tuple[int, int, int
         push_pairs_of(i)
 
     next_id = len(nodes)
-    id_merges: list[tuple[int, int, int]] = []
+    merges: list[tuple[int, int]] = []
 
     def merge(a: int, b: int) -> None:
         nonlocal next_id
@@ -321,13 +307,13 @@ def _greedy_once(tn: TensorNetwork, gen, top_k: int) -> list[tuple[int, int, int
             occ[name] += 1
             holders[name].add(next_id)
         nodes[next_id] = keep
-        id_merges.append((a, b, next_id))
+        merges.append((a, b))
         push_pairs_of(next_id)
         next_id += 1
 
     while len(nodes) > 1:
         popped = []
-        while heap and len(popped) < max(1, top_k if gen is not None else 1):
+        while heap and len(popped) < (_GREEDY_TOP_K if gen is not None else 1):
             entry = heapq.heappop(heap)
             if entry[1] in nodes and entry[2] in nodes:
                 popped.append(entry)
@@ -341,7 +327,7 @@ def _greedy_once(tn: TensorNetwork, gen, top_k: int) -> list[tuple[int, int, int
             # disconnected components: join the two smallest by outer product
             a, b = sorted(nodes, key=lambda i: (_size(nodes[i], dims), i))[:2]
             merge(min(a, b), max(a, b))
-    return id_merges
+    return tuple(merges)
 
 
 def find_path_optimal(tn: TensorNetwork, max_tensors: int = 12) -> ContractionPath:
@@ -400,52 +386,58 @@ def find_path_optimal(tn: TensorNetwork, max_tensors: int = 12) -> ContractionPa
             best[mask] = best_cost
             split[mask] = best_sub
 
-    id_merges: list[tuple[int, int, int]] = []
-    next_id = n
+    merges: list[tuple[int, int]] = []
     node_of_mask: dict[int, int] = {1 << i: i for i in range(n)}
 
     def build(mask: int) -> int:
-        nonlocal next_id
-        if mask in node_of_mask:
-            return node_of_mask[mask]
-        a = build(split[mask])
-        b = build(mask ^ split[mask])
-        id_merges.append((a, b, next_id))
-        node_of_mask[mask] = next_id
-        next_id += 1
+        if mask not in node_of_mask:
+            merges.append((build(split[mask]), build(mask ^ split[mask])))
+            node_of_mask[mask] = n + len(merges) - 1
         return node_of_mask[mask]
 
     build(full)
-    merges = tuple(_positions_from_id_merges(n, id_merges, lambda k: k))
-    costs, total, largest, _, _ = replay_path(tn, merges)
-    return ContractionPath(merges, tuple(costs), total, largest)
+    path = tuple(merges)
+    costs, total, largest, _, _ = replay_path(tn, path)
+    return ContractionPath(path, tuple(costs), total, largest)
 
 
 def slice_network(
     tn: TensorNetwork, path: ContractionPath, max_intermediate_rank: int
 ) -> SliceResult:
     """Greedily fix indices until every intermediate along the path has rank
-    at most ``max_intermediate_rank``.  Open indices may be sliced too: that
-    computes the amplitude batch in parts, one part per slice, and
-    ``total_flops`` counts every part.  Any cap of zero or more is reachable;
-    a negative cap is rejected."""
-    if max_intermediate_rank < 0:
-        raise InputError(f"cap {max_intermediate_rank} is negative")
-    sliced: set[str] = set()
-    while True:
-        costs, total, largest, results, _ = replay_path(
-            tn, path.merges, frozenset(sliced))
-        if largest <= max_intermediate_rank:
-            break
-        over = [fs for fs in results if len(fs) > max_intermediate_rank]
-        # replay_path drops sliced indices, so every name here is unsliced
-        # and an over-cap result always offers one.
-        votes = Counter(name for fs in over for name in fs)
+    at most ``max_intermediate_rank``.  Each step slices the index carried
+    by the most over-cap intermediates (ties by name).  Open indices may be
+    sliced too: that computes the amplitude batch in parts, one part per
+    slice, and ``total_flops`` counts every part.  Any cap of zero or more is
+    reachable; a negative cap is rejected.
+
+    Slicing removes an index from every intermediate and leaves the rest
+    unchanged, so the over-cap intermediates come from one unsliced replay
+    and lose each sliced index in place; a second replay gives the costs.
+    """
+    cap = max_intermediate_rank
+    if cap < 0:
+        raise InputError(f"cap {cap} is negative")
+    _, _, _, results, _ = replay_path(tn, path.merges)
+    over = [set(fs) for fs in results if len(fs) > cap]
+    votes = Counter(name for fs in over for name in fs)
+    sliced: list[str] = []
+    while over:
         name = min(votes, key=lambda k: (-votes[k], k))
-        sliced.add(name)
-    n_slices = 1
-    for name in sliced:
-        n_slices *= tn.indices[name]
+        sliced.append(name)
+        del votes[name]
+        still = []
+        for fs in over:
+            if name in fs:
+                fs.remove(name)
+                if len(fs) <= cap:
+                    votes.subtract(fs)
+                    continue
+            still.append(fs)
+        over = still
+        votes = +votes
+    costs, total, largest, _, _ = replay_path(tn, path.merges, frozenset(sliced))
+    n_slices = math.prod(tn.indices[name] for name in sliced)
     return SliceResult(
         sliced_indices=tuple(sorted(sliced)),
         n_slices=n_slices,
@@ -498,7 +490,7 @@ def schmidt_values(u: np.ndarray) -> np.ndarray:
     return np.linalg.svd(reshuffled, compute_uv=False)
 
 
-def sfa_cut(circuit: Circuit, bipartition, fidelity_budget: float = 0.0) -> CutAnalysis:
+def sfa_cut(circuit: Circuit, bipartition) -> CutAnalysis:
     """Census of the two-qubit gates crossing a bipartition: count g, swap
     angle deviation |theta - pi/2|, and operator-Schmidt spectrum per gate."""
     side = _normalize_bipartition(circuit, bipartition)
@@ -523,11 +515,10 @@ def sfa_cut(circuit: Circuit, bipartition, fidelity_budget: float = 0.0) -> CutA
         spectra=tuple(spectra),
         delta_theta=tuple(deviations),
         path_count=path_count,
-        fidelity_budget=fidelity_budget,
     )
 
 
-def sfa_speedup(cut: CutAnalysis, fidelity_budget: float | None = None) -> float:
+def sfa_speedup(cut: CutAnalysis, fidelity_budget: float) -> float:
     """Speedup over the balanced 4^g path count from truncating low-weight
     Schmidt terms.
 
@@ -538,9 +529,8 @@ def sfa_speedup(cut: CutAnalysis, fidelity_budget: float | None = None) -> float
     4^g divided by the product of retained ranks, so balanced gates give 1 at
     zero budget and the factor is nondecreasing in the budget.
     """
-    budget = cut.fidelity_budget if fidelity_budget is None else fidelity_budget
-    if not 0.0 <= budget <= 1.0:
-        raise InputError(f"fidelity budget {budget} outside [0, 1]")
+    if not 0.0 <= fidelity_budget <= 1.0:
+        raise InputError(f"fidelity budget {fidelity_budget} outside [0, 1]")
     weights = [sorted((v * v / 4.0 for v in s), reverse=True) for s in cut.spectra]
     ranks = []
     fractions = []
@@ -548,7 +538,7 @@ def sfa_speedup(cut: CutAnalysis, fidelity_budget: float | None = None) -> float
         rank = max(1, sum(1 for v in w if v > _ZERO_WEIGHT))
         ranks.append(rank)
         fractions.append(sum(w[:rank]))
-    floor = 1.0 - budget
+    floor = 1.0 - fidelity_budget
     product = float(np.prod(fractions)) if fractions else 1.0
     while True:
         candidates = [

@@ -18,8 +18,8 @@ in their order and never fused into the same op.  The state is held as a
 which puts the op's axes first.  That axis order depends only on the
 circuit, so every op's axes are fixed at compile time and no op copies its
 result back; one transpose at the end restores the canonical order.  `run`,
-the trajectory replay, the calibration loss (on a compiled program with its
-trained gate sites swapped in, `Program.with_sites`), `apply_single`,
+the trajectory replay and the calibration loss (both on a compiled program
+with gate sites swapped in, `Program.with_sites`), `apply_single`,
 `apply_two` and the forward sweep of `adjoint_gradient` all use one
 executor; its backward sweep applies the adjoints of the same ops.
 
@@ -144,23 +144,17 @@ class Program:
     cycles: tuple[tuple[_Op, ...], ...]
     layout: tuple[int, ...]
 
-    def cycle_ops(self, cycle: int, replaced: dict[int, np.ndarray] | None = None):
-        """Ops of one cycle, with the given gate sites' matrices replaced."""
-        ops = self.cycles[cycle]
-        if not replaced:
-            return ops
-        return tuple(
-            replace(op, matrix=_fuse(op.blocks, self.sites, replaced, self.dtype))
-            if op.sites.intersection(replaced) else op
-            for op in ops)
-
     def with_sites(self, replaced: dict[int, np.ndarray]) -> Program:
         """The program with the given gate sites' matrices replaced; only the
         ops that hold a replaced site are re-fused."""
         sites = list(self.sites)
         for s, matrix in replaced.items():
             sites[s] = replace(sites[s], matrix=matrix)
-        cycles = tuple(self.cycle_ops(c, replaced) for c in range(len(self.cycles)))
+        cycles = tuple(
+            tuple(replace(op, matrix=_fuse(op.blocks, sites, {}, self.dtype))
+                  if op.sites.intersection(replaced) else op
+                  for op in ops)
+            for ops in self.cycles)
         return replace(self, sites=tuple(sites), cycles=cycles)
 
     def canonical(self, psi: np.ndarray) -> np.ndarray:
@@ -483,7 +477,7 @@ def sample_trajectory(
         err_at = np.nonzero(gen.random(len(e_vec)) < e_vec)[0] if any_noise else ()
         if len(err_at) == 0:
             return int(np.searchsorted(ideal_cum, gen.random(), side="right"))
-        faulty: dict[int, dict[int, np.ndarray]] = {}  # cycle -> site -> matrix
+        faulty: dict[int, np.ndarray] = {}  # site -> matrix with its Pauli
         for s in err_at:
             site = program.sites[s]
             if len(site.qubits) == 2:
@@ -491,11 +485,11 @@ def sample_trajectory(
                 pauli = _kron(_PAULIS[p1], _PAULIS[p2])
             else:
                 pauli = _PAULIS[int(gen.integers(0, 3)) + 1]
-            faulty.setdefault(site.cycle, {})[int(s)] = pauli @ site.matrix
+            faulty[int(s)] = pauli @ site.matrix
         k = program.sites[err_at[0]].cycle // stride
         amps = checkpoints[k]
-        for c in range(k * stride, n_cycles):
-            amps = _execute(program.cycle_ops(c, faulty.get(c)), amps)
+        for ops in program.with_sites(faulty).cycles[k * stride:]:
+            amps = _execute(ops, amps)
         cum = _cumulative(program.canonical(amps))
         return int(np.searchsorted(cum, gen.random(), side="right"))
 

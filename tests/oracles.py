@@ -5,15 +5,20 @@ evaluated by building explicit 2^n x 2^n gate matrices (stored sparse, so
 that 16-qubit circuits fit) and multiplying them into the state, gradients
 are taken by central finite differences of the function itself, and
 contraction costs are minimized by exhaustive search over set partitions.
+The slicing oracle does call the package's `replay_path`, but replays the
+whole path after every sliced index instead of reusing one replay.
 """
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
 
+from rcsbench.costmodel import SliceResult, replay_path
 from rcsbench.errors import InputError
 from rcsbench.gates import fsim_matrix, sq_matrix
 
@@ -133,3 +138,18 @@ def matrix_chain_min_cost(chain_dims: list[int]) -> float:
                 for k in range(i, j)
             )
     return cost[0][n - 1]
+
+
+def slice_by_replay(tn, path, cap: int) -> SliceResult:
+    """Slice by the most-voted index among over-cap intermediates (ties by
+    name), replaying the path with the sliced set after every step."""
+    sliced: set[str] = set()
+    while True:
+        _, total, largest, results, _ = replay_path(tn, path.merges, frozenset(sliced))
+        if largest <= cap:
+            break
+        votes = Counter(name for fs in results if len(fs) > cap for name in fs)
+        sliced.add(min(votes, key=lambda k: (-votes[k], k)))
+    n_slices = math.prod(tn.indices[name] for name in sliced)
+    return SliceResult(tuple(sorted(sliced)), n_slices, float(n_slices) * total,
+                       total, largest)

@@ -98,3 +98,54 @@ class TestExitCodes:
                 "--bootstrap", "0", "-o", str(tmp_path / "a.json")]
         assert main(argv) == EXIT_OK
         assert main(argv + ["--min-p-fhat", "1.01"]) == EXIT_HYPOTHESIS
+
+
+@pytest.fixture(scope="module")
+def cost_circuit(tmp_path_factory):
+    """A 3x4, 6-cycle circuit written by the CLI."""
+    circuit = str(tmp_path_factory.mktemp("cost") / "c.json")
+    assert main(["generate", "--topology", "grid:3x4", "--cycles", "6",
+                 "--seed", "1", "-o", circuit]) == EXIT_OK
+    return circuit
+
+
+def _tnc(circuit, out, *extra):
+    return main(["cost", "tnc", "--circuit", circuit, "--restarts", "4",
+                 "--open-qubits", "2", "--max-rank", "4", "--n-samples", "1e6",
+                 "--fidelity", "0.01", *extra, "-o", str(out)])
+
+
+def _sfa(out, *extra):
+    return main(["cost", "sfa", "--fidelity", "0.01", "--n-samples", "1e6",
+                 *extra, "-o", str(out)])
+
+
+class TestCost:
+    @pytest.mark.parametrize("mode", ["tnc", "sfa"])
+    def test_rerun_byte_identical(self, cost_circuit, tmp_path, mode):
+        out = tmp_path / f"{mode}.json"
+        manifest = tmp_path / f"{mode}.json.manifest.json"
+
+        def run_once():
+            if mode == "tnc":
+                return _tnc(cost_circuit, out)
+            return _sfa(out, "--circuit", cost_circuit)
+
+        assert run_once() == EXIT_OK
+        first = out.read_bytes(), manifest.read_bytes()
+        assert run_once() == EXIT_OK
+        assert (out.read_bytes(), manifest.read_bytes()) == first
+        doc = json.loads(first[0])
+        if mode == "tnc":
+            assert doc["slicing"]["largest_intermediate_rank"] <= 4
+            assert doc["slicing"]["n_slices"] > 1
+        else:
+            assert doc["fidelity_budget"] == 0.01
+            assert doc["g"] > 0
+
+    @pytest.mark.parametrize("flag", ["--max-rank", "--open-qubits"])
+    def test_negative_tnc_count_exits_2(self, cost_circuit, tmp_path, flag):
+        assert _tnc(cost_circuit, tmp_path / "tnc.json", flag, "-1") == EXIT_INPUT
+
+    def test_sfa_without_circuit_or_g_exits_2(self, tmp_path):
+        assert _sfa(tmp_path / "sfa.json") == EXIT_INPUT

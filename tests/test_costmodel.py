@@ -10,7 +10,7 @@ from rcsbench.costmodel import (
     TensorNetwork,
     circuit_to_tn,
     estimate_sampling_cost,
-    find_path_greedy,
+    find_path_greedy_full,
     find_path_optimal,
     replay_path,
     schmidt_values,
@@ -22,7 +22,7 @@ from rcsbench.errors import InputError, ResourceLimitError
 from rcsbench.gates import FsimParams, fsim_matrix
 
 from conftest import random_fsim
-from oracles import exhaustive_min_cost, matrix_chain_min_cost
+from oracles import exhaustive_min_cost, matrix_chain_min_cost, slice_by_replay
 
 
 def random_tn(n_tensors, gen, extra_edges=None, dim_range=(2, 3)):
@@ -103,7 +103,7 @@ class TestPaths:
     def test_two_tensor_network(self):
         tn = TensorNetwork((("a", ("i", "j")), ("b", ("j", "k"))),
                            {"i": 3, "j": 4, "k": 5}, ("i", "k"))
-        g = find_path_greedy(tn, restarts=1)
+        g = find_path_greedy_full(tn, restarts=1)[0]
         o = find_path_optimal(tn)
         assert g.merges == ((0, 1),)
         assert g.total_flops == o.total_flops == 60
@@ -122,7 +122,7 @@ class TestPaths:
         gen = np.random.default_rng(0)
         for trial in range(50):
             tn = random_tn(int(gen.integers(3, 9)), gen, dim_range=(2, 3))
-            g = find_path_greedy(tn, seed=trial, restarts=16)
+            g = find_path_greedy_full(tn, seed=trial, restarts=16)[0]
             o = find_path_optimal(tn)
             assert o.total_flops <= g.total_flops + 1e-9
             assert g.total_flops <= 2 * o.total_flops
@@ -137,7 +137,7 @@ class TestPaths:
     def test_path_validity_final_indices_are_open(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 6, seed=2)
         tn = circuit_to_tn(c, open_qubits=c.qubits[:3])
-        path = find_path_greedy(tn, seed=0, restarts=4)
+        path = find_path_greedy_full(tn, seed=0, restarts=4)[0]
         assert len(path.merges) == len(tn.tensors) - 1
         _, total, largest, _, final = replay_path(tn, path.merges)
         assert final == frozenset(tn.open_indices)
@@ -147,8 +147,8 @@ class TestPaths:
     def test_deterministic_per_seed(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 4, seed=2)
         tn = circuit_to_tn(c)
-        a = find_path_greedy(tn, seed=5, restarts=8)
-        b = find_path_greedy(tn, seed=5, restarts=8)
+        a = find_path_greedy_full(tn, seed=5, restarts=8)[0]
+        b = find_path_greedy_full(tn, seed=5, restarts=8)[0]
         assert a == b
 
     def test_cost_monotone_in_depth(self, grid_3x4):
@@ -156,7 +156,7 @@ class TestPaths:
         for cycles in (2, 4, 6, 8):
             c = rb.standard_circuit(grid_3x4, cycles, seed=3)
             tn = circuit_to_tn(c, open_qubits=c.qubits[:4])
-            costs.append(find_path_greedy(tn, seed=0, restarts=16).total_flops)
+            costs.append(find_path_greedy_full(tn, seed=0, restarts=16)[0].total_flops)
         assert all(b >= a for a, b in zip(costs, costs[1:]))
 
     def test_disconnected_components_handled(self):
@@ -164,9 +164,24 @@ class TestPaths:
             (("a", ("i",)), ("b", ("i",)), ("c", ("j",)), ("d", ("j",))),
             {"i": 2, "j": 2}, (),
         )
-        path = find_path_greedy(tn, restarts=1)
+        path = find_path_greedy_full(tn, restarts=1)[0]
         _, _, _, _, final = replay_path(tn, path.merges)
         assert final == frozenset()
+
+    @pytest.mark.parametrize("merges", [
+        ((0, 1), (0, 2)),   # tensor 0 merged twice
+        ((0, 3), (1, 2)),   # tensor 3 is this merge's own result
+        ((0, 1), (-1, 2)),  # negative id
+        ((0, 0), (1, 2)),   # a == b
+        ((0, 1),),          # one merge too few
+        ((0, 1), (2, 3), (3, 2)),  # one merge too many
+    ])
+    def test_malformed_path_rejected(self, merges):
+        tn = TensorNetwork((("a", ("i",)), ("b", ("i", "j")), ("c", ("j",))),
+                           {"i": 2, "j": 2}, ())
+        replay_path(tn, ((0, 1), (2, 3)))
+        with pytest.raises(InputError):
+            replay_path(tn, merges)
 
     def test_optimal_size_guard(self):
         gen = np.random.default_rng(2)
@@ -179,7 +194,7 @@ class TestSlicing:
     def test_under_cap_changes_nothing(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 4, seed=4)
         tn = circuit_to_tn(c)
-        path = find_path_greedy(tn, seed=0, restarts=8)
+        path = find_path_greedy_full(tn, seed=0, restarts=8)[0]
         res = slice_network(tn, path, path.largest_intermediate_rank)
         assert res.sliced_indices == ()
         assert res.n_slices == 1
@@ -188,7 +203,7 @@ class TestSlicing:
     def test_single_merge_slice_count_two(self):
         tn = TensorNetwork((("a", ("i", "j")), ("b", ("j", "k"))),
                            {"i": 2, "j": 2, "k": 2}, ("i", "k"))
-        path = find_path_greedy(tn, restarts=1)
+        path = find_path_greedy_full(tn, restarts=1)[0]
         assert path.largest_intermediate_rank == 2
         res = slice_network(tn, path, 1)
         assert res.n_slices == 2
@@ -199,7 +214,7 @@ class TestSlicing:
         done = 0
         while done < 10:
             tn = random_tn(20, gen, dim_range=(2, 3))
-            path = find_path_greedy(tn, seed=done, restarts=8)
+            path = find_path_greedy_full(tn, seed=done, restarts=8)[0]
             cap = path.largest_intermediate_rank - 1
             if cap < 1:
                 continue
@@ -213,7 +228,7 @@ class TestSlicing:
     def test_cap_below_open_count_slices_open_index(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 4, seed=4)
         tn = circuit_to_tn(c, open_qubits=c.qubits[:6])
-        path = find_path_greedy(tn, seed=0, restarts=4)
+        path = find_path_greedy_full(tn, seed=0, restarts=4)[0]
         res = slice_network(tn, path, 5)
         assert res.largest_intermediate_rank <= 5
         assert set(res.sliced_indices) & set(tn.open_indices)
@@ -221,6 +236,17 @@ class TestSlicing:
         assert res.total_flops == res.n_slices * res.per_slice_flops
         with pytest.raises(InputError):
             slice_network(tn, path, -1)
+
+    def test_matches_replay_after_each_slice(self, grid_3x4):
+        gen = np.random.default_rng(4)
+        networks = [random_tn(int(gen.integers(8, 25)), gen) for _ in range(12)]
+        c = rb.standard_circuit(grid_3x4, 4, seed=4)
+        networks.append(circuit_to_tn(c, open_qubits=c.qubits[:6]))
+        assert sum(len(tn.open_indices) for tn in networks[:-1]) > 0
+        for seed, tn in enumerate(networks):
+            path = find_path_greedy_full(tn, seed=seed, restarts=4)[0]
+            for cap in range(path.largest_intermediate_rank + 1):
+                assert slice_network(tn, path, cap) == slice_by_replay(tn, path, cap)
 
 
 class TestSamplingCost:
@@ -308,30 +334,29 @@ class TestSfaCut:
 
 class TestSfaSpeedup:
     @staticmethod
-    def uniform_cut(g, spectrum, budget):
+    def uniform_cut(g, spectrum):
         return CutAnalysis(bipartition=(), g=g, spectra=(spectrum,) * g,
-                           delta_theta=(0.0,) * g, path_count=4.0**g,
-                           fidelity_budget=budget)
+                           delta_theta=(0.0,) * g, path_count=4.0**g)
 
     def test_balanced_at_zero_budget(self):
         spectrum = tuple(
             float(v) for v in schmidt_values(fsim_matrix(FsimParams(np.pi / 2, 0))))
-        assert sfa_speedup(self.uniform_cut(5, spectrum, 0.0)) == 1.0
+        assert sfa_speedup(self.uniform_cut(5, spectrum), 0.0) == 1.0
 
     def test_cz_rank_deficiency_gives_two(self):
         cz = tuple(float(v) for v in schmidt_values(np.diag([1, 1, 1, -1.0])))
-        assert sfa_speedup(self.uniform_cut(1, cz, 0.0)) == 2.0
+        assert sfa_speedup(self.uniform_cut(1, cz), 0.0) == 2.0
 
     def test_paper_scale_below_an_order(self):
         spectrum = tuple(float(v) for v in schmidt_values(
             fsim_matrix(FsimParams(np.pi / 2 - 0.054, np.pi / 18))))
-        speedup = sfa_speedup(self.uniform_cut(54, spectrum, 3.66e-4))
+        speedup = sfa_speedup(self.uniform_cut(54, spectrum), 3.66e-4)
         assert speedup < 10.0
 
     def test_monotone_in_budget(self):
         spectrum = tuple(float(v) for v in schmidt_values(
             fsim_matrix(FsimParams(np.pi / 2 - 0.054, np.pi / 18))))
-        cut = self.uniform_cut(20, spectrum, 0.0)
+        cut = self.uniform_cut(20, spectrum)
         values = [sfa_speedup(cut, f) for f in (0.0, 1e-3, 0.1, 0.5, 0.9, 1.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -342,6 +367,6 @@ class TestSfaSpeedup:
         assert sfa_speedup(sfa_cut(patch, parts), 0.5) == 1.0
 
     def test_rejects_bad_budget(self):
-        cut = self.uniform_cut(1, (2.0, 0.0, 0.0, 0.0), 0.0)
+        cut = self.uniform_cut(1, (2.0, 0.0, 0.0, 0.0))
         with pytest.raises(InputError):
             sfa_speedup(cut, 1.5)
