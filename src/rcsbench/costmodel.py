@@ -10,10 +10,16 @@ largest intermediate tensor, multiplying the work by the slice count.
 Slicing an open index computes the amplitude batch in parts, one part per
 slice; ``total_flops`` counts all parts.
 
+In a valid network every index sits on exactly two live tensors, or on one
+if it is open, and a merge keeps it so.  Hence the result of merging A and
+B is their symmetric difference ``A ^ B``: the shared indices are summed
+out and every other index still has its second holder (or is open).  The
+merge costs the size of ``A | B``.
+
 Paths are in single-assignment form: the network's tensors are 0..n-1 and
 the k-th merge (from 0) makes tensor n+k, so a merge names its operands by
 id and every id is merged at most once.  Slicing an index removes it from
-every intermediate and changes no other index's occurrence count, so one
+every intermediate and leaves every other index on its two holders, so one
 replay of a path gives the intermediates under any sliced set.
 """
 from __future__ import annotations
@@ -180,9 +186,10 @@ def replay_path(
     merges: tuple[tuple[int, int], ...],
     sliced: frozenset[str] = frozenset(),
 ):
-    """Execute a path structurally.  Returns (step costs, total cost,
-    largest result rank, per-step result index sets, final index set).
-    Raises `InputError` unless the path has n-1 merges, each of two
+    """Execute a path structurally on a valid network (see
+    `TensorNetwork.validate`; the callers validate it).  Returns (step costs,
+    total cost, largest result rank, per-step result index sets, final index
+    set).  Raises `InputError` unless the path has n-1 merges, each of two
     distinct tensors that exist and are not yet merged."""
     dims = tn.indices
     n = len(tn.tensors)
@@ -190,14 +197,6 @@ def replay_path(
         raise InputError(f"path has {len(merges)} merges, expected {n - 1}")
     tensors = [frozenset(idx) - sliced for _, idx in tn.tensors]
     used = [False] * (2 * n - 1)
-    occ = Counter()
-    for fs in tensors:
-        occ.update(fs)
-    open_set = frozenset(tn.open_indices) - sliced
-    # phantom occurrence: open indices are never dropped unless sliced
-    for name in open_set:
-        occ[name] += 1
-
     costs: list[float] = []
     largest = 0
     for a, b in merges:
@@ -206,15 +205,9 @@ def replay_path(
         if used[a] or used[b]:
             raise InputError(f"merge ({a}, {b}) reuses a merged tensor")
         used[a] = used[b] = True
-        union = tensors[a] | tensors[b]
-        costs.append(_size(union, dims))
-        for name in tensors[a]:
-            occ[name] -= 1
-        for name in tensors[b]:
-            occ[name] -= 1
-        keep = frozenset(name for name in union if occ[name] >= 1)
-        for name in keep:
-            occ[name] += 1
+        ta, tb = tensors[a], tensors[b]
+        costs.append(_size(ta | tb, dims))
+        keep = ta ^ tb
         tensors.append(keep)
         largest = max(largest, len(keep))
     return costs, float(sum(costs)), largest, tensors[n:], tensors[-1]
@@ -231,16 +224,28 @@ def find_path_greedy_full(
     the ``_GREEDY_TOP_K`` best candidates.  Disconnected components are
     contracted independently and joined by outer products at the end.
     Deterministic per (seed, restarts): ties and the final winner resolve by
-    (cost, restart).
+    (cost, restart).  The network's neighbour pairs are scored once; each
+    restart starts from a copy of that heap.
     """
     tn.validate()
     if restarts < 1:
         raise InputError("need at least one restart")
+    dims = tn.indices
+    leaves = [frozenset(idx) for _, idx in tn.tensors]
+    sizes = [_size(fs, dims) for fs in leaves]
+    holders: dict[str, list[int]] = defaultdict(list)
+    for i, fs in enumerate(leaves):
+        for name in fs:
+            holders[name].append(i)
+    pairs = {tuple(h) for h in holders.values() if len(h) == 2}
+    heap = [(_size(leaves[a] ^ leaves[b], dims) - sizes[a] - sizes[b], a, b)
+            for a, b in pairs]
+    heapq.heapify(heap)
     best: ContractionPath | None = None
     totals = []
     for r in range(restarts):
         gen = rng.stream(seed, rng.Stream.PATH_SEARCH, index=r) if r else None
-        merges = _greedy_once(tn, gen)
+        merges = _greedy_once(leaves, sizes, heap, holders, dims, gen)
         costs, total, largest, _, _ = replay_path(tn, merges)
         totals.append(total)
         if best is None or total < best.total_flops:
@@ -248,68 +253,31 @@ def find_path_greedy_full(
     return best, tuple(totals)
 
 
-def _greedy_once(tn: TensorNetwork, gen) -> tuple[tuple[int, int], ...]:
-    dims = tn.indices
-    open_set = frozenset(tn.open_indices)
-    nodes: dict[int, frozenset[str]] = {
-        i: frozenset(idx) for i, (_, idx) in enumerate(tn.tensors)
-    }
-    occ = Counter()
-    for fs in nodes.values():
-        occ.update(fs)
-    for name in open_set:
-        occ[name] += 1
-    holders: dict[str, set[int]] = defaultdict(set)
-    for i, fs in nodes.items():
-        for name in fs:
-            holders[name].add(i)
-
-    def result_of(a: int, b: int) -> frozenset[str]:
-        union = nodes[a] | nodes[b]
-        shared = nodes[a] & nodes[b]
-        return frozenset(
-            name for name in union
-            if occ[name] - (2 if name in shared else 1) >= 1
-        )
-
-    def score(a: int, b: int) -> float:
-        return _size(result_of(a, b), dims) - _size(nodes[a], dims) - _size(nodes[b], dims)
-
-    heap: list[tuple[float, int, int]] = []
-    seen_pairs: set[tuple[int, int]] = set()
-
-    def push_pairs_of(i: int) -> None:
-        neighbors = set()
-        for name in nodes[i]:
-            neighbors |= holders[name]
-        neighbors.discard(i)
-        for j in neighbors:
-            pair = (min(i, j), max(i, j))
-            if pair not in seen_pairs:
-                seen_pairs.add(pair)
-                heapq.heappush(heap, (score(*pair), pair[0], pair[1]))
-
-    for i in list(nodes):
-        push_pairs_of(i)
-
-    next_id = len(nodes)
+def _greedy_once(leaves, sizes, heap, holders, dims, gen) -> tuple[tuple[int, int], ...]:
+    """One greedy contraction from the scored initial ``heap`` of
+    ``(score, i, j)`` entries, i < j; the arguments are not modified."""
+    nodes = dict(enumerate(leaves))
+    size = list(sizes)
+    heap = list(heap)
+    holders = {name: set(h) for name, h in holders.items()}
     merges: list[tuple[int, int]] = []
 
     def merge(a: int, b: int) -> None:
-        nonlocal next_id
-        keep = result_of(a, b)
-        for node in (a, b):
-            for name in nodes[node]:
-                occ[name] -= 1
-                holders[name].discard(node)
-            del nodes[node]
-        for name in keep:
-            occ[name] += 1
-            holders[name].add(next_id)
-        nodes[next_id] = keep
+        c = len(size)
+        keep = nodes.pop(a) ^ nodes.pop(b)
+        nodes[c] = keep
+        size.append(_size(keep, dims))
         merges.append((a, b))
-        push_pairs_of(next_id)
-        next_id += 1
+        neighbors = set()
+        for name in keep:
+            h = holders[name]
+            h.discard(a)
+            h.discard(b)
+            neighbors |= h
+            h.add(c)
+        for j in neighbors:
+            score = _size(nodes[j] ^ keep, dims) - size[j] - size[c]
+            heapq.heappush(heap, (score, j, c))
 
     while len(nodes) > 1:
         popped = []
@@ -325,7 +293,7 @@ def _greedy_once(tn: TensorNetwork, gen) -> tuple[tuple[int, int], ...]:
             merge(choice[1], choice[2])
         else:
             # disconnected components: join the two smallest by outer product
-            a, b = sorted(nodes, key=lambda i: (_size(nodes[i], dims), i))[:2]
+            a, b = sorted(nodes, key=lambda i: (size[i], i))[:2]
             merge(min(a, b), max(a, b))
     return tuple(merges)
 
@@ -418,6 +386,7 @@ def slice_network(
     cap = max_intermediate_rank
     if cap < 0:
         raise InputError(f"cap {cap} is negative")
+    tn.validate()
     _, _, _, results, _ = replay_path(tn, path.merges)
     over = [set(fs) for fs in results if len(fs) > cap]
     votes = Counter(name for fs in over for name in fs)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import rng, simulator
 from .circuit import extract_subcircuit
@@ -126,19 +126,6 @@ def bootstrap_xeb(
         idx = gen.integers(0, n, size=(hi - lo, n))
         fids[lo:hi] = rec.dim * rec.probs[idx].mean(axis=1) - 1.0
     return float(np.std(fids, ddof=1)), fids
-
-
-def fit_gaussian_sigma(values: np.ndarray, bins: int = 50) -> float:
-    """Width of a least-squares Gaussian fit to the histogram of ``values``."""
-    counts, edges = np.histogram(values, bins=bins)
-    centers = (edges[:-1] + edges[1:]) / 2
-
-    def gauss(x, a, mu, sig):
-        return a * np.exp(-((x - mu) ** 2) / (2 * sig**2))
-
-    p0 = (counts.max(), float(np.mean(values)), float(np.std(values)))
-    popt, _ = optimize.curve_fit(gauss, centers, counts, p0=p0, maxfev=10000)
-    return float(abs(popt[2]))
 
 
 def product_xeb(estimates: list[XebEstimate]) -> XebEstimate:

@@ -5,8 +5,10 @@ evaluated by building explicit 2^n x 2^n gate matrices (stored sparse, so
 that 16-qubit circuits fit) and multiplying them into the state, gradients
 are taken by central finite differences of the function itself, and
 contraction costs are minimized by exhaustive search over set partitions.
-The slicing oracle does call the package's `replay_path`, but replays the
-whole path after every sliced index instead of reusing one replay.
+Paths are replayed by counting each index's occurrences (open indices get
+one phantom occurrence) instead of by the package's symmetric-difference
+rule, and the slicing oracle replays the whole path that way after every
+sliced index instead of reusing one replay.
 """
 from __future__ import annotations
 
@@ -16,9 +18,9 @@ from collections import Counter
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
+from scipy import optimize, sparse
 
-from rcsbench.costmodel import SliceResult, replay_path
+from rcsbench.costmodel import SliceResult
 from rcsbench.errors import InputError
 from rcsbench.gates import fsim_matrix, sq_matrix
 
@@ -73,6 +75,19 @@ def gradient_fd(fn, x: np.ndarray, h: float) -> np.ndarray:
         step[k] = h
         grad[k] = (fn(x + step) - fn(x - step)) / (2.0 * h)
     return grad
+
+
+def fit_gaussian_sigma(values: np.ndarray, bins: int = 50) -> float:
+    """Width of a least-squares Gaussian fit to the histogram of ``values``."""
+    counts, edges = np.histogram(values, bins=bins)
+    centers = (edges[:-1] + edges[1:]) / 2
+
+    def gauss(x, a, mu, sig):
+        return a * np.exp(-((x - mu) ** 2) / (2 * sig**2))
+
+    p0 = (counts.max(), float(np.mean(values)), float(np.std(values)))
+    popt, _ = optimize.curve_fit(gauss, centers, counts, p0=p0, maxfev=10000)
+    return float(abs(popt[2]))
 
 
 def exhaustive_min_cost(tn) -> float:
@@ -140,12 +155,45 @@ def matrix_chain_min_cost(chain_dims: list[int]) -> float:
     return cost[0][n - 1]
 
 
+def replay_by_occupancy(tn, merges, sliced=frozenset()):
+    """Replay a path by occurrence counts: a merge result keeps each index of
+    its operands that some other tensor still carries, and every unsliced
+    open index carries one phantom occurrence so it is never summed out.
+    Returns what `replay_path` returns: (step costs, total cost, largest
+    result rank, per-step result index sets, final index set)."""
+    dims = tn.indices
+    n = len(tn.tensors)
+    tensors = [frozenset(idx) - sliced for _, idx in tn.tensors]
+    occ = Counter()
+    for fs in tensors:
+        occ.update(fs)
+    for name in frozenset(tn.open_indices) - sliced:
+        occ[name] += 1
+    costs = []
+    largest = 0
+    for a, b in merges:
+        union = tensors[a] | tensors[b]
+        costs.append(float(math.prod(dims[name] for name in union)))
+        for name in tensors[a]:
+            occ[name] -= 1
+        for name in tensors[b]:
+            occ[name] -= 1
+        keep = frozenset(name for name in union if occ[name] >= 1)
+        for name in keep:
+            occ[name] += 1
+        tensors.append(keep)
+        largest = max(largest, len(keep))
+    return costs, float(sum(costs)), largest, tensors[n:], tensors[-1]
+
+
 def slice_by_replay(tn, path, cap: int) -> SliceResult:
     """Slice by the most-voted index among over-cap intermediates (ties by
-    name), replaying the path with the sliced set after every step."""
+    name), replaying the path by occurrence counts with the sliced set after
+    every step."""
     sliced: set[str] = set()
     while True:
-        _, total, largest, results, _ = replay_path(tn, path.merges, frozenset(sliced))
+        _, total, largest, results, _ = replay_by_occupancy(
+            tn, path.merges, frozenset(sliced))
         if largest <= cap:
             break
         votes = Counter(name for fs in results if len(fs) > cap for name in fs)

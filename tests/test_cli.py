@@ -147,5 +147,20 @@ class TestCost:
     def test_negative_tnc_count_exits_2(self, cost_circuit, tmp_path, flag):
         assert _tnc(cost_circuit, tmp_path / "tnc.json", flag, "-1") == EXIT_INPUT
 
+    def test_restarts_csv(self, cost_circuit, tmp_path):
+        out, csv = tmp_path / "tnc.json", tmp_path / "restarts.csv"
+        assert _tnc(cost_circuit, out, "--restarts-csv", str(csv)) == EXIT_OK
+        first = csv.read_bytes()
+        assert _tnc(cost_circuit, out, "--restarts-csv", str(csv)) == EXIT_OK
+        assert csv.read_bytes() == first
+        header, *rows = first.decode().splitlines()
+        assert header == "restart,total_flops"
+        assert [int(row.split(",")[0]) for row in rows] == [0, 1, 2, 3]
+        costs = [float(row.split(",")[1]) for row in rows]
+        assert min(costs) == json.loads(out.read_bytes())["path"]["total_flops"]
+
+    def test_zero_restarts_exits_2(self, cost_circuit, tmp_path):
+        assert _tnc(cost_circuit, tmp_path / "tnc.json", "--restarts", "0") == EXIT_INPUT
+
     def test_sfa_without_circuit_or_g_exits_2(self, tmp_path):
         assert _sfa(tmp_path / "sfa.json") == EXIT_INPUT

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import rcsbench as rb
 from rcsbench.costmodel import (
     SUMMIT_REFERENCE,
+    ContractionPath,
     CutAnalysis,
     TensorNetwork,
     circuit_to_tn,
@@ -22,7 +24,12 @@ from rcsbench.errors import InputError, ResourceLimitError
 from rcsbench.gates import FsimParams, fsim_matrix
 
 from conftest import random_fsim
-from oracles import exhaustive_min_cost, matrix_chain_min_cost, slice_by_replay
+from oracles import (
+    exhaustive_min_cost,
+    matrix_chain_min_cost,
+    replay_by_occupancy,
+    slice_by_replay,
+)
 
 
 def random_tn(n_tensors, gen, extra_edges=None, dim_range=(2, 3)):
@@ -183,6 +190,41 @@ class TestPaths:
         with pytest.raises(InputError):
             replay_path(tn, merges)
 
+    def test_replay_matches_occupancy_oracle(self):
+        gen = np.random.default_rng(7)
+        open_sliced = 0
+        for _ in range(200):
+            tn = random_tn(int(gen.integers(2, 10)), gen, dim_range=(2, 5))
+            n = len(tn.tensors)
+            live, merges = list(range(n)), []
+            while len(live) > 1:
+                i, j = (int(v) for v in gen.choice(len(live), 2, replace=False))
+                merges.append((live[i], live[j]))
+                live = [t for k, t in enumerate(live) if k not in (i, j)]
+                live.append(n + len(merges) - 1)
+            sliced = frozenset(name for name in sorted(tn.indices) if gen.random() < 0.3)
+            open_sliced += len(sliced & set(tn.open_indices))
+            merges = tuple(merges)
+            assert replay_path(tn, merges, sliced) == replay_by_occupancy(tn, merges, sliced)
+        assert open_sliced > 0
+
+    def test_greedy_golden(self, demo60):
+        """Paths and restart totals pinned from the occupancy-count search:
+        any change in scores, pop order or restart draws changes a digest."""
+        def digest(tn):
+            path, totals = find_path_greedy_full(tn, seed=0, restarts=4)
+            return hashlib.sha256(repr((path.merges, totals)).encode()).hexdigest()
+
+        tn = circuit_to_tn(rb.standard_circuit(demo60, 12, seed=1))
+        assert digest(tn) == (
+            "9ff461976b9b57acd941cd2c86816fb97e53a9434ae5b1211e9515e67095485b")
+        disconnected = TensorNetwork(
+            (("a", ("i", "j")), ("b", ("j", "k")), ("c", ("k", "i")), ("s", ()),
+             ("d", ("l", "m")), ("e", ("m", "x")), ("f", ("l",))),
+            {"i": 2, "j": 3, "k": 2, "l": 2, "m": 4, "x": 2}, ("x",))
+        assert digest(disconnected) == (
+            "c887c3a1ca09f45927d0db050e30c8b6390d0084d19ef4c09487505dde67734d")
+
     def test_optimal_size_guard(self):
         gen = np.random.default_rng(2)
         tn = random_tn(13, gen)
@@ -236,6 +278,14 @@ class TestSlicing:
         assert res.total_flops == res.n_slices * res.per_slice_flops
         with pytest.raises(InputError):
             slice_network(tn, path, -1)
+
+    def test_rejects_index_on_three_tensors(self):
+        tn = TensorNetwork(
+            (("a", ("i",)), ("b", ("i",)), ("c", ("i", "j")), ("d", ("j",))),
+            {"i": 2, "j": 2}, ())
+        path = ContractionPath(((0, 1), (2, 3), (4, 5)), (2.0, 4.0, 1.0), 7.0, 1)
+        with pytest.raises(InputError):
+            slice_network(tn, path, 0)
 
     def test_matches_replay_after_each_slice(self, grid_3x4):
         gen = np.random.default_rng(4)

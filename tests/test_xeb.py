@@ -5,7 +5,9 @@ from scipy import integrate, stats
 import rcsbench as rb
 from rcsbench import xeb
 from rcsbench.errors import InputError
-from rcsbench.xeb import ProbabilityRecord, fit_gaussian_sigma
+from rcsbench.xeb import ProbabilityRecord
+
+from oracles import fit_gaussian_sigma
 
 
 def model_draws(fidelity, n, gen, n_qubits=12):
