@@ -225,7 +225,8 @@ def find_path_greedy_full(
     contracted independently and joined by outer products at the end.
     Deterministic per (seed, restarts): ties and the final winner resolve by
     (cost, restart).  The network's neighbour pairs are scored once; each
-    restart starts from a copy of that heap.
+    restart starts from a copy of that heap and costs its own merges, so no
+    restart is replayed.
     """
     tn.validate()
     if restarts < 1:
@@ -245,29 +246,37 @@ def find_path_greedy_full(
     totals = []
     for r in range(restarts):
         gen = rng.stream(seed, rng.Stream.PATH_SEARCH, index=r) if r else None
-        merges = _greedy_once(leaves, sizes, heap, holders, dims, gen)
-        costs, total, largest, _, _ = replay_path(tn, merges)
+        merges, costs, largest = _greedy_once(leaves, sizes, heap, holders, dims, gen)
+        total = float(sum(costs))
         totals.append(total)
         if best is None or total < best.total_flops:
             best = ContractionPath(merges, tuple(costs), total, largest)
     return best, tuple(totals)
 
 
-def _greedy_once(leaves, sizes, heap, holders, dims, gen) -> tuple[tuple[int, int], ...]:
+def _greedy_once(leaves, sizes, heap, holders, dims, gen):
     """One greedy contraction from the scored initial ``heap`` of
-    ``(score, i, j)`` entries, i < j; the arguments are not modified."""
+    ``(score, i, j)`` entries, i < j; the arguments are not modified.
+    Returns the merges, each merge's cost (as `replay_path` counts it) and
+    the largest result rank."""
     nodes = dict(enumerate(leaves))
     size = list(sizes)
     heap = list(heap)
     holders = {name: set(h) for name, h in holders.items()}
     merges: list[tuple[int, int]] = []
+    costs: list[float] = []
+    largest = 0
 
     def merge(a: int, b: int) -> None:
+        nonlocal largest
         c = len(size)
-        keep = nodes.pop(a) ^ nodes.pop(b)
+        ta, tb = nodes.pop(a), nodes.pop(b)
+        keep = ta ^ tb
         nodes[c] = keep
         size.append(_size(keep, dims))
         merges.append((a, b))
+        costs.append(_size(ta | tb, dims))
+        largest = max(largest, len(keep))
         neighbors = set()
         for name in keep:
             h = holders[name]
@@ -295,7 +304,7 @@ def _greedy_once(leaves, sizes, heap, holders, dims, gen) -> tuple[tuple[int, in
             # disconnected components: join the two smallest by outer product
             a, b = sorted(nodes, key=lambda i: (size[i], i))[:2]
             merge(min(a, b), max(a, b))
-    return tuple(merges)
+    return tuple(merges), costs, largest
 
 
 def find_path_optimal(tn: TensorNetwork, max_tensors: int = 12) -> ContractionPath:

@@ -13,15 +13,28 @@ gate on (i, j), with the single-qubit gates of its qubits absorbed, and
 ``u_i`` alone for a qubit with no partner.  The blocks are packed in qubit
 order into groups of at most ``_GROUP_QUBITS`` qubits, and each group is one
 dense 2^k x 2^k op.  Two-qubit gates of one cycle that share a qubit are kept
-in their order and never fused into the same op.  The state is held as a
-``(2,)*n`` tensor; an op contracts its qubits' axes with ``np.tensordot``,
-which puts the op's axes first.  That axis order depends only on the
-circuit, so every op's axes are fixed at compile time and no op copies its
-result back; one transpose at the end restores the canonical order.  `run`,
-the trajectory replay and the calibration loss (both on a compiled program
-with gate sites swapped in, `Program.with_sites`), `apply_single`,
-`apply_two` and the forward sweep of `adjoint_gradient` all use one
-executor; its backward sweep applies the adjoints of the same ops.
+in their order and never fused into the same op.
+
+The state is held as flat amplitudes in a rotating layout (Haener & Steiger,
+arXiv:1704.01127): the layout lists the qubit of each bit, most significant
+first.  An op whose qubits lead the layout is one GEMM,
+``psi(K, R)^T @ M^T -> (R, K)``, which reads its qubits at the front and
+writes them to the back.  The ops of a cycle run in runs of consecutive ops
+on disjoint qubits; the first op of a run transposes the state once so that
+the run's qubits lead in the run's order (``_Op.perm``), and every later op
+of the run finds its qubits in front.  A run over every qubit ends in the
+layout it started from, so a cycle costs at most one transpose, plus one for
+each further run that a layer of two-qubit gates sharing a qubit needs.  The
+layouts depend only on the circuit and are fixed at compile time; the
+program starts from |0...0>, which reads the same in every layout, and one
+transpose at the end restores the canonical order.  The executor alternates
+between two flat work buffers and never writes into the state it is given:
+`execute` allocates them once per run, and each trajectory worker thread
+once.  `run`, the trajectory replay and the calibration loss (both on a
+compiled program with gate sites swapped in, `Program.with_sites`),
+`apply_single`, `apply_two` (one-op programs) and the forward sweep of
+`adjoint_gradient` all use the same layouts and GEMMs; its backward sweep
+applies the adjoints of the same ops.
 
 Two noise models ship: a speckle mixture (each sample comes from the ideal
 distribution with probability F, uniform otherwise) and Pauli-trajectory
@@ -32,6 +45,8 @@ trajectory).
 """
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -45,9 +60,13 @@ from .samples import SampleSet, pack_bits
 
 DEFAULT_QUBIT_LIMIT = 30
 
-# Qubits of the largest fused op.  Of 3 to 6, 5 ran a 20-qubit, 8-cycle
-# circuit fastest with single-threaded OpenBLAS on a 2-core Xeon.
-_GROUP_QUBITS = 5
+# Qubits of the largest fused op.  An op costs 2^k complex multiply-adds per
+# amplitude, and the rotating layout moves no data between the ops of a
+# cycle, so fewer, larger ops only pay while the GEMM is not flop-bound.  Of
+# 3 to 6, with single-threaded OpenBLAS on a 2-core Xeon, 4 ran a 16-qubit,
+# 8-cycle circuit and 200 noisy trajectories of it fastest and tied 3 on a
+# 20-qubit, 8-cycle circuit; 5 and 6 were slower on all three.
+_GROUP_QUBITS = 4
 
 # Checkpoint budget for trajectory replay (bytes of saved cycle states).
 _CHECKPOINT_BUDGET = 512 << 20
@@ -124,10 +143,11 @@ class _Block:
 
 @dataclass(frozen=True)
 class _Op:
-    axes: tuple[int, ...]       # tensor axes contracted, in the layout before
-    matrix: np.ndarray          # shape (2,)*2k; output axes come first
-    blocks: tuple[_Block, ...]  # disjoint; the matrix is their kron in order
-    sites: frozenset[int]       # gate sites fused into this op
+    perm: tuple[int, ...] | None  # transpose that brings the op's qubits to
+                                  # the front, or None if they lead already
+    matrix: np.ndarray            # 2^k x 2^k
+    blocks: tuple[_Block, ...]    # disjoint; the matrix is their kron in order
+    sites: frozenset[int]         # gate sites fused into this op
 
 
 @dataclass(frozen=True)
@@ -136,7 +156,8 @@ class Program:
 
     ``sites`` lists every gate site in circuit order: per cycle the
     single-qubit gates by position, then the two-qubit gates.  ``layout``
-    is the qubit held by each tensor axis after the last op.
+    is the qubit of each bit of the amplitude index, most significant first,
+    after the last op.
     """
 
     dtype: np.dtype
@@ -158,7 +179,7 @@ class Program:
         return replace(self, sites=tuple(sites), cycles=cycles)
 
     def canonical(self, psi: np.ndarray) -> np.ndarray:
-        """Flat amplitudes in the canonical qubit order from a final tensor."""
+        """Amplitudes in the canonical qubit order from final amplitudes."""
         return _canonical(psi, self.layout)
 
 
@@ -187,34 +208,38 @@ def _fuse(blocks, sites, replaced: dict, dtype, cache: dict | None = None) -> np
             if cache is not None:
                 cache[block.key] = m
         mats.append(m)
-    m = reduce(_kron, mats).astype(dtype, copy=False)
-    return m.reshape((2,) * (2 * sum(len(b.qubits) for b in blocks)))
+    return reduce(_kron, mats).astype(dtype, copy=False)
 
 
-def _make_op(layout: tuple[int, ...], qubits: tuple[int, ...], matrix: np.ndarray,
-             blocks: tuple[_Block, ...] = ()) -> tuple[_Op, tuple[int, ...]]:
-    """Op acting on ``qubits`` (first = high bit) from ``layout``, and the
-    layout after it."""
-    axes = tuple(layout.index(q) for q in qubits)
-    after = qubits + tuple(q for q in layout if q not in qubits)
+def _op(perm: tuple[int, ...] | None, matrix: np.ndarray,
+        blocks: tuple[_Block, ...] = ()) -> _Op:
     sites = frozenset(s for b in blocks for s in (*b.singles, b.two) if s is not None)
-    return _Op(axes, matrix, blocks, sites), after
+    return _Op(perm, matrix, blocks, sites)
 
 
-def _execute(ops, psi: np.ndarray) -> np.ndarray:
-    """Apply ops to a (2,)*n tensor; never writes into ``psi``."""
+def _work_buffers(n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(1 << n, dtype), np.empty(1 << n, dtype)
+
+
+def _execute(ops, psi: np.ndarray, work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Apply ops to flat amplitudes, alternating between the two ``work``
+    buffers; returns the buffer that holds the result.  Writes into ``psi``
+    only if it is one of the work buffers."""
     for op in ops:
-        k = len(op.axes)
-        psi = np.tensordot(op.matrix, psi, axes=(range(k, 2 * k), op.axes))
+        if op.perm is not None:
+            out = work[1] if psi is work[0] else work[0]
+            shape = (2,) * len(op.perm)
+            np.copyto(out.reshape(shape), psi.reshape(shape).transpose(op.perm))
+            psi = out
+        out = work[1] if psi is work[0] else work[0]
+        k = len(op.matrix)
+        np.matmul(psi.reshape(k, -1).T, op.matrix.T, out=out.reshape(-1, k))
+        psi = out
     return psi
 
 
 def _canonical(psi: np.ndarray, layout: tuple[int, ...]) -> np.ndarray:
-    return psi.transpose(np.argsort(layout)).reshape(-1)
-
-
-def _zero_tensor(n: int, dtype) -> np.ndarray:
-    return zero_state(n, dtype).amplitudes.reshape((2,) * n)
+    return psi.reshape((2,) * len(layout)).transpose(np.argsort(layout)).reshape(-1)
 
 
 def _cycle_blocks(cycle, c: int, pos: dict, sites: list, fsim: dict) -> list[_Block]:
@@ -252,7 +277,7 @@ def compile_circuit(circuit: Circuit, dtype=np.complex128) -> Program:
     sites: list[GateSite] = []
     fsim: dict[FsimParams, np.ndarray] = {}
     cache: dict[tuple, np.ndarray] = {}  # ideal block matrices by key
-    layout = tuple(range(n))
+    layout = None  # |0...0> reads the same in every layout
     cycles = []
     for c, cyc in enumerate(circuit.cycles):
         groups: list[list[_Block]] = []
@@ -265,13 +290,32 @@ def compile_circuit(circuit: Circuit, dtype=np.complex128) -> Program:
             groups[-1].append(blk)
             used.update(blk.qubits)
         ops = []
-        for blocks in groups:
-            qubits = tuple(q for b in blocks for q in b.qubits)
-            op, layout = _make_op(layout, qubits, _fuse(blocks, sites, {}, dtype, cache),
-                                  tuple(blocks))
-            ops.append(op)
+        for run in _disjoint_runs(groups):
+            # one transpose puts the run's qubits in front, in its order; each
+            # op then rotates its own qubits from the front to the back
+            order = tuple(q for blocks in run for b in blocks for q in b.qubits)
+            start = order + tuple(q for q in (layout or range(n)) if q not in order)
+            perm = None if layout in (None, start) else tuple(map(layout.index, start))
+            for blocks in run:
+                ops.append(_op(perm, _fuse(blocks, sites, {}, dtype, cache), tuple(blocks)))
+                perm = None
+            layout = start[len(order):] + order
         cycles.append(tuple(ops))
-    return Program(dtype, tuple(sites), tuple(cycles), layout)
+    return Program(dtype, tuple(sites), tuple(cycles), layout or tuple(range(n)))
+
+
+def _disjoint_runs(groups: list[list[_Block]]) -> list[list[list[_Block]]]:
+    """The groups split into runs of consecutive groups on disjoint qubits."""
+    runs: list[list[list[_Block]]] = []
+    used: set[int] = set()
+    for blocks in groups:
+        qubits = {q for b in blocks for q in b.qubits}
+        if not runs or used & qubits:
+            runs.append([])
+            used = set()
+        runs[-1].append(blocks)
+        used |= qubits
+    return runs
 
 
 def _check_qubit(state: StateVector, qubit: int) -> None:
@@ -282,11 +326,14 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
 def _apply(state: StateVector, qubits: tuple[int, ...], u) -> StateVector:
     """Run the one-op program ``u`` on ``qubits``, writing back in place."""
     n = state.n_qubits
+    dtype = state.amplitudes.dtype
     k = len(qubits)
-    u = np.asarray(u, dtype=state.amplitudes.dtype).reshape((2,) * (2 * k))
-    op, layout = _make_op(tuple(range(n)), qubits, u)
-    tensor = state.amplitudes.reshape((2,) * n)
-    tensor[...] = _execute((op,), tensor).transpose(np.argsort(layout))
+    rest = tuple(q for q in range(n) if q not in qubits)
+    perm = None if qubits == tuple(range(k)) else qubits + rest
+    op = _op(perm, np.asarray(u, dtype=dtype).reshape(1 << k, 1 << k))
+    psi = _execute((op,), state.amplitudes, _work_buffers(n, dtype))
+    state.amplitudes.reshape((2,) * n)[...] = (
+        psi.reshape((2,) * n).transpose(np.argsort(rest + qubits)))
     return state
 
 
@@ -327,9 +374,11 @@ def run(circuit: Circuit, limit: int = DEFAULT_QUBIT_LIMIT,
 
 def execute(program: Program) -> np.ndarray:
     """Final amplitudes, in canonical order, of the program run on |0...0>."""
-    psi = _zero_tensor(len(program.layout), program.dtype)
+    n = len(program.layout)
+    work = _work_buffers(n, program.dtype)
+    psi = zero_state(n, program.dtype).amplitudes
     for ops in program.cycles:
-        psi = _execute(ops, psi)
+        psi = _execute(ops, psi, work)
     return program.canonical(psi)
 
 
@@ -340,35 +389,42 @@ def adjoint_gradient(program: Program, cotangent, derivatives: dict[int, list[np
     ``cotangent`` maps the final amplitudes, in canonical order, to the
     function's value L and the cotangent lambda = dL/dpsi* (canonical order).
     ``derivatives`` maps a gate site to derivative matrices dG of its matrix.
-    The forward sweep keeps each op's input state (one state per op).  The
-    backward sweep carries lambda through each op's adjoint in reverse order;
-    at an op holding requested sites it contracts lambda after the op with the
-    op's input into the 2^k x 2^k environment E, and each dG contributes
+    The forward sweep runs the executor's layouts and GEMMs and keeps each
+    op's GEMM input psi_in, a K x R matrix with the op's 2^k = K amplitudes
+    of its qubits in front (one state per op).  The backward sweep carries
+    lambda, an R x K matrix in the layout after the op, back through each op
+    in reverse order: lambda <- M^H @ lambda^T, followed by the inverse of the
+    op's transpose.  At an op holding requested sites, the K x K environment
+    is E = lambda^H @ psi_in^T, and each dG contributes
     dL = 2 Re sum(dM * E), where dM is the op re-fused with the site's matrix
     replaced by dG.  Returns L and, per requested site, one derivative per dG.
     """
     n = len(program.layout)
     ops = [op for cycle in program.cycles for op in cycle]
     inputs = []
-    psi = _zero_tensor(n, program.dtype)
+    psi = zero_state(n, program.dtype).amplitudes
     for op in ops:
+        if op.perm is not None:
+            psi = psi.reshape((2,) * n).transpose(op.perm).reshape(-1)
         inputs.append(psi)
-        psi = _execute((op,), psi)
+        k = len(op.matrix)
+        psi = np.matmul(psi.reshape(k, -1).T, op.matrix.T).reshape(-1)
     value, lam = cotangent(program.canonical(psi))
     lam = lam.reshape((2,) * n).transpose(program.layout)
     grads = {s: np.zeros(len(d)) for s, d in derivatives.items()}
     for op, psi_in in zip(reversed(ops), reversed(inputs)):
-        k = len(op.axes)
+        k = len(op.matrix)
+        lam = lam.reshape(-1, k)
         wanted = op.sites.intersection(derivatives)
         if wanted:
-            psi_in = np.moveaxis(psi_in, op.axes, range(k))  # as lam's axes
-            env = np.tensordot(lam.conj(), psi_in, axes=(range(k, n), range(k, n)))
+            env = lam.conj().T @ psi_in.reshape(k, -1).T
             for s in wanted:
                 for j, dg in enumerate(derivatives[s]):
                     dm = _fuse(op.blocks, program.sites, {s: dg}, program.dtype)
                     grads[s][j] = 2.0 * float(np.sum(dm * env).real)
-        lam = np.tensordot(op.matrix.conj(), lam, axes=(range(k), range(k)))
-        lam = np.moveaxis(lam, range(k), op.axes)
+        lam = op.matrix.conj().T @ lam.T
+        if op.perm is not None:
+            lam = lam.reshape((2,) * n).transpose(np.argsort(op.perm))
     return value, grads
 
 
@@ -413,8 +469,12 @@ def sample_noisy_speckle(
                      meta={"model": "speckle", "fidelity": fidelity, "seed": seed})
 
 
-def _cumulative(amps: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(np.abs(amps).astype(np.float64) ** 2)
+def _cumulative(amps: np.ndarray, layout: tuple[int, ...]) -> np.ndarray:
+    """Normalised cumulative Born probabilities, in canonical order, of
+    amplitudes held in ``layout``."""
+    probs = np.abs(amps).astype(np.float64, copy=False)
+    np.square(probs, out=probs)
+    cum = np.cumsum(_canonical(probs, layout))
     cum /= cum[-1]
     return cum
 
@@ -460,17 +520,20 @@ def sample_trajectory(
     while (stride < n_cycles
            and state_bytes * len(range(0, n_cycles, stride)) > _CHECKPOINT_BUDGET):
         stride *= 2
-    # Checkpoint i is the state before cycle i * stride.  They are not copies:
-    # the executor never writes into its input.
+    # Checkpoint i is the state before cycle i * stride, copied out of the
+    # work buffers; the replays only read them.
     checkpoints = []
-    psi = _zero_tensor(n, program.dtype)
+    work = _work_buffers(n, program.dtype)
+    psi = zero_state(n, program.dtype).amplitudes
     for c, ops in enumerate(program.cycles):
         if c % stride == 0:
-            checkpoints.append(psi)
-        psi = _execute(ops, psi)
-    ideal_cum = _cumulative(program.canonical(psi))
+            checkpoints.append(psi.copy())
+        psi = _execute(ops, psi, work)
+    ideal_cum = _cumulative(psi, program.layout)
+    del work, psi
 
     any_noise = len(e_vec) > 0 and float(e_vec.max()) > 0.0
+    local = threading.local()  # each worker thread's work buffers
 
     def one_trajectory(t: int) -> int:
         gen = rng.stream(seed, rng.Stream.TRAJECTORY, index=t)
@@ -487,16 +550,17 @@ def sample_trajectory(
                 pauli = _PAULIS[int(gen.integers(0, 3)) + 1]
             faulty[int(s)] = pauli @ site.matrix
         k = program.sites[err_at[0]].cycle // stride
+        work = getattr(local, "work", None)
+        if work is None:
+            work = local.work = _work_buffers(n, program.dtype)
         amps = checkpoints[k]
         for ops in program.with_sites(faulty).cycles[k * stride:]:
-            amps = _execute(ops, amps)
-        cum = _cumulative(program.canonical(amps))
+            amps = _execute(ops, amps, work)
+        cum = _cumulative(amps, program.layout)
         return int(np.searchsorted(cum, gen.random(), side="right"))
 
     words = np.empty(n_samples, dtype=np.uint64)
     if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for t, w in enumerate(pool.map(one_trajectory, range(n_samples))):
                 words[t] = w

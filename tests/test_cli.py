@@ -85,6 +85,55 @@ def small_circuit(tmp_path_factory):
     return circuit, samples
 
 
+@pytest.fixture(scope="module")
+def trajectory_inputs(tmp_path_factory):
+    """A 3x3, 6-cycle circuit and a noise file with enough gate errors that
+    most trajectories replay part of the circuit."""
+    root = tmp_path_factory.mktemp("trajectory")
+    circuit, noise = str(root / "c.json"), root / "noise.json"
+    assert main(["generate", "--topology", "grid:3x3", "--cycles", "6",
+                 "--seed", "4", "-o", circuit]) == EXIT_OK
+    noise.write_text(json.dumps({"e1": 0.02, "e2": 0.05, "e_r0": 0.02, "e_r1": 0.04}))
+    return circuit, str(noise)
+
+
+def _sample_trajectory(inputs, out, threads):
+    circuit, noise = inputs
+    return main(["sample", "--circuit", circuit, "--model", "trajectory",
+                 "--noise", noise, "--readout", "-n", "300", "--seed", "5",
+                 "--threads", str(threads), "-o", str(out)])
+
+
+def _outputs(out):
+    return tuple(p.read_bytes() for p in
+                 (out, out.with_name(out.name + ".json"),
+                  out.with_name(out.name + ".manifest.json")))
+
+
+class TestSample:
+    def test_trajectory_rerun_and_thread_count_invariant(self, trajectory_inputs,
+                                                         tmp_path):
+        out = tmp_path / "s.bin"
+        assert _sample_trajectory(trajectory_inputs, out, 1) == EXIT_OK
+        first = _outputs(out)
+        assert _sample_trajectory(trajectory_inputs, out, 1) == EXIT_OK
+        assert _outputs(out) == first
+        assert _sample_trajectory(trajectory_inputs, out, 2) == EXIT_OK
+        assert _outputs(out) == first
+        assert rb.load_samples(str(out)).n_samples == 300
+
+    def test_analyze_rerun_byte_identical(self, trajectory_inputs, tmp_path):
+        samples, out = tmp_path / "s.bin", tmp_path / "a.json"
+        assert _sample_trajectory(trajectory_inputs, samples, 2) == EXIT_OK
+        argv = ["analyze", "--circuit", trajectory_inputs[0], "--samples", str(samples),
+                "--bootstrap", "200", "--seed", "6", "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        first = out.read_bytes(), out.with_name("a.json.manifest.json").read_bytes()
+        assert main(argv) == EXIT_OK
+        assert (out.read_bytes(), out.with_name("a.json.manifest.json").read_bytes()) == first
+        assert json.loads(first[0])["instances"][0]["n_samples"] == 300
+
+
 class TestExitCodes:
     def test_qubit_limit_exits_4(self, small_circuit, tmp_path):
         circuit, _ = small_circuit

@@ -146,8 +146,9 @@ class TestPaths:
         tn = circuit_to_tn(c, open_qubits=c.qubits[:3])
         path = find_path_greedy_full(tn, seed=0, restarts=4)[0]
         assert len(path.merges) == len(tn.tensors) - 1
-        _, total, largest, _, final = replay_path(tn, path.merges)
+        costs, total, largest, _, final = replay_path(tn, path.merges)
         assert final == frozenset(tn.open_indices)
+        assert tuple(costs) == path.step_costs
         assert total == path.total_flops
         assert largest == path.largest_intermediate_rank
 

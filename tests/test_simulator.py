@@ -8,7 +8,8 @@ import rcsbench as rb
 from rcsbench.circuit import Circuit, Cycle
 from rcsbench.errors import InputError, ResourceLimitError
 from rcsbench.gates import FsimParams, SingleQubitGate, fsim_matrix
-from rcsbench.simulator import compile_circuit, execute, zero_state
+from rcsbench.simulator import (_execute, _work_buffers, compile_circuit, execute,
+                                zero_state)
 
 from conftest import random_fsim
 from oracles import dense_run, dense_single, dense_two
@@ -264,6 +265,25 @@ class TestCompiledProgram:
             want += [(k, (i,)) for i in range(c.n_qubits)]
             want += [(k, (pos[a], pos[b])) for a, b, _ in cyc.two_qubit]
         assert [(s.cycle, s.qubits) for s in sites] == want
+
+    @pytest.mark.parametrize("rows, cols", [(3, 4), (4, 5), (6, 10)])
+    def test_at_most_one_transpose_per_cycle(self, rows, cols):
+        program = compile_circuit(random_param_circuit(rows, cols, 8, seed=37))
+        assert all(sum(op.perm is not None for op in ops) <= 1
+                   for ops in program.cycles)
+
+    def test_executor_never_writes_its_input(self):
+        program = compile_circuit(random_param_circuit(3, 4, 4, seed=38))
+        psi = random_state(12, np.random.default_rng(38)).amplitudes
+        before = psi.tobytes()
+        ops = [op for ops in program.cycles for op in ops]
+        out = _execute(ops, psi, _work_buffers(12, psi.dtype))
+        assert out is not psi
+        assert psi.tobytes() == before
+
+    def test_execute_twice_is_bit_identical(self):
+        program = compile_circuit(random_param_circuit(3, 4, 6, seed=39))
+        assert execute(program).tobytes() == execute(program).tobytes()
 
 
 class TestProbabilities:
