@@ -8,7 +8,6 @@ from .calibration import (
     bfgs_minimize,
     calibrate_patches,
     loss,
-    split_four_patches,
     split_grid_patches,
 )
 from .circuit import (

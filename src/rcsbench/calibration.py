@@ -4,10 +4,13 @@ The full circuit is split into non-overlapping patches (quadrants by
 default).  For each patch, the loss 1 - F_XEB(gamma, b_train) is minimized
 over the patch's gate parameters with a quasi-Newton (BFGS) optimizer;
 b_train is a set of training bitstrings sampled from the patch circuit.
-`calibrate_patches` is the one entry point; it calibrates only the couplers
-inside a patch.  `staggered_split_pair` gives two splits whose internal
-couplers jointly cover every enabled coupler, including those that cross
-one split's boundaries.
+`calibrate_patches` is the one entry point.  The patch circuit alone says
+what a patch calibrates: its couplers are the ones that fire in it, and the
+optimizer starts from their parameters in it (first firing wins).  Couplers
+outside every patch keep the full circuit's parameters.
+`staggered_split_pair` gives two splits whose internal couplers jointly
+cover every enabled coupler, including those that cross one split's
+boundaries.
 
 The training bitstrings enter the loss only through their histogram w over
 the D outcomes, so F = D * (w . p) - 1 for the candidate distribution p.
@@ -19,6 +22,10 @@ final state with cotangent -(dF/dp) * psi, and each coupler's gradient sums
 the analytic fSim derivatives (`gates.fsim_derivative`) over every cycle in
 which the coupler fires.
 
+The BFGS line search backtracks from the full step, halving it
+(`_BACKTRACK`) up to `_MAX_BACKTRACKS` = 40 times, until the Armijo
+condition holds with constant `_ARMIJO_C` = 1e-4.
+
 The loss is a deterministic pure function of (gamma, b_train); patch
 optimizations are independent of each other and of evaluation order.
 """
@@ -29,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, ParamMap, extract_subcircuit, with_coupler_params
+from .circuit import Circuit, ParamMap, extract_subcircuit
 from .errors import InputError
 from .gates import FsimParams, fsim_derivative, fsim_matrix
 from .samples import SampleSet
@@ -44,14 +51,17 @@ from .simulator import (
 
 PARAM_NAMES = ("theta", "phi", "delta_plus", "delta_minus", "delta_minus_off")
 
+# Backtracking line search: sufficient-decrease constant, step factor per
+# backtrack, and backtracks before the search fails.
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+_MAX_BACKTRACKS = 40
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 200
     grad_tol: float = 1e-5         # infinity-norm convergence threshold
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 40
 
     def __post_init__(self) -> None:
         if self.grad_tol <= 0:
@@ -72,25 +82,25 @@ class CalibrationProblem:
     """One patch's training problem.
 
     ``b_train`` bitstrings are over the patch qubits (sorted ascending, first
-    qubit = most significant bit).  ``gamma`` packs the trainable fields of
-    each coupler in ``couplers`` order; untrained fields come from ``base``.
+    qubit = most significant bit).  ``couplers`` are the couplers that fire
+    in ``patch_circuit``, sorted by key, and ``base`` is their parameters in
+    it (first firing wins): the start point.  ``gamma`` packs the trainable
+    fields of each coupler in ``couplers`` order; untrained fields come from
+    ``base``.  A patch where no coupler fires has nothing to calibrate.
 
-    With ``normalized`` (the default) the training fidelity is divided by the
-    square root of the candidate distribution's ideal collision ratio
-    D*sum(p^2) - 1.  The ratio converges to 1 for deep circuits, so at scale
-    this is the plain linear-XEB loss; at desk-scale dimensions the
-    normalization makes the generating parameters an exact stationary point,
-    removing a finite-size bias that otherwise drags the optimum away from
-    truth by ~1/sqrt(D).
+    The training fidelity is divided by the square root of the candidate
+    distribution's ideal collision ratio D*sum(p^2) - 1.  The ratio
+    converges to 1 for deep circuits, so at scale this is the plain
+    linear-XEB loss; at desk-scale dimensions the normalization makes the
+    generating parameters an exact stationary point, removing a finite-size
+    bias that otherwise drags the optimum away from truth by ~1/sqrt(D).
     """
 
     patch_circuit: Circuit
     b_train: SampleSet
-    couplers: tuple[tuple[int, int], ...]
-    base: ParamMap
     trainable: tuple[str, ...] = PARAM_NAMES
-    limit: int = DEFAULT_QUBIT_LIMIT
-    normalized: bool = True
+    couplers: tuple[tuple[int, int], ...] = field(init=False)
+    base: ParamMap = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)  # training histogram
     program: Program = field(init=False, repr=False)     # the compiled patch
     # (gate site, coupler index) of each firing of a trained coupler
@@ -104,7 +114,11 @@ class CalibrationProblem:
             raise InputError("training bitstring width does not match the patch")
         if self.b_train.n_samples < 1:
             raise InputError("training set holds no bitstrings")
-        _check_limit(self.patch_circuit.n_qubits, self.limit)
+        _check_limit(self.patch_circuit.n_qubits, DEFAULT_QUBIT_LIMIT)
+        self.base = self.patch_circuit.coupler_params()
+        if not self.base:
+            raise InputError("no coupler fires in the patch; nothing to calibrate")
+        self.couplers = tuple(sorted(self.base))
         # SampleSet words fit the bitstring width, so the int64 view is exact.
         counts = np.bincount(self.b_train.words.view(np.int64),
                              minlength=1 << self.patch_circuit.n_qubits)
@@ -156,19 +170,16 @@ def unpack_params(
     return out
 
 
-def training_fidelity(weights: np.ndarray, dist: np.ndarray, normalized: bool):
-    """Training fidelity F = D * (w . p) - 1 of the distribution ``dist`` on
-    the training histogram ``weights``, and dF/dp.
-
-    With ``normalized``, F is divided by the square root of the collision
-    ratio C = D * sum(p^2) - 1.  C is clamped below at 1e-12; a clamped C is
-    a constant, so it contributes nothing to dF/dp.
+def training_fidelity(weights: np.ndarray, dist: np.ndarray):
+    """Training fidelity F of the distribution ``dist`` on the training
+    histogram ``weights``, and dF/dp: D * (w . p) - 1 divided by the square
+    root of the collision ratio C = D * sum(p^2) - 1 (see
+    `CalibrationProblem`).  C is clamped below at 1e-12; a clamped C is a
+    constant, so it contributes nothing to dF/dp.
     """
     d = dist.size
     raw = d * float(weights @ dist) - 1.0
     slope = d * weights
-    if not normalized:
-        return raw, slope
     collision = d * float(np.sum(dist * dist)) - 1.0
     if collision <= 1e-12:
         scale = 1.0 / np.sqrt(1e-12)
@@ -193,7 +204,7 @@ def loss(gamma: np.ndarray, problem: CalibrationProblem) -> float:
     training bitstrings.  Deterministic given (gamma, b_train)."""
     _, program = _candidate(gamma, problem)
     dist = np.abs(execute(program)) ** 2
-    return 1.0 - training_fidelity(problem.weights, dist, problem.normalized)[0]
+    return 1.0 - training_fidelity(problem.weights, dist)[0]
 
 
 def loss_and_gradient(gamma: np.ndarray, problem: CalibrationProblem):
@@ -205,7 +216,7 @@ def loss_and_gradient(gamma: np.ndarray, problem: CalibrationProblem):
     derivatives = {site: per_coupler[i] for site, i in problem.coupler_sites}
 
     def cotangent(amps: np.ndarray):
-        f, slope = training_fidelity(problem.weights, np.abs(amps) ** 2, problem.normalized)
+        f, slope = training_fidelity(problem.weights, np.abs(amps) ** 2)
         return 1.0 - f, -slope * amps
 
     value, site_grads = adjoint_gradient(program, cotangent, derivatives)
@@ -256,12 +267,12 @@ def bfgs_minimize(fun, x0: np.ndarray, config: OptimizerConfig = OptimizerConfig
             direction = -g
             slope = float(g @ direction)
         alpha, accepted = 1.0, False
-        for _ in range(config.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             f_new, g_new = fun(x + alpha * direction)
-            if f_new <= f + config.armijo_c * alpha * slope:
+            if f_new <= f + _ARMIJO_C * alpha * slope:
                 accepted = True
                 break
-            alpha *= config.backtrack
+            alpha *= _BACKTRACK
         if not accepted:
             status = "line_search_failed"
             break
@@ -339,16 +350,6 @@ def split_grid_patches(
     return partition, patch_circuits
 
 
-def split_four_patches(
-    circuit: Circuit, row_at: int | None = None, col_at: int | None = None
-) -> tuple[PatchPartition, tuple[Circuit, ...]]:
-    """Quadrant split at the row/column midlines (or the given boundaries)."""
-    topo = circuit.topology
-    row_at = topo.rows // 2 if row_at is None else row_at
-    col_at = topo.cols // 2 if col_at is None else col_at
-    return split_grid_patches(circuit, row_cuts=(row_at,), col_cuts=(col_at,))
-
-
 def staggered_split_pair(circuit: Circuit) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Two 4-way splits offset by one row and one column.  A coupler crossing
     the first split's boundary lies strictly inside the second's bands, so
@@ -379,35 +380,21 @@ class CalibrationResult:
 def calibrate_patches(
     circuit: Circuit,
     patch_circuits: tuple[Circuit, ...],
-    partition: PatchPartition,
     trains: list[SampleSet],
-    gamma0: ParamMap | None = None,
     config: OptimizerConfig = OptimizerConfig(),
     trainable: tuple[str, ...] = PARAM_NAMES,
-    limit: int = DEFAULT_QUBIT_LIMIT,
     threads: int = 1,
-    normalized: bool = True,
 ) -> CalibrationResult:
     """Independently minimize each patch's loss and merge the optimized
-    parameters; couplers outside a patch are never modified by it."""
+    parameters into ``circuit``'s; a patch modifies only the couplers that
+    fire in its circuit."""
     if len(trains) != len(patch_circuits):
         raise InputError(
             f"{len(patch_circuits)} patches but {len(trains)} training sets")
-    start = dict(circuit.coupler_params())
-    if gamma0:
-        start.update(gamma0)
 
     def solve(i: int) -> tuple[PatchResult, ParamMap]:
-        couplers = partition.internal[i]
-        problem = CalibrationProblem(
-            patch_circuit=with_coupler_params(patch_circuits[i], start),
-            b_train=trains[i],
-            couplers=couplers,
-            base={k: start[k] for k in couplers},
-            trainable=trainable,
-            limit=limit,
-            normalized=normalized,
-        )
+        problem = CalibrationProblem(patch_circuits[i], trains[i], trainable)
+        couplers = problem.couplers
         x0 = pack_params(problem.base, couplers, trainable)
         res = bfgs_minimize(lambda g: loss_and_gradient(g, problem), x0, config)
         optimized = unpack_params(res.x, problem.base, couplers, trainable)
@@ -424,7 +411,7 @@ def calibrate_patches(
     else:
         solved = [solve(i) for i in indices]
 
-    merged = dict(start)
+    merged = circuit.coupler_params()
     result = CalibrationResult(params=merged)
     for patch_result, optimized in solved:
         merged.update(optimized)

@@ -303,13 +303,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_calibrate(args) -> int:
     circ = circuit_mod.load_circuit(args.circuit)
-    if args.patches == 4:
-        partition, patch_circuits = calibration.split_four_patches(circ)
-    elif args.patches == 2:
-        partition, patch_circuits = calibration.split_grid_patches(
-            circ, col_cuts=(circ.topology.cols // 2,))
-    else:
-        raise InputError("--patches must be 2 or 4")
+    # --patches 4 adds a row cut to the column cut; argparse allows only 2 or 4
+    row_cuts = (circ.topology.rows // 2,) if args.patches == 4 else ()
+    _, patch_circuits = calibration.split_grid_patches(
+        circ, row_cuts, (circ.topology.cols // 2,))
     if len(args.train) != len(patch_circuits):
         raise InputError(
             f"{len(patch_circuits)} patches need {len(patch_circuits)} "
@@ -319,8 +316,7 @@ def cmd_calibrate(args) -> int:
     config = calibration.OptimizerConfig(
         max_iters=args.max_iters, grad_tol=args.grad_tol)
     result = calibration.calibrate_patches(
-        circ, patch_circuits, partition, trains,
-        config=config, trainable=trainable, threads=args.threads)
+        circ, patch_circuits, trains, config=config, trainable=trainable, threads=args.threads)
 
     doc = {
         "format": "rcsbench.calibration.v1",

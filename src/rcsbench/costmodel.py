@@ -316,29 +316,11 @@ def find_path_optimal(tn: TensorNetwork, max_tensors: int = 12) -> ContractionPa
         raise ResourceLimitError(
             f"optimal search limited to {max_tensors} tensors, got {n}")
     dims = tn.indices
-    open_set = frozenset(tn.open_indices)
-    leaf = [frozenset(idx) for _, idx in tn.tensors]
-    idx_mask: dict[str, int] = defaultdict(int)
-    for i, fs in enumerate(leaf):
-        for name in fs:
-            idx_mask[name] |= 1 << i
     full = (1 << n) - 1
-
-    def indices_of(mask: int) -> frozenset[str]:
-        out = []
-        for name, m in idx_mask.items():
-            if m & mask and (m & ~mask & full or name in open_set):
-                out.append(name)
-        return frozenset(out)
-
-    idx_cache: dict[int, frozenset[str]] = {}
-
-    def cached_indices(mask: int) -> frozenset[str]:
-        fs = idx_cache.get(mask)
-        if fs is None:
-            fs = idx_cache[mask] = indices_of(mask)
-        return fs
-
+    # A subset's open indices, filled in as the masks are visited by size:
+    # the symmetric difference of its tensors' (see the module docstring).
+    indices: dict[int, frozenset[str]] = {
+        1 << i: frozenset(idx) for i, (_, idx) in enumerate(tn.tensors)}
     best: dict[int, float] = {1 << i: 0.0 for i in range(n)}
     split: dict[int, int] = {}
     masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
@@ -347,6 +329,7 @@ def find_path_optimal(tn: TensorNetwork, max_tensors: int = 12) -> ContractionPa
     for size in range(2, n + 1):
         for mask in masks_by_size[size]:
             lowest = mask & -mask
+            indices[mask] = indices[lowest] ^ indices[mask ^ lowest]
             best_cost, best_sub = math.inf, 0
             sub = (mask - 1) & mask
             while sub:
@@ -355,7 +338,7 @@ def find_path_optimal(tn: TensorNetwork, max_tensors: int = 12) -> ContractionPa
                     cost = (
                         best[sub]
                         + best[other]
-                        + _size(cached_indices(sub) | cached_indices(other), dims)
+                        + _size(indices[sub] | indices[other], dims)
                     )
                     if cost < best_cost:
                         best_cost, best_sub = cost, sub

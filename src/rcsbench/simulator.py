@@ -55,7 +55,7 @@ import numpy as np
 from . import rng
 from .circuit import Circuit
 from .errors import InputError, ResourceLimitError
-from .gates import GATE_KINDS, FsimParams, fsim_matrix, sq_matrix
+from .gates import GATE_KINDS, fsim_matrix, sq_matrix
 from .samples import SampleSet, pack_bits
 
 DEFAULT_QUBIT_LIMIT = 30
@@ -138,7 +138,6 @@ class _Block:
     qubits: tuple[int, ...]
     singles: tuple[int | None, ...]  # absorbed single-qubit site per qubit
     two: int | None
-    key: tuple  # identifies the ideal matrix, for the compile-time cache
 
 
 @dataclass(frozen=True)
@@ -198,16 +197,9 @@ def _block_matrix(block: _Block, sites, replaced: dict) -> np.ndarray:
     return u
 
 
-def _fuse(blocks, sites, replaced: dict, dtype, cache: dict | None = None) -> np.ndarray:
+def _fuse(blocks, sites, replaced: dict, dtype) -> np.ndarray:
     """Kronecker product of disjoint blocks, as an op tensor."""
-    mats = []
-    for block in blocks:
-        m = None if cache is None else cache.get(block.key)
-        if m is None:
-            m = _block_matrix(block, sites, replaced)
-            if cache is not None:
-                cache[block.key] = m
-        mats.append(m)
+    mats = [_block_matrix(block, sites, replaced) for block in blocks]
     return reduce(_kron, mats).astype(dtype, copy=False)
 
 
@@ -242,7 +234,7 @@ def _canonical(psi: np.ndarray, layout: tuple[int, ...]) -> np.ndarray:
     return psi.reshape((2,) * len(layout)).transpose(np.argsort(layout)).reshape(-1)
 
 
-def _cycle_blocks(cycle, c: int, pos: dict, sites: list, fsim: dict) -> list[_Block]:
+def _cycle_blocks(cycle, c: int, pos: dict, sites: list) -> list[_Block]:
     """Append the cycle's gate sites and return its blocks in execution
     order: by dependency depth, then by lowest qubit."""
     first = len(sites)
@@ -252,19 +244,14 @@ def _cycle_blocks(cycle, c: int, pos: dict, sites: list, fsim: dict) -> list[_Bl
     ranked = []
     for a, b, p in cycle.two_qubit:
         i, j = pos[a], pos[b]
-        m = fsim.get(p)
-        if m is None:
-            m = fsim[p] = fsim_matrix(p)
         two = len(sites)
-        sites.append(GateSite(c, (i, j), m))
+        sites.append(GateSite(c, (i, j), fsim_matrix(p)))
         si, sj = free.pop(i, None), free.pop(j, None)
         d = max(depth.get(i, 0), depth.get(j, 0))
         depth[i] = depth[j] = d + 1
-        key = (p, None if si is None else cycle.single[i],
-               None if sj is None else cycle.single[j])
-        ranked.append((d, min(i, j), _Block((i, j), (si, sj), two, key)))
+        ranked.append((d, min(i, j), _Block((i, j), (si, sj), two)))
     for i, s in free.items():
-        ranked.append((0, i, _Block((i,), (s,), None, (cycle.single[i],))))
+        ranked.append((0, i, _Block((i,), (s,), None)))
     ranked.sort(key=lambda r: r[:2])
     return [blk for _, _, blk in ranked]
 
@@ -275,14 +262,12 @@ def compile_circuit(circuit: Circuit, dtype=np.complex128) -> Program:
     dtype = np.dtype(dtype)
     pos = {q: i for i, q in enumerate(circuit.qubits)}
     sites: list[GateSite] = []
-    fsim: dict[FsimParams, np.ndarray] = {}
-    cache: dict[tuple, np.ndarray] = {}  # ideal block matrices by key
     layout = None  # |0...0> reads the same in every layout
     cycles = []
     for c, cyc in enumerate(circuit.cycles):
         groups: list[list[_Block]] = []
         used: set[int] = set()
-        for blk in _cycle_blocks(cyc, c, pos, sites, fsim):
+        for blk in _cycle_blocks(cyc, c, pos, sites):
             if (not groups or used.intersection(blk.qubits)
                     or len(used) + len(blk.qubits) > _GROUP_QUBITS):
                 groups.append([])
@@ -297,7 +282,7 @@ def compile_circuit(circuit: Circuit, dtype=np.complex128) -> Program:
             start = order + tuple(q for q in (layout or range(n)) if q not in order)
             perm = None if layout in (None, start) else tuple(map(layout.index, start))
             for blocks in run:
-                ops.append(_op(perm, _fuse(blocks, sites, {}, dtype, cache), tuple(blocks)))
+                ops.append(_op(perm, _fuse(blocks, sites, {}, dtype), tuple(blocks)))
                 perm = None
             layout = start[len(order):] + order
         cycles.append(tuple(ops))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from rcsbench.calibration import (
     loss,
     loss_and_gradient,
     pack_params,
-    split_four_patches,
     split_grid_patches,
     staggered_split_pair,
     unpack_params,
@@ -69,11 +70,11 @@ class TestSplits:
         topo = rb.assign_patterns(rb.build_grid(2, 2))
         c = rb.standard_circuit(topo, 4, seed=0)
         with pytest.raises(InputError):
-            split_four_patches(c)
+            split_grid_patches(c, (1,), (1,))
 
     def test_4x4_quadrant_counts(self, grid_4x4):
         c = rb.standard_circuit(grid_4x4, 4, seed=0)
-        partition, patch_circuits = split_four_patches(c)
+        partition, patch_circuits = split_grid_patches(c, (2,), (2,))
         assert [len(p) for p in partition.patches] == [4, 4, 4, 4]
         assert sum(len(i) for i in partition.internal) == 16
         assert len(partition.cross) == 8
@@ -100,8 +101,7 @@ class TestLoss:
         _, truth, _, partition, patches, trains = two_patch_problem
         couplers = partition.internal[0]
         base = {k: truth[k] for k in couplers}
-        problem = CalibrationProblem(patches[0], trains[0], couplers, base,
-                                     trainable=("theta", "phi"))
+        problem = CalibrationProblem(patches[0], trains[0], trainable=("theta", "phi"))
         x = pack_params(base, couplers, ("theta", "phi"))
         value = loss(x, problem)
         sigma = rb.xeb_sigma(rb.probabilities_of_samples(
@@ -116,7 +116,7 @@ class TestLoss:
         uniform = rb.SampleSet(
             patches[0].n_qubits,
             gen.integers(0, 1 << patches[0].n_qubits, 100_000, dtype=np.uint64))
-        problem = CalibrationProblem(patches[0], uniform, couplers, base)
+        problem = CalibrationProblem(patches[0], uniform)
         value = loss(pack_params(base, couplers), problem)
         assert abs(value - 1.0) < 0.05
 
@@ -124,8 +124,7 @@ class TestLoss:
         _, truth, _, partition, patches, trains = two_patch_problem
         couplers = partition.internal[0]
         base = {k: truth[k] for k in couplers}
-        problem = CalibrationProblem(patches[0], trains[0], couplers, base,
-                                     trainable=("theta",))
+        problem = CalibrationProblem(patches[0], trains[0], trainable=("theta",))
         x = pack_params(base, couplers, ("theta",))
         assert loss(x + 0.1, problem) > loss(x, problem)
 
@@ -133,30 +132,43 @@ class TestLoss:
         _, truth, _, partition, patches, trains = two_patch_problem
         couplers = partition.internal[0]
         base = {k: truth[k] for k in couplers}
-        problem = CalibrationProblem(patches[0], trains[0], couplers, base)
+        problem = CalibrationProblem(patches[0], trains[0])
         x = pack_params(base, couplers) + 0.01
         assert loss(x, problem) == loss(x, problem)
 
-    @pytest.mark.parametrize("normalized", [True, False])
-    def test_loss_matches_gather_formula(self, nine_qubit_patch, normalized):
+    def test_loss_matches_gather_formula(self, nine_qubit_patch):
         truth, couplers, patch, train = nine_qubit_patch
         base = {k: truth[k] for k in couplers}
-        problem = CalibrationProblem(patch, train, couplers, base,
-                                     normalized=normalized)
+        problem = CalibrationProblem(patch, train)
+        assert (problem.couplers, problem.base) == (couplers, base)
         x = pack_params(base, couplers) + 0.02
         mapping = unpack_params(x, base, couplers)
         dist = rb.probabilities(rb.run(rb.with_coupler_params(patch, mapping)))
         d = dist.size
         want = d * np.mean(dist[train.words.astype(np.int64)]) - 1.0
-        if normalized:
-            want /= np.sqrt(d * np.sum(dist * dist) - 1.0)
+        want /= np.sqrt(d * np.sum(dist * dist) - 1.0)
         assert abs((1.0 - loss(x, problem)) - want) < 1e-12
 
+    def test_couplers_are_those_that_fire(self, nine_qubit_patch):
+        truth, couplers, patch, train = nine_qubit_patch
+        first = replace(patch, cycles=patch.cycles[:1])
+        fired = tuple(sorted((a, b) for a, b, _ in first.cycles[0].two_qubit))
+        assert 0 < len(fired) < len(couplers)
+        problem = CalibrationProblem(first, train)
+        assert problem.couplers == fired
+        assert problem.base == {k: truth[k] for k in fired}
+
+    def test_patch_without_firing_coupler_rejected(self, nine_qubit_patch):
+        _, _, patch, train = nine_qubit_patch
+        idle = replace(patch, cycles=tuple(replace(c, two_qubit=()) for c in patch.cycles))
+        with pytest.raises(InputError):
+            CalibrationProblem(idle, train)
+
     def test_empty_training_set_rejected(self, nine_qubit_patch):
-        truth, couplers, patch, _ = nine_qubit_patch
+        _, _, patch, _ = nine_qubit_patch
         empty = rb.SampleSet(patch.n_qubits, np.zeros(0, dtype=np.uint64))
         with pytest.raises(InputError):
-            CalibrationProblem(patch, empty, couplers, {k: truth[k] for k in couplers})
+            CalibrationProblem(patch, empty)
 
     def test_pack_unpack_round_trip(self, two_patch_problem):
         _, truth, _, partition, _, _ = two_patch_problem
@@ -212,20 +224,16 @@ class TestGradient:
         _, truth, _, partition, patches, trains = two_patch_problem
         couplers = partition.internal[0]
         base = {k: truth[k] for k in couplers}
-        problem = CalibrationProblem(patches[0], trains[0], couplers, base,
-                                     trainable=("theta", "phi"))
+        problem = CalibrationProblem(patches[0], trains[0], trainable=("theta", "phi"))
         x = pack_params(base, couplers, ("theta", "phi"))
         _, grad = loss_and_gradient(x, problem)
         assert np.max(np.abs(grad)) < 0.02
 
     @pytest.mark.parametrize("trainable", [("theta", "phi"), PARAM_NAMES])
-    @pytest.mark.parametrize("normalized", [True, False])
-    def test_adjoint_matches_finite_differences(self, nine_qubit_patch, trainable,
-                                                normalized):
+    def test_adjoint_matches_finite_differences(self, nine_qubit_patch, trainable):
         truth, couplers, patch, train = nine_qubit_patch
         base = {k: truth[k] for k in couplers}
-        problem = CalibrationProblem(patch, train, couplers, base,
-                                     trainable=trainable, normalized=normalized)
+        problem = CalibrationProblem(patch, train, trainable=trainable)
         # Couplers fire in several cycles, and some op fuses two trained sites.
         fired = [i for _, i in problem.coupler_sites]
         assert max(fired.count(i) for i in set(fired)) >= 3
@@ -297,7 +305,7 @@ class TestCalibration:
     def test_fixed_point_at_truth(self, two_patch_problem):
         _, truth, circuit, partition, patches, trains = two_patch_problem
         result = calibrate_patches(
-            circuit, patches, partition, trains, gamma0=dict(truth),
+            circuit, patches, trains,
             config=OptimizerConfig(max_iters=60, grad_tol=1e-6),
             trainable=("theta", "phi"))
         for keys in partition.internal:
@@ -314,21 +322,22 @@ class TestCalibration:
                           p.delta_plus, p.delta_minus, p.delta_minus_off)
             for k, p in truth.items()
         }
+        start = rb.with_coupler_params(circuit, perturbed)
+        _, start_patches = split_grid_patches(start, col_cuts=(4,))
         result = calibrate_patches(
-            circuit, patches, partition, trains, gamma0=perturbed,
+            start, start_patches, trains,
             config=OptimizerConfig(max_iters=150, grad_tol=1e-6),
             trainable=("theta", "phi"))
         for keys in partition.internal:
             for key in keys:
                 assert abs(result.params[key].theta - truth[key].theta) <= 0.01
                 assert abs(result.params[key].phi - truth[key].phi) <= 0.01
-        for patch, train, pr in zip(patches, trains, result.patches):
+        for patch, train, pr in zip(start_patches, trains, result.patches):
             assert pr.after_loss <= pr.before_loss
             assert np.all(np.diff(pr.trace) <= 1e-12)
-            base = {k: perturbed[k] for k in pr.couplers}
-            problem = CalibrationProblem(rb.with_coupler_params(patch, perturbed), train,
-                                         pr.couplers, base, trainable=("theta", "phi"))
-            x0 = pack_params(base, pr.couplers, ("theta", "phi"))
+            problem = CalibrationProblem(patch, train, trainable=("theta", "phi"))
+            assert problem.couplers == pr.couplers
+            x0 = pack_params(perturbed, pr.couplers, ("theta", "phi"))
             assert pr.before_loss == loss(x0, problem)
 
         # held-out circuit: fresh instance with truth parameters; XEB of its
@@ -347,7 +356,7 @@ class TestCalibration:
     def test_outside_couplers_untouched(self, two_patch_problem):
         _, truth, circuit, partition, patches, trains = two_patch_problem
         result = calibrate_patches(
-            circuit, patches, partition, trains, gamma0=dict(truth),
+            circuit, patches, trains,
             config=OptimizerConfig(max_iters=5, grad_tol=1e-6),
             trainable=("theta", "phi"))
         for key in partition.cross:
@@ -356,15 +365,13 @@ class TestCalibration:
     def test_thread_count_invariant(self, two_patch_problem):
         _, truth, circuit, partition, patches, trains = two_patch_problem
         cfg = OptimizerConfig(max_iters=3, grad_tol=1e-6)
-        a = calibrate_patches(circuit, patches, partition, trains,
-                              gamma0=dict(truth), config=cfg, threads=1,
+        a = calibrate_patches(circuit, patches, trains, config=cfg, threads=1,
                               trainable=("theta",))
-        b = calibrate_patches(circuit, patches, partition, trains,
-                              gamma0=dict(truth), config=cfg, threads=2,
+        b = calibrate_patches(circuit, patches, trains, config=cfg, threads=2,
                               trainable=("theta",))
         assert a.params == b.params
 
     def test_training_set_count_checked(self, two_patch_problem):
         _, _, circuit, partition, patches, trains = two_patch_problem
         with pytest.raises(InputError):
-            calibrate_patches(circuit, patches, partition, trains[:1])
+            calibrate_patches(circuit, patches, trains[:1])

@@ -40,6 +40,24 @@ def _calibrate(argv, out, *extra):
     return main(argv + list(extra) + ["-o", str(out)])
 
 
+def _calibrate_generated(root, cycles, patches):
+    """``generate --topology grid:2x6 --cycles <cycles> --seed 3``, one ideal
+    training file per patch of the CLI's split, then ``calibrate``."""
+    circuit = str(root / "c.json")
+    assert main(["generate", "--topology", "grid:2x6", "--cycles", str(cycles),
+                 "--seed", "3", "-o", circuit]) == EXIT_OK
+    circ = rb.load_circuit(circuit)
+    row_cuts = (1,) if patches == 4 else ()
+    _, patch_circuits = rb.split_grid_patches(circ, row_cuts, (3,))
+    argv = ["calibrate", "--circuit", circuit, "--patches", str(patches),
+            "--trainable", "theta,phi", "--max-iters", "3"]
+    for i, patch in enumerate(patch_circuits):
+        path = str(root / f"train{i}.bin")
+        rb.save_samples(path, rb.sample_ideal(rb.run(patch), 1000, seed=i))
+        argv += ["--train", path]
+    return main(argv + ["-o", str(root / "calibration.json")])
+
+
 class TestCalibrate:
     def test_rerun_byte_identical(self, calibrate_inputs, tmp_path):
         out = tmp_path / "calibration.json"
@@ -66,6 +84,19 @@ class TestCalibrate:
         argv = list(calibrate_inputs)
         argv[argv.index("theta,phi")] = "theta,gamma"
         assert _calibrate(argv, tmp_path / "c.json") == EXIT_INPUT
+
+    def test_lists_only_couplers_that_fire(self, tmp_path):
+        # Two cycles fire only the vertical couplers of each 2x3 patch.
+        assert _calibrate_generated(tmp_path, 2, 2) == EXIT_OK
+        doc = json.loads((tmp_path / "calibration.json").read_bytes())
+        assert [p["couplers"] for p in doc["patches"]] == [
+            ["0-6", "1-7", "2-8"], ["3-9", "4-10", "5-11"]]
+        assert sorted(doc["params"]) == sorted(
+            key for p in doc["patches"] for key in p["couplers"])
+
+    def test_patch_where_no_coupler_fires_exits_2(self, tmp_path):
+        # One cycle fires no coupler inside any 1x3 quadrant.
+        assert _calibrate_generated(tmp_path, 1, 4) == EXIT_INPUT
 
     def test_fd_step_rejected(self, calibrate_inputs, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -147,6 +178,57 @@ class TestExitCodes:
                 "--bootstrap", "0", "-o", str(tmp_path / "a.json")]
         assert main(argv) == EXIT_OK
         assert main(argv + ["--min-p-fhat", "1.01"]) == EXIT_HYPOTHESIS
+
+
+def _artifacts(out):
+    """An output and its manifest, as bytes."""
+    return out.read_bytes(), out.with_name(out.name + ".manifest.json").read_bytes()
+
+
+class TestGenerateVariantsReport:
+    def test_generate_rerun_byte_identical(self, tmp_path):
+        out = tmp_path / "c.json"
+        argv = ["generate", "--topology", "grid:3x4", "--cycles", "6", "--seed", "8",
+                "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        first = _artifacts(out)
+        assert main(argv) == EXIT_OK
+        assert _artifacts(out) == first
+        assert rb.load_circuit(str(out)).n_cycles == 6
+
+    @pytest.mark.parametrize("mode", ["patch", "elided"])
+    def test_variants_rerun_byte_identical(self, small_circuit, tmp_path, mode):
+        out = tmp_path / "v.json"
+        argv = ["variants", "--circuit", small_circuit[0], "--mode", mode,
+                "--split", "row", "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        first = _artifacts(out)
+        assert main(argv) == EXIT_OK
+        assert _artifacts(out) == first
+        assert rb.load_circuit(str(out)).variant == mode
+
+    def test_elided_keep_last_beyond_cycles_exits_2(self, small_circuit, tmp_path):
+        argv = ["variants", "--circuit", small_circuit[0], "--mode", "elided",
+                "--keep-last", "7", "-o", str(tmp_path / "v.json")]
+        assert main(argv) == EXIT_INPUT
+
+    def test_report_rerun_byte_identical(self, small_circuit, tmp_path):
+        circuit, samples = small_circuit
+        assert main(["analyze", "--circuit", circuit, "--samples", samples,
+                     "--bootstrap", "0", "-o", str(tmp_path / "s.analysis.json")]) == EXIT_OK
+        out = tmp_path / "report" / "r.json"
+        out.parent.mkdir()
+        argv = ["report", "--dir", str(tmp_path), "--csv", str(out.with_suffix(".csv")),
+                "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        first = _artifacts(out) + (out.with_suffix(".csv").read_bytes(),)
+        assert main(argv) == EXIT_OK
+        assert _artifacts(out) + (out.with_suffix(".csv").read_bytes(),) == first
+        assert json.loads(first[0])["n_instances"] == 1
+
+    def test_report_without_analyses_exits_2(self, tmp_path):
+        assert main(["report", "--dir", str(tmp_path), "-o",
+                     str(tmp_path / "r.json")]) == EXIT_INPUT
 
 
 @pytest.fixture(scope="module")
