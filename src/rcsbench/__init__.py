@@ -31,7 +31,6 @@ from .costmodel import (
     TensorNetwork,
     circuit_to_tn,
     estimate_sampling_cost,
-    find_path_optimal,
     schmidt_values,
     sfa_cut,
     sfa_speedup,

@@ -14,7 +14,14 @@ In a valid network every index sits on exactly two live tensors, or on one
 if it is open, and a merge keeps it so.  Hence the result of merging A and
 B is their symmetric difference ``A ^ B``: the shared indices are summed
 out and every other index still has its second holder (or is open).  The
-merge costs the size of ``A | B``.
+merge costs the size of ``A | B``.  A size is the exact integer product of
+the dimensions, made a float once, so it does not depend on set order.
+
+The greedy search holds each live tensor's index set as an integer bitmask
+(bit k is the k-th index of ``TensorNetwork.indices``) and each live
+tensor's neighbours, the tensors it shares an index with, as a set.  By the
+same invariant the neighbours of the result of merging a and b are those of
+a and of b, less a and b.
 
 Paths are in single-assignment form: the network's tensors are 0..n-1 and
 the k-th merge (from 0) makes tensor n+k, so a merge names its operands by
@@ -33,7 +40,7 @@ import numpy as np
 
 from . import rng
 from .circuit import Circuit, _normalize_bipartition
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .gates import FsimParams, fsim_matrix
 
 YEAR_SECONDS = 365.25 * 86400.0
@@ -175,10 +182,9 @@ def circuit_to_tn(circuit: Circuit, open_qubits=()) -> TensorNetwork:
 
 
 def _size(indices, dims) -> float:
-    out = 1.0
-    for name in indices:
-        out *= dims[name]
-    return out
+    """Entry count of a tensor over ``indices``: the exact integer product of
+    their dimensions, so it does not depend on the iteration order."""
+    return float(math.prod(dims[name] for name in indices))
 
 
 def replay_path(
@@ -227,26 +233,48 @@ def find_path_greedy_full(
     (cost, restart).  The network's neighbour pairs are scored once; each
     restart starts from a copy of that heap and costs its own merges, so no
     restart is replayed.
+
+    A live tensor's index set is an integer bitmask (bit k is the k-th index
+    of ``tn.indices``), and its size is the exact product of its dimensions,
+    as `replay_path` counts it.  Each live tensor keeps the set of tensors it
+    shares an index with; by the two-holder invariant the neighbours of the
+    result of merging a and b are those of a and of b, less a and b.
     """
     tn.validate()
     if restarts < 1:
         raise InputError("need at least one restart")
-    dims = tn.indices
-    leaves = [frozenset(idx) for _, idx in tn.tensors]
-    sizes = [_size(fs, dims) for fs in leaves]
+    bits = {name: 1 << k for k, name in enumerate(tn.indices)}
+    by_dim: dict[int, int] = {}
+    for name, dim in tn.indices.items():
+        by_dim[dim] = by_dim.get(dim, 0) | bits[name]
+    dim_masks = tuple(by_dim.items())
+
+    def size(mask: int) -> float:
+        out = 1
+        for dim, dim_mask in dim_masks:
+            out *= dim ** (mask & dim_mask).bit_count()
+        return float(out)
+
+    n = len(tn.tensors)
+    leaves = [sum(bits[name] for name in idx) for _, idx in tn.tensors]
+    sizes = [size(mask) for mask in leaves]
     holders: dict[str, list[int]] = defaultdict(list)
-    for i, fs in enumerate(leaves):
-        for name in fs:
+    for i, (_, idx) in enumerate(tn.tensors):
+        for name in idx:
             holders[name].append(i)
-    pairs = {tuple(h) for h in holders.values() if len(h) == 2}
-    heap = [(_size(leaves[a] ^ leaves[b], dims) - sizes[a] - sizes[b], a, b)
-            for a, b in pairs]
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for h in holders.values():
+        if len(h) == 2:
+            nbrs[h[0]].add(h[1])
+            nbrs[h[1]].add(h[0])
+    heap = [(size(leaves[a] ^ leaves[b]) - sizes[a] - sizes[b], a, b)
+            for a in range(n) for b in nbrs[a] if a < b]
     heapq.heapify(heap)
     best: ContractionPath | None = None
     totals = []
     for r in range(restarts):
         gen = rng.stream(seed, rng.Stream.PATH_SEARCH, index=r) if r else None
-        merges, costs, largest = _greedy_once(leaves, sizes, heap, holders, dims, gen)
+        merges, costs, largest = _greedy_once(leaves, sizes, nbrs, heap, size, gen)
         total = float(sum(costs))
         totals.append(total)
         if best is None or total < best.total_flops:
@@ -254,111 +282,63 @@ def find_path_greedy_full(
     return best, tuple(totals)
 
 
-def _greedy_once(leaves, sizes, heap, holders, dims, gen):
-    """One greedy contraction from the scored initial ``heap`` of
-    ``(score, i, j)`` entries, i < j; the arguments are not modified.
-    Returns the merges, each merge's cost (as `replay_path` counts it) and
-    the largest result rank."""
-    nodes = dict(enumerate(leaves))
-    size = list(sizes)
+def _greedy_once(leaves, sizes, nbrs, heap, size, gen):
+    """One greedy contraction of the tensors with index bitmasks ``leaves``,
+    sizes ``sizes`` and neighbour sets ``nbrs``, from the scored initial
+    ``heap`` of ``(score, i, j)`` entries, i < j; the arguments are not
+    modified.  Returns the merges, each merge's cost (as `replay_path` counts
+    it) and the largest result rank."""
+    masks = list(leaves)
+    sizes = list(sizes)
+    nbrs = [set(s) for s in nbrs]
     heap = list(heap)
-    holders = {name: set(h) for name, h in holders.items()}
+    live = [True] * len(masks)
+    top_k = _GREEDY_TOP_K if gen is not None else 1
     merges: list[tuple[int, int]] = []
     costs: list[float] = []
     largest = 0
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    def merge(a: int, b: int) -> None:
-        nonlocal largest
-        c = len(size)
-        ta, tb = nodes.pop(a), nodes.pop(b)
-        keep = ta ^ tb
-        nodes[c] = keep
-        size.append(_size(keep, dims))
-        merges.append((a, b))
-        costs.append(_size(ta | tb, dims))
-        largest = max(largest, len(keep))
-        neighbors = set()
-        for name in keep:
-            h = holders[name]
-            h.discard(a)
-            h.discard(b)
-            neighbors |= h
-            h.add(c)
-        for j in neighbors:
-            score = _size(nodes[j] ^ keep, dims) - size[j] - size[c]
-            heapq.heappush(heap, (score, j, c))
-
-    while len(nodes) > 1:
+    for _ in range(len(masks) - 1):
         popped = []
-        while heap and len(popped) < (_GREEDY_TOP_K if gen is not None else 1):
-            entry = heapq.heappop(heap)
-            if entry[1] in nodes and entry[2] in nodes:
+        while heap and len(popped) < top_k:
+            entry = heappop(heap)
+            if live[entry[1]] and live[entry[2]]:
                 popped.append(entry)
         if popped:
             choice = popped[0] if gen is None else popped[int(gen.integers(0, len(popped)))]
             for entry in popped:
                 if entry is not choice:
-                    heapq.heappush(heap, entry)
-            merge(choice[1], choice[2])
+                    heappush(heap, entry)
+            _, a, b = choice
         else:
             # disconnected components: join the two smallest by outer product
-            a, b = sorted(nodes, key=lambda i: (size[i], i))[:2]
-            merge(min(a, b), max(a, b))
+            ids = [i for i, alive in enumerate(live) if alive]
+            a, b = sorted(sorted(ids, key=lambda i: (sizes[i], i))[:2])
+        c = len(masks)
+        ma, mb = masks[a], masks[b]
+        keep = ma ^ mb
+        size_c = size(keep)
+        masks.append(keep)
+        sizes.append(size_c)
+        live[a] = live[b] = False
+        live.append(True)
+        merges.append((a, b))
+        costs.append(size(ma | mb))
+        largest = max(largest, keep.bit_count())
+        near = nbrs[a]
+        near |= nbrs[b]
+        near.discard(a)
+        near.discard(b)
+        nbrs[a] = nbrs[b] = None
+        nbrs.append(near)
+        for j in near:
+            others = nbrs[j]
+            others.discard(a)
+            others.discard(b)
+            others.add(c)
+            heappush(heap, (size(masks[j] ^ keep) - sizes[j] - size_c, j, c))
     return tuple(merges), costs, largest
-
-
-def find_path_optimal(tn: TensorNetwork, max_tensors: int = 12) -> ContractionPath:
-    """Exhaustive minimum-cost contraction tree by dynamic programming over
-    tensor subsets (same cost convention as the greedy search)."""
-    tn.validate()
-    n = len(tn.tensors)
-    if n > max_tensors:
-        raise ResourceLimitError(
-            f"optimal search limited to {max_tensors} tensors, got {n}")
-    dims = tn.indices
-    full = (1 << n) - 1
-    # A subset's open indices, filled in as the masks are visited by size:
-    # the symmetric difference of its tensors' (see the module docstring).
-    indices: dict[int, frozenset[str]] = {
-        1 << i: frozenset(idx) for i, (_, idx) in enumerate(tn.tensors)}
-    best: dict[int, float] = {1 << i: 0.0 for i in range(n)}
-    split: dict[int, int] = {}
-    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1, full + 1):
-        masks_by_size[bin(mask).count("1")].append(mask)
-    for size in range(2, n + 1):
-        for mask in masks_by_size[size]:
-            lowest = mask & -mask
-            indices[mask] = indices[lowest] ^ indices[mask ^ lowest]
-            best_cost, best_sub = math.inf, 0
-            sub = (mask - 1) & mask
-            while sub:
-                if sub & lowest:  # canonical halving: keep the lowest bit left
-                    other = mask ^ sub
-                    cost = (
-                        best[sub]
-                        + best[other]
-                        + _size(indices[sub] | indices[other], dims)
-                    )
-                    if cost < best_cost:
-                        best_cost, best_sub = cost, sub
-                sub = (sub - 1) & mask
-            best[mask] = best_cost
-            split[mask] = best_sub
-
-    merges: list[tuple[int, int]] = []
-    node_of_mask: dict[int, int] = {1 << i: i for i in range(n)}
-
-    def build(mask: int) -> int:
-        if mask not in node_of_mask:
-            merges.append((build(split[mask]), build(mask ^ split[mask])))
-            node_of_mask[mask] = n + len(merges) - 1
-        return node_of_mask[mask]
-
-    build(full)
-    path = tuple(merges)
-    costs, total, largest, _, _ = replay_path(tn, path)
-    return ContractionPath(path, tuple(costs), total, largest)
 
 
 def slice_network(

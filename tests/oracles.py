@@ -4,24 +4,29 @@ These deliberately avoid the package's computational kernels: circuits are
 evaluated by building explicit 2^n x 2^n gate matrices (stored sparse, so
 that 16-qubit circuits fit) and multiplying them into the state, gradients
 are taken by central finite differences of the function itself, and
-contraction costs are minimized by exhaustive search over set partitions.
-Paths are replayed by counting each index's occurrences (open indices get
+contraction costs are minimized by exhaustive search over set partitions
+or by dynamic programming over tensor subsets, and the greedy path search
+is checked against its index-set form (frozensets and per-index holders).
+Every size is the exact integer product of the dimensions.  Paths are
+replayed by counting each index's occurrences (open indices get
 one phantom occurrence) instead of by the package's symmetric-difference
 rule, and the slicing oracle replays the whole path that way after every
 sliced index instead of reusing one replay.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 
 import numpy as np
 from scipy import optimize, sparse
 
-from rcsbench.costmodel import SliceResult
-from rcsbench.errors import InputError
+from rcsbench import rng
+from rcsbench.costmodel import ContractionPath, SliceResult
+from rcsbench.errors import InputError, ResourceLimitError
 from rcsbench.gates import fsim_matrix, sq_matrix
 
 
@@ -201,3 +206,120 @@ def slice_by_replay(tn, path, cap: int) -> SliceResult:
     n_slices = math.prod(tn.indices[name] for name in sliced)
     return SliceResult(tuple(sorted(sliced)), n_slices, float(n_slices) * total,
                        total, largest)
+
+
+def _size(indices, dims) -> float:
+    return float(math.prod(dims[name] for name in indices))
+
+
+def find_path_optimal(tn, max_tensors: int = 12) -> ContractionPath:
+    """Exhaustive minimum-cost contraction tree by dynamic programming over
+    tensor subsets (same cost convention as the greedy search)."""
+    tn.validate()
+    n = len(tn.tensors)
+    if n > max_tensors:
+        raise ResourceLimitError(
+            f"optimal search limited to {max_tensors} tensors, got {n}")
+    dims = tn.indices
+    full = (1 << n) - 1
+    # A subset's open indices, filled in as the masks are visited by size:
+    # the symmetric difference of its tensors' (the two-holder invariant).
+    indices: dict[int, frozenset[str]] = {
+        1 << i: frozenset(idx) for i, (_, idx) in enumerate(tn.tensors)}
+    best: dict[int, float] = {1 << i: 0.0 for i in range(n)}
+    split: dict[int, int] = {}
+    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1, full + 1):
+        masks_by_size[bin(mask).count("1")].append(mask)
+    for size in range(2, n + 1):
+        for mask in masks_by_size[size]:
+            lowest = mask & -mask
+            indices[mask] = indices[lowest] ^ indices[mask ^ lowest]
+            best_cost, best_sub = math.inf, 0
+            sub = (mask - 1) & mask
+            while sub:
+                if sub & lowest:  # canonical halving: keep the lowest bit left
+                    other = mask ^ sub
+                    cost = (
+                        best[sub]
+                        + best[other]
+                        + _size(indices[sub] | indices[other], dims)
+                    )
+                    if cost < best_cost:
+                        best_cost, best_sub = cost, sub
+                sub = (sub - 1) & mask
+            best[mask] = best_cost
+            split[mask] = best_sub
+
+    merges: list[tuple[int, int]] = []
+    node_of_mask: dict[int, int] = {1 << i: i for i in range(n)}
+
+    def build(mask: int) -> int:
+        if mask not in node_of_mask:
+            merges.append((build(split[mask]), build(mask ^ split[mask])))
+            node_of_mask[mask] = n + len(merges) - 1
+        return node_of_mask[mask]
+
+    build(full)
+    path = tuple(merges)
+    costs, total, largest, _, _ = replay_by_occupancy(tn, path)
+    return ContractionPath(path, tuple(costs), total, largest)
+
+
+def greedy_by_index_sets(tn, seed: int, restarts: int):
+    """The randomized-greedy search on frozensets of index names with a
+    holder set per index: a merge result is ``A ^ B``, and its neighbours
+    are the other holders of its indices.  Restart 0 takes the best score,
+    restart r > 0 draws among the 4 best from the path-search stream
+    ``(seed, r)``.  Returns (best path, every restart's total)."""
+    dims = tn.indices
+    leaves = [frozenset(idx) for _, idx in tn.tensors]
+    holders = defaultdict(set)
+    for i, fs in enumerate(leaves):
+        for name in fs:
+            holders[name].add(i)
+    pairs = {tuple(sorted(h)) for h in holders.values() if len(h) == 2}
+    best, totals = None, []
+    for r in range(restarts):
+        gen = rng.stream(seed, rng.Stream.PATH_SEARCH, index=r) if r else None
+        nodes = dict(enumerate(leaves))
+        size = [_size(fs, dims) for fs in leaves]
+        heap = [(_size(leaves[a] ^ leaves[b], dims) - size[a] - size[b], a, b)
+                for a, b in pairs]
+        heapq.heapify(heap)
+        owners = {name: set(h) for name, h in holders.items()}
+        merges, costs, largest = [], [], 0
+        while len(nodes) > 1:
+            popped = []
+            while heap and len(popped) < (4 if gen is not None else 1):
+                entry = heapq.heappop(heap)
+                if entry[1] in nodes and entry[2] in nodes:
+                    popped.append(entry)
+            if popped:
+                choice = popped[0] if gen is None else popped[int(gen.integers(0, len(popped)))]
+                for entry in popped:
+                    if entry is not choice:
+                        heapq.heappush(heap, entry)
+                a, b = choice[1], choice[2]
+            else:
+                a, b = sorted(sorted(nodes, key=lambda i: (size[i], i))[:2])
+            c = len(size)
+            ta, tb = nodes.pop(a), nodes.pop(b)
+            keep = nodes[c] = ta ^ tb
+            size.append(_size(keep, dims))
+            merges.append((a, b))
+            costs.append(_size(ta | tb, dims))
+            largest = max(largest, len(keep))
+            neighbours = set()
+            for name in keep:
+                h = owners[name]
+                h -= {a, b}
+                neighbours |= h
+                h.add(c)
+            for j in neighbours:
+                heapq.heappush(heap, (_size(nodes[j] ^ keep, dims) - size[j] - size[c], j, c))
+        total = float(sum(costs))
+        totals.append(total)
+        if best is None or total < best.total_flops:
+            best = ContractionPath(tuple(merges), tuple(costs), total, largest)
+    return best, tuple(totals)

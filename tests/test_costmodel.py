@@ -10,10 +10,10 @@ from rcsbench.costmodel import (
     ContractionPath,
     CutAnalysis,
     TensorNetwork,
+    _size,
     circuit_to_tn,
     estimate_sampling_cost,
     find_path_greedy_full,
-    find_path_optimal,
     replay_path,
     schmidt_values,
     sfa_cut,
@@ -26,6 +26,8 @@ from rcsbench.gates import FsimParams, fsim_matrix
 from conftest import random_fsim
 from oracles import (
     exhaustive_min_cost,
+    find_path_optimal,
+    greedy_by_index_sets,
     matrix_chain_min_cost,
     replay_by_occupancy,
     slice_by_replay,
@@ -209,22 +211,53 @@ class TestPaths:
             assert replay_path(tn, merges, sliced) == replay_by_occupancy(tn, merges, sliced)
         assert open_sliced > 0
 
+    @staticmethod
+    def disconnected_with_scalar():
+        """Two components, one with an open index, plus a rank-0 tensor."""
+        return TensorNetwork(
+            (("a", ("i", "j")), ("b", ("j", "k")), ("c", ("k", "i")), ("s", ()),
+             ("d", ("l", "m")), ("e", ("m", "x")), ("f", ("l",))),
+            {"i": 2, "j": 3, "k": 2, "l": 2, "m": 4, "x": 2}, ("x",))
+
     def test_greedy_golden(self, demo60):
         """Paths and restart totals pinned from the occupancy-count search:
         any change in scores, pop order or restart draws changes a digest."""
-        def digest(tn):
-            path, totals = find_path_greedy_full(tn, seed=0, restarts=4)
+        def digest(tn, restarts=4):
+            path, totals = find_path_greedy_full(tn, seed=0, restarts=restarts)
             return hashlib.sha256(repr((path.merges, totals)).encode()).hexdigest()
 
         tn = circuit_to_tn(rb.standard_circuit(demo60, 12, seed=1))
         assert digest(tn) == (
             "9ff461976b9b57acd941cd2c86816fb97e53a9434ae5b1211e9515e67095485b")
-        disconnected = TensorNetwork(
-            (("a", ("i", "j")), ("b", ("j", "k")), ("c", ("k", "i")), ("s", ()),
-             ("d", ("l", "m")), ("e", ("m", "x")), ("f", ("l",))),
-            {"i": 2, "j": 3, "k": 2, "l": 2, "m": 4, "x": 2}, ("x",))
-        assert digest(disconnected) == (
+        assert digest(self.disconnected_with_scalar()) == (
             "c887c3a1ca09f45927d0db050e30c8b6390d0084d19ef4c09487505dde67734d")
+        # cost60's search: demo60 at 24 cycles, circuit seed 1, 16 restarts
+        tn = circuit_to_tn(rb.standard_circuit(demo60, 24, seed=1))
+        assert digest(tn, restarts=16) == (
+            "bdddeba7131f9adbf875a63837c53584a9515f8e97236ff703a72dc4c3c455c1")
+
+    def test_greedy_matches_index_set_oracle(self):
+        gen = np.random.default_rng(11)
+        networks = [random_tn(int(gen.integers(2, 13)), gen, dim_range=(2, 5))
+                    for _ in range(100)]
+        assert sum(len(tn.open_indices) for tn in networks) > 0
+        for tn in networks:
+            for seed in range(4):
+                restarts = int(gen.integers(1, 9))
+                assert (find_path_greedy_full(tn, seed=seed, restarts=restarts)
+                        == greedy_by_index_sets(tn, seed, restarts))
+        tn = self.disconnected_with_scalar()
+        for seed in range(4):
+            for restarts in range(1, 9):
+                assert (find_path_greedy_full(tn, seed=seed, restarts=restarts)
+                        == greedy_by_index_sets(tn, seed, restarts))
+
+    def test_size_is_exact_in_any_order(self):
+        dims = {f"a{k:02d}": 3 for k in range(25)} | {f"b{k:02d}": 5 for k in range(25)}
+        names = sorted(dims)
+        want = float(math.prod(dims.values()))
+        assert _size(names, dims) == want
+        assert _size(names[::-1], dims) == want
 
     def test_optimal_size_guard(self):
         gen = np.random.default_rng(2)
