@@ -2,42 +2,19 @@
 generation, exact and noisy state-vector simulation, linear-XEB fidelity
 statistics, patch-wise gate calibration, and classical-cost estimation."""
 
-from .calibration import (
-    OptimizerConfig,
-    PatchPartition,
-    bfgs_minimize,
-    calibrate_patches,
-    loss,
-    split_grid_patches,
-)
+from .calibration import split_grid_patches
 from .circuit import (
-    Circuit,
-    Cycle,
     column_bipartition,
     extract_subcircuit,
-    generate_random_circuit,
     load_circuit,
     make_elided,
     make_patch,
-    row_bipartition,
     save_circuit,
     standard_circuit,
     with_coupler_params,
 )
-from .costmodel import (
-    ContractionPath,
-    CostReport,
-    CutAnalysis,
-    TensorNetwork,
-    circuit_to_tn,
-    estimate_sampling_cost,
-    schmidt_values,
-    sfa_cut,
-    sfa_speedup,
-    slice_network,
-)
 from .errors import InputError, ResourceLimitError
-from .gates import DEFAULT_FSIM, FsimParams, SingleQubitGate, fsim_matrix, sq_matrix
+from .gates import DEFAULT_FSIM, FsimParams, SingleQubitGate
 from .samples import SampleSet, load_samples, save_samples
 from .simulator import (
     NoiseModel,
@@ -47,16 +24,12 @@ from .simulator import (
     apply_two,
     predicted_fidelity,
     probabilities,
-    reference_noise,
     run,
     sample_ideal,
     sample_noisy_speckle,
     sample_trajectory,
 )
 from .topology import (
-    Coupler,
-    GridTopology,
-    QubitId,
     assign_patterns,
     build_grid,
     load_topology,
@@ -65,7 +38,6 @@ from .topology import (
     sixty_qubit_grid,
 )
 from .xeb import (
-    ProbabilityRecord,
     XebEstimate,
     bootstrap_xeb,
     combine_inverse_variance,
@@ -75,8 +47,6 @@ from .xeb import (
     probabilities_of_samples,
     product_xeb,
     pt_cdf,
-    pt_pdf,
-    speckle_purity,
     xeb_sigma,
 )
 

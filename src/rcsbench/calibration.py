@@ -31,7 +31,6 @@ optimizations are independent of each other and of evaluation order.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +46,7 @@ from .simulator import (
     adjoint_gradient,
     compile_circuit,
     execute,
+    fan_out,
 )
 
 PARAM_NAMES = ("theta", "phi", "delta_plus", "delta_minus", "delta_minus_off")
@@ -385,31 +385,29 @@ def calibrate_patches(
     trainable: tuple[str, ...] = PARAM_NAMES,
     threads: int = 1,
 ) -> CalibrationResult:
-    """Independently minimize each patch's loss and merge the optimized
-    parameters into ``circuit``'s; a patch modifies only the couplers that
-    fire in its circuit."""
+    """Independently minimize each patch's loss, on ``threads`` workers (see
+    `simulator.fan_out`), and merge the optimized parameters into
+    ``circuit``'s; a patch modifies only the couplers that fire in its
+    circuit."""
     if len(trains) != len(patch_circuits):
         raise InputError(
             f"{len(patch_circuits)} patches but {len(trains)} training sets")
 
-    def solve(i: int) -> tuple[PatchResult, ParamMap]:
+    solved: list[tuple[PatchResult, ParamMap]] = [None] * len(patch_circuits)
+
+    def solve(i: int) -> None:
         problem = CalibrationProblem(patch_circuits[i], trains[i], trainable)
         couplers = problem.couplers
         x0 = pack_params(problem.base, couplers, trainable)
         res = bfgs_minimize(lambda g: loss_and_gradient(g, problem), x0, config)
         optimized = unpack_params(res.x, problem.base, couplers, trainable)
         # trace[0] is the loss at x0
-        return (
+        solved[i] = (
             PatchResult(couplers, float(res.trace[0]), res.fun, res.trace, res.status),
             optimized,
         )
 
-    indices = range(len(patch_circuits))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve, indices))
-    else:
-        solved = [solve(i) for i in indices]
+    fan_out(solve, len(patch_circuits), threads)
 
     merged = circuit.coupler_params()
     result = CalibrationResult(params=merged)

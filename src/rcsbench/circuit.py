@@ -1,12 +1,15 @@
 """Random circuits: cycles of single-qubit gates plus patterned two-qubit
 layers, and the patch/elided verification variants.
 
-A circuit is an immutable value.  Generation is a pure function of
-(topology, pattern sequence, seed, gate parameters): per cycle, each active
-qubit draws uniformly from {sqrt_x, sqrt_y, sqrt_w}, by default excluding the
-gate it received in the previous cycle; the two-qubit layer applies the
-iSWAP-like gate on every enabled coupler of the cycle's pattern, with one
-shared parameter set per coupler.
+A circuit is an immutable value.  `standard_circuit` is the one
+constructor, a pure function of (topology, cycle count, sequence kind, seed,
+gate parameters): per cycle, each active qubit draws uniformly from
+{sqrt_x, sqrt_y, sqrt_w}, by default excluding the gate it received in the
+previous cycle; the two-qubit layer applies the iSWAP-like gate on every
+enabled coupler of the cycle's pattern, with one shared parameter set per
+coupler.  The patch and elided variants drop the two-qubit gates that cross
+a bipartition (`grid_bipartition`) from every cycle or from all but the last
+few, through one filter.
 """
 from __future__ import annotations
 
@@ -78,23 +81,23 @@ class Circuit:
         return out
 
 
-def generate_random_circuit(
+def standard_circuit(
     topology: GridTopology,
-    seq: tuple[str, ...],
+    n_cycles: int,
     seed: int,
     params: ParamMap | FsimParams | None = None,
-    no_repeat: bool = True,
     kind: str = "standard",
+    no_repeat: bool = True,
 ) -> Circuit:
-    """Deterministic random circuit for (topology, seq, seed).
+    """Deterministic random circuit of ``n_cycles`` cycles on the ``kind``
+    pattern sequence (see `pattern_sequence`) for (topology, seed).
 
     ``params`` maps each enabled-coupler key (a, b) to its gate parameters;
     a single FsimParams applies to every coupler; None uses the default.
     With ``no_repeat`` a qubit never draws the same gate in two consecutive
     cycles (draws are then uniform over the two remaining kinds).
     """
-    if len(seq) < 1:
-        raise InputError("pattern sequence is empty")
+    seq = pattern_sequence(n_cycles, kind)
     qubits = topology.qubits_sorted
     if not qubits:
         raise InputError("topology has no active qubits")
@@ -152,22 +155,25 @@ def _normalize_bipartition(circuit: Circuit, bipartition) -> frozenset[int]:
     return side_a if min(active) in side_a else side_b
 
 
-def _crosses(a: int, b: int, side: frozenset[int]) -> bool:
-    return (a in side) != (b in side)
+def _drop_cross_gates(circuit: Circuit, bipartition, n_cut: int,
+                      variant: str, keep_last: int | None) -> Circuit:
+    """The circuit with every two-qubit gate that crosses the bipartition
+    removed from its first ``n_cut`` cycles."""
+    side = _normalize_bipartition(circuit, bipartition)
+    cycles = tuple(
+        c if i >= n_cut else replace(c, two_qubit=tuple(
+            g for g in c.two_qubit if (g[0] in side) == (g[1] in side)
+        ))
+        for i, c in enumerate(circuit.cycles)
+    )
+    return replace(circuit, cycles=cycles, variant=variant,
+                   bipartition=tuple(sorted(side)), keep_last=keep_last)
 
 
 def make_patch(circuit: Circuit, bipartition) -> Circuit:
     """Remove every two-qubit gate crossing the bipartition; single-qubit
     layers are unchanged."""
-    side = _normalize_bipartition(circuit, bipartition)
-    cycles = tuple(
-        replace(c, two_qubit=tuple(
-            g for g in c.two_qubit if not _crosses(g[0], g[1], side)
-        ))
-        for c in circuit.cycles
-    )
-    return replace(circuit, cycles=cycles, variant="patch",
-                   bipartition=tuple(sorted(side)), keep_last=None)
+    return _drop_cross_gates(circuit, bipartition, circuit.n_cycles, "patch", None)
 
 
 def make_elided(circuit: Circuit, bipartition, keep_last: int) -> Circuit:
@@ -176,16 +182,8 @@ def make_elided(circuit: Circuit, bipartition, keep_last: int) -> Circuit:
     if not 0 <= keep_last <= circuit.n_cycles:
         raise InputError(
             f"keep_last must be in [0, {circuit.n_cycles}], got {keep_last}")
-    side = _normalize_bipartition(circuit, bipartition)
-    cut = circuit.n_cycles - keep_last
-    cycles = tuple(
-        c if i >= cut else replace(c, two_qubit=tuple(
-            g for g in c.two_qubit if not _crosses(g[0], g[1], side)
-        ))
-        for i, c in enumerate(circuit.cycles)
-    )
-    return replace(circuit, cycles=cycles, variant="elided",
-                   bipartition=tuple(sorted(side)), keep_last=keep_last)
+    return _drop_cross_gates(circuit, bipartition, circuit.n_cycles - keep_last,
+                             "elided", keep_last)
 
 
 def default_elide_keep_last(n_cycles: int) -> int:
@@ -194,26 +192,26 @@ def default_elide_keep_last(n_cycles: int) -> int:
     return 6 if n_cycles >= 12 else (n_cycles + 1) // 2
 
 
+def grid_bipartition(circuit: Circuit, split: str, at: int | None = None):
+    """Split the active qubits by column (``col``) or by row (``row``): side
+    A holds the qubits before line ``at`` (default: the middle line)."""
+    cols = circuit.topology.cols
+    if split == "col":
+        name, size, line = "column", cols, (lambda q: q % cols)
+    elif split == "row":
+        name, size, line = "row", circuit.topology.rows, (lambda q: q // cols)
+    else:
+        raise InputError(f"unknown split {split!r}; want col or row")
+    boundary = size // 2 if at is None else at
+    if not 0 < boundary < size:
+        raise InputError(f"{name} boundary {boundary} outside 1..{size - 1}")
+    side_a = frozenset(q for q in circuit.qubits if line(q) < boundary)
+    return side_a, frozenset(circuit.qubits) - side_a
+
+
 def column_bipartition(circuit: Circuit, at: int | None = None):
     """Split active qubits by column: side A has col < at (default middle)."""
-    cols = circuit.topology.cols
-    boundary = cols // 2 if at is None else at
-    if not 0 < boundary < cols:
-        raise InputError(f"column boundary {boundary} outside 1..{cols - 1}")
-    side_a = [q for q in circuit.qubits if q % cols < boundary]
-    side_b = [q for q in circuit.qubits if q % cols >= boundary]
-    return frozenset(side_a), frozenset(side_b)
-
-
-def row_bipartition(circuit: Circuit, at: int | None = None):
-    rows = circuit.topology.rows
-    cols = circuit.topology.cols
-    boundary = rows // 2 if at is None else at
-    if not 0 < boundary < rows:
-        raise InputError(f"row boundary {boundary} outside 1..{rows - 1}")
-    side_a = [q for q in circuit.qubits if q // cols < boundary]
-    side_b = [q for q in circuit.qubits if q // cols >= boundary]
-    return frozenset(side_a), frozenset(side_b)
+    return grid_bipartition(circuit, "col", at)
 
 
 def with_coupler_params(circuit: Circuit, params: ParamMap) -> Circuit:
@@ -317,17 +315,3 @@ def save_circuit(path: str, circuit: Circuit) -> None:
 def load_circuit(path: str) -> Circuit:
     with open(path) as fh:
         return circuit_from_dict(json.load(fh))
-
-
-def standard_circuit(
-    topology: GridTopology,
-    n_cycles: int,
-    seed: int,
-    params: ParamMap | FsimParams | None = None,
-    kind: str = "standard",
-    no_repeat: bool = True,
-) -> Circuit:
-    """Convenience wrapper: build the pattern sequence and generate."""
-    seq = pattern_sequence(n_cycles, kind)
-    return generate_random_circuit(topology, seq, seed, params,
-                                   no_repeat=no_repeat, kind=kind)

@@ -1,7 +1,9 @@
 """Command-line pipelines with reproducible, digest-tracked artifacts.
 
 Subcommands: generate, variants, sample, analyze, calibrate, cost tnc,
-cost sfa, report.  Every command accepts an explicit 64-bit seed where
+cost sfa, report.  ``analyze`` scores one (circuit, samples) pair, and
+``report`` combines the analyses in a directory into one inverse-variance
+weighted estimate.  Every command accepts an explicit 64-bit seed where
 randomness is involved; identical flags and seeds produce byte-identical
 artifacts.  Each primary output gets a ``<output>.manifest.json`` listing the
 command, resolved configuration hash, seeds, and the SHA-256 digest of every
@@ -23,8 +25,8 @@ import numpy as np
 
 from . import calibration, circuit as circuit_mod, costmodel, simulator, xeb
 from .errors import InputError, ResourceLimitError
-from .gates import DEFAULT_FSIM, FsimParams, fsim_matrix
-from .samples import SampleSet, load_samples, save_samples, sidecar_path
+from .gates import DEFAULT_FSIM, FsimParams
+from .samples import load_samples, save_samples, sidecar_path
 from .topology import (
     assign_patterns,
     build_grid,
@@ -116,14 +118,6 @@ def _load_noise(path: str | None) -> simulator.NoiseModel:
         e_r0=doc.get("e_r0", 0.0), e_r1=doc.get("e_r1", 0.0))
 
 
-def _bipartition(circ, split: str, at: int | None):
-    if split == "col":
-        return circuit_mod.column_bipartition(circ, at)
-    if split == "row":
-        return circuit_mod.row_bipartition(circ, at)
-    raise InputError(f"unknown split {split!r}; want col or row")
-
-
 def cmd_generate(args) -> int:
     topo = _resolve_topology(args.topology)
     params = (_load_params_file(args.params, topo) if args.params else None)
@@ -143,7 +137,7 @@ def cmd_generate(args) -> int:
 
 def cmd_variants(args) -> int:
     circ = circuit_mod.load_circuit(args.circuit)
-    parts = _bipartition(circ, args.split, args.at)
+    parts = circuit_mod.grid_bipartition(circ, args.split, args.at)
     if args.mode == "patch":
         out = circuit_mod.make_patch(circ, parts)
     elif args.mode == "elided":
@@ -191,34 +185,6 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _analyze_one(circ, samples: SampleSet, bootstrap: int, seed: int):
-    est, records = xeb.measured_xeb(circ, samples)
-    ks_entries = []
-    for rec in records:
-        sub = xeb.linear_xeb(rec)
-        stat_fhat, p_fhat = xeb.ks_test(rec, sub.fidelity)
-        stat_zero, p_zero = xeb.ks_test(rec, 0.0)
-        ks_entries.append({
-            "n_qubits": rec.n_qubits,
-            "statistic_at_fhat": stat_fhat, "p_at_fhat": p_fhat,
-            "statistic_at_zero": stat_zero, "p_at_zero": p_zero,
-        })
-    doc = {
-        "n_qubits": samples.n_qubits,
-        "n_samples": samples.n_samples,
-        "variant": circ.variant,
-        "fidelity": est.fidelity,
-        "sigma": est.sigma,
-        "ks": ks_entries[0],
-        "ks_records": ks_entries,
-    }
-    if bootstrap and len(records) == 1:
-        sigma_boot, _ = xeb.bootstrap_xeb(records[0], bootstrap, seed)
-        doc["sigma_bootstrap"] = sigma_boot
-        doc["bootstrap_resamples"] = bootstrap
-    return doc, records[0], est
-
-
 def _write_cdf_csv(path: str, rec, fidelity: float, points: int = 512) -> None:
     x = np.sort(rec.dim * rec.probs)
     n = x.size
@@ -231,69 +197,52 @@ def _write_cdf_csv(path: str, rec, fidelity: float, points: int = 512) -> None:
 
 
 def cmd_analyze(args) -> int:
-    pairs: list[tuple[str, str]] = []
-    if args.dir:
-        for circ_path in sorted(Path(args.dir).glob("*.circuit.json")):
-            sample_path = circ_path.with_name(
-                circ_path.name.replace(".circuit.json", ".samples.bin"))
-            if sample_path.exists():
-                pairs.append((str(circ_path), str(sample_path)))
-        if not pairs:
-            raise InputError(f"no <name>.circuit.json/.samples.bin pairs in {args.dir}")
-    else:
-        if not (args.circuit and args.samples):
-            raise InputError("need --circuit and --samples, or --dir")
-        pairs.append((args.circuit, args.samples))
-
-    instances = []
-    estimates = []
-    rec_first = None
-    for circ_path, sample_path in pairs:
-        circ = circuit_mod.load_circuit(circ_path)
-        samples = load_samples(sample_path)
-        if samples.n_qubits != circ.n_qubits:
-            raise InputError(
-                f"{sample_path} holds {samples.n_qubits}-bit samples but "
-                f"{circ_path} has {circ.n_qubits} qubits")
-        doc, rec, est = _analyze_one(circ, samples, args.bootstrap, args.seed)
-        doc["circuit"] = circ_path
-        doc["samples"] = sample_path
-        instances.append(doc)
-        estimates.append(est)
-        if rec_first is None:
-            rec_first = (rec, xeb.linear_xeb(rec).fidelity)
-
-    report: dict = {"format": "rcsbench.analysis.v1", "instances": instances}
-    if len(estimates) > 1:
-        combined = xeb.combine_inverse_variance(estimates)
-        report["combined"] = {
-            "fidelity": combined.fidelity, "sigma": combined.sigma,
-            "n_instances": len(estimates), "n_samples": combined.n_samples,
-        }
-
+    circ = circuit_mod.load_circuit(args.circuit)
+    samples = load_samples(args.samples)
+    if samples.n_qubits != circ.n_qubits:
+        raise InputError(
+            f"{args.samples} holds {samples.n_qubits}-bit samples but "
+            f"{args.circuit} has {circ.n_qubits} qubits")
+    est, records = xeb.measured_xeb(circ, samples)
+    ks_entries = []
     failures = []
-    for doc in instances:
-        for entry in doc["ks_records"]:
-            if args.min_p_fhat is not None and entry["p_at_fhat"] < args.min_p_fhat:
-                failures.append(
-                    f"{doc['samples']}: p(F=Fhat) {entry['p_at_fhat']:.3g} "
-                    f"< {args.min_p_fhat}")
-            if args.max_p_zero is not None and entry["p_at_zero"] > args.max_p_zero:
-                failures.append(
-                    f"{doc['samples']}: p(F=0) {entry['p_at_zero']:.3g} "
-                    f"> {args.max_p_zero}")
-    report["hypothesis_failures"] = failures
-
-    _dump_json(args.output, report)
+    for rec in records:
+        stat_fhat, p_fhat = xeb.ks_test(rec, xeb.linear_xeb(rec).fidelity)
+        stat_zero, p_zero = xeb.ks_test(rec, 0.0)
+        ks_entries.append({
+            "n_qubits": rec.n_qubits,
+            "statistic_at_fhat": stat_fhat, "p_at_fhat": p_fhat,
+            "statistic_at_zero": stat_zero, "p_at_zero": p_zero,
+        })
+        if args.min_p_fhat is not None and p_fhat < args.min_p_fhat:
+            failures.append(f"{args.samples}: p(F=Fhat) {p_fhat:.3g} < {args.min_p_fhat}")
+        if args.max_p_zero is not None and p_zero > args.max_p_zero:
+            failures.append(f"{args.samples}: p(F=0) {p_zero:.3g} > {args.max_p_zero}")
+    doc = {
+        "circuit": args.circuit,
+        "samples": args.samples,
+        "n_qubits": samples.n_qubits,
+        "n_samples": samples.n_samples,
+        "variant": circ.variant,
+        "fidelity": est.fidelity,
+        "sigma": est.sigma,
+        "ks": ks_entries[0],
+        "ks_records": ks_entries,
+    }
+    if args.bootstrap and len(records) == 1:
+        sigma_boot, _ = xeb.bootstrap_xeb(records[0], args.bootstrap, args.seed)
+        doc["sigma_bootstrap"] = sigma_boot
+        doc["bootstrap_resamples"] = args.bootstrap
+    _dump_json(args.output, {"format": "rcsbench.analysis.v1", "instances": [doc],
+                             "hypothesis_failures": failures})
     outputs = [args.output]
-    if args.csv and rec_first is not None:
-        _write_cdf_csv(args.csv, rec_first[0], rec_first[1])
+    if args.csv:
+        _write_cdf_csv(args.csv, records[0], xeb.linear_xeb(records[0]).fidelity)
         outputs.append(args.csv)
     _write_manifest(args.output, "analyze", {
         "bootstrap": args.bootstrap, "min_p_fhat": args.min_p_fhat,
-        "max_p_zero": args.max_p_zero, "dir": args.dir,
-    }, [p for pair in pairs for p in pair], outputs,
-        seeds={"bootstrap": args.seed})
+        "max_p_zero": args.max_p_zero,
+    }, [args.circuit, args.samples], outputs, seeds={"bootstrap": args.seed})
     if failures:
         for line in failures:
             print(f"hypothesis failure: {line}", file=sys.stderr)
@@ -412,20 +361,16 @@ def cmd_cost_tnc(args) -> int:
 def cmd_cost_sfa(args) -> int:
     if args.circuit:
         circ = circuit_mod.load_circuit(args.circuit)
-        parts = _bipartition(circ, args.split, args.at)
+        parts = circuit_mod.grid_bipartition(circ, args.split, args.at)
         cut = costmodel.sfa_cut(circ, parts)
         inputs = [args.circuit]
         halves = (len(parts[0]), len(parts[1]))
     elif args.g is not None:
-        if args.delta_theta is None:
-            raise InputError("synthetic mode needs --g and --delta-theta")
+        if args.delta_theta is None or args.g < 0:
+            raise InputError("synthetic mode needs --g >= 0 and --delta-theta")
         params = FsimParams(theta=math.pi / 2 - args.delta_theta, phi=args.phi)
-        spectrum = tuple(
-            float(v) for v in costmodel.schmidt_values(fsim_matrix(params)))
-        cut = costmodel.CutAnalysis(
-            bipartition=(), g=args.g, spectra=(spectrum,) * args.g,
-            delta_theta=(abs(args.delta_theta),) * args.g,
-            path_count=4.0 ** args.g)
+        cut = costmodel.cut_analysis(
+            (), [params] * args.g, [abs(args.delta_theta)] * args.g)
         inputs = []
         halves = None
     else:
@@ -552,11 +497,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("analyze", help="XEB fidelity report for sample files")
-    p.add_argument("--circuit")
-    p.add_argument("--samples")
-    p.add_argument("--dir", help="directory of <name>.circuit.json + "
-                                 "<name>.samples.bin instance pairs")
+    p = sub.add_parser("analyze", help="XEB fidelity report for one sample file")
+    p.add_argument("--circuit", required=True)
+    p.add_argument("--samples", required=True)
     p.add_argument("--bootstrap", type=int, default=2500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-p-fhat", type=float,

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import rng
 from .circuit import Circuit, _normalize_bipartition
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .gates import FsimParams, fsim_matrix
 
 YEAR_SECONDS = 365.25 * 86400.0
@@ -181,10 +181,21 @@ def circuit_to_tn(circuit: Circuit, open_qubits=()) -> TensorNetwork:
     return tn
 
 
+def _as_float(count: int) -> float:
+    """An exact integer size or slice count as a float.  A count beyond the
+    float range raises `ResourceLimitError`."""
+    try:
+        return float(count)
+    except OverflowError:
+        raise ResourceLimitError(
+            f"a tensor size or slice count of 2^{count.bit_length() - 1} or more "
+            "exceeds the float range") from None
+
+
 def _size(indices, dims) -> float:
     """Entry count of a tensor over ``indices``: the exact integer product of
     their dimensions, so it does not depend on the iteration order."""
-    return float(math.prod(dims[name] for name in indices))
+    return _as_float(math.prod(dims[name] for name in indices))
 
 
 def replay_path(
@@ -253,7 +264,7 @@ def find_path_greedy_full(
         out = 1
         for dim, dim_mask in dim_masks:
             out *= dim ** (mask & dim_mask).bit_count()
-        return float(out)
+        return _as_float(out)
 
     n = len(tn.tensors)
     leaves = [sum(bits[name] for name in idx) for _, idx in tn.tensors]
@@ -382,7 +393,7 @@ def slice_network(
     return SliceResult(
         sliced_indices=tuple(sorted(sliced)),
         n_slices=n_slices,
-        total_flops=float(n_slices) * total,
+        total_flops=_as_float(n_slices) * total,
         per_slice_flops=total,
         largest_intermediate_rank=largest,
     )
@@ -431,32 +442,38 @@ def schmidt_values(u: np.ndarray) -> np.ndarray:
     return np.linalg.svd(reshuffled, compute_uv=False)
 
 
-def sfa_cut(circuit: Circuit, bipartition) -> CutAnalysis:
-    """Census of the two-qubit gates crossing a bipartition: count g, swap
-    angle deviation |theta - pi/2|, and operator-Schmidt spectrum per gate."""
-    side = _normalize_bipartition(circuit, bipartition)
+def cut_analysis(bipartition: tuple[int, ...], gates, delta_theta) -> CutAnalysis:
+    """Census of the two-qubit gates ``gates`` (their `FsimParams`) that
+    cross a cut, with their swap angle deviations ``delta_theta``: the
+    operator-Schmidt spectrum per gate, and the path count, the product of
+    each gate's Schmidt rank (terms of weight above ``_ZERO_WEIGHT``)."""
     spectra_cache: dict[FsimParams, tuple[float, ...]] = {}
     spectra: list[tuple[float, float, float, float]] = []
-    deviations: list[float] = []
-    for cyc in circuit.cycles:
-        for a, b, p in cyc.two_qubit:
-            if (a in side) == (b in side):
-                continue
-            s = spectra_cache.get(p)
-            if s is None:
-                s = spectra_cache[p] = tuple(float(v) for v in schmidt_values(fsim_matrix(p)))
-            spectra.append(s)
-            deviations.append(abs(p.theta - np.pi / 2))
+    for p in gates:
+        s = spectra_cache.get(p)
+        if s is None:
+            s = spectra_cache[p] = tuple(float(v) for v in schmidt_values(fsim_matrix(p)))
+        spectra.append(s)
     path_count = 1.0
     for s in spectra:
         path_count *= sum(1 for v in s if v * v / 4.0 > _ZERO_WEIGHT)
     return CutAnalysis(
-        bipartition=tuple(sorted(side)),
+        bipartition=bipartition,
         g=len(spectra),
         spectra=tuple(spectra),
-        delta_theta=tuple(deviations),
+        delta_theta=tuple(delta_theta),
         path_count=path_count,
     )
+
+
+def sfa_cut(circuit: Circuit, bipartition) -> CutAnalysis:
+    """`cut_analysis` of the two-qubit gates crossing a bipartition of the
+    circuit, with swap angle deviations |theta - pi/2|."""
+    side = _normalize_bipartition(circuit, bipartition)
+    cross = [p for cyc in circuit.cycles for a, b, p in cyc.two_qubit
+             if (a in side) != (b in side)]
+    return cut_analysis(tuple(sorted(side)), cross,
+                        [abs(p.theta - np.pi / 2) for p in cross])
 
 
 def sfa_speedup(cut: CutAnalysis, fidelity_budget: float) -> float:

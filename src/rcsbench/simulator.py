@@ -41,12 +41,16 @@ distribution with probability F, uniform otherwise) and Pauli-trajectory
 injection (after each gate site, that is each single-qubit gate and each
 two-qubit gate, an error with the per-gate probability inserts a uniformly
 random non-identity Pauli on the touched qubits; one bitstring is drawn per
-trajectory).
+trajectory).  Trajectories run on ``threads`` workers, the calling thread
+among them (`fan_out`, which calibration's patches also use): each worker
+takes the next trajectory index from one shared iterator, and each
+trajectory draws from its own substream, so the words do not depend on the
+thread count.
 """
 from __future__ import annotations
 
+import contextvars
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -108,11 +112,6 @@ class NoiseModel:
                         ("e_r0", self.e_r0), ("e_r1", self.e_r1)):
             if not 0.0 <= v <= 1.0:
                 raise InputError(f"noise rate {name}={v} outside [0, 1]")
-
-
-def reference_noise() -> NoiseModel:
-    """Average simultaneous error rates of the shipped 60-qubit configuration."""
-    return NoiseModel(e1=0.0016, e2=0.0060, e_r0=0.0148, e_r1=0.0303)
 
 
 def zero_state(n_qubits: int, dtype=np.complex128) -> StateVector:
@@ -177,10 +176,6 @@ class Program:
             for ops in self.cycles)
         return replace(self, sites=tuple(sites), cycles=cycles)
 
-    def canonical(self, psi: np.ndarray) -> np.ndarray:
-        """Amplitudes in the canonical qubit order from final amplitudes."""
-        return _canonical(psi, self.layout)
-
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of two square matrices, without its per-call overhead."""
@@ -231,6 +226,7 @@ def _execute(ops, psi: np.ndarray, work: tuple[np.ndarray, np.ndarray]) -> np.nd
 
 
 def _canonical(psi: np.ndarray, layout: tuple[int, ...]) -> np.ndarray:
+    """Amplitudes in the canonical qubit order from amplitudes in ``layout``."""
     return psi.reshape((2,) * len(layout)).transpose(np.argsort(layout)).reshape(-1)
 
 
@@ -364,7 +360,7 @@ def execute(program: Program) -> np.ndarray:
     psi = zero_state(n, program.dtype).amplitudes
     for ops in program.cycles:
         psi = _execute(ops, psi, work)
-    return program.canonical(psi)
+    return _canonical(psi, program.layout)
 
 
 def adjoint_gradient(program: Program, cotangent, derivatives: dict[int, list[np.ndarray]]):
@@ -394,7 +390,7 @@ def adjoint_gradient(program: Program, cotangent, derivatives: dict[int, list[np
         inputs.append(psi)
         k = len(op.matrix)
         psi = np.matmul(psi.reshape(k, -1).T, op.matrix.T).reshape(-1)
-    value, lam = cotangent(program.canonical(psi))
+    value, lam = cotangent(_canonical(psi, program.layout))
     lam = lam.reshape((2,) * n).transpose(program.layout)
     grads = {s: np.zeros(len(d)) for s, d in derivatives.items()}
     for op, psi_in in zip(reversed(ops), reversed(inputs)):
@@ -519,12 +515,14 @@ def sample_trajectory(
 
     any_noise = len(e_vec) > 0 and float(e_vec.max()) > 0.0
     local = threading.local()  # each worker thread's work buffers
+    words = np.empty(n_samples, dtype=np.uint64)
 
-    def one_trajectory(t: int) -> int:
+    def one_trajectory(t: int) -> None:
         gen = rng.stream(seed, rng.Stream.TRAJECTORY, index=t)
         err_at = np.nonzero(gen.random(len(e_vec)) < e_vec)[0] if any_noise else ()
         if len(err_at) == 0:
-            return int(np.searchsorted(ideal_cum, gen.random(), side="right"))
+            words[t] = np.searchsorted(ideal_cum, gen.random(), side="right")
+            return
         faulty: dict[int, np.ndarray] = {}  # site -> matrix with its Pauli
         for s in err_at:
             site = program.sites[s]
@@ -542,17 +540,43 @@ def sample_trajectory(
         for ops in program.with_sites(faulty).cycles[k * stride:]:
             amps = _execute(ops, amps, work)
         cum = _cumulative(amps, program.layout)
-        return int(np.searchsorted(cum, gen.random(), side="right"))
+        words[t] = np.searchsorted(cum, gen.random(), side="right")
 
-    words = np.empty(n_samples, dtype=np.uint64)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for t, w in enumerate(pool.map(one_trajectory, range(n_samples))):
-                words[t] = w
-    else:
-        for t in range(n_samples):
-            words[t] = one_trajectory(t)
+    fan_out(one_trajectory, n_samples, threads)
     return SampleSet(n, words, meta={"model": "trajectory", "seed": seed})
+
+
+def fan_out(task, n: int, threads: int) -> None:
+    """Run ``task(i)`` for every i in ``range(n)`` on ``threads`` workers, the
+    calling thread and up to ``threads - 1`` started ones, each in a copy of
+    the caller's context.  Each worker takes the next index from one shared
+    iterator, whose ``next`` is atomic under the interpreter lock, so every
+    index runs once and no future is made per index.  After a task raises,
+    the workers stop taking indices, and the first exception is re-raised.
+    """
+    if threads < 1:
+        raise InputError(f"need at least one thread, got {threads}")
+    indices = iter(range(n))
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        try:
+            for i in indices:
+                task(i)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+            for _ in indices:  # drain, so the other workers stop
+                pass
+
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(min(threads, n) - 1)]
+    for w in workers:
+        w.start()
+    work()
+    for w in workers:
+        w.join()
+    if errors:
+        raise errors[0]
 
 
 def apply_readout_error(samples: SampleSet, noise: NoiseModel, seed: int) -> SampleSet:

@@ -79,12 +79,6 @@ def linear_xeb(rec: ProbabilityRecord) -> XebEstimate:
     return XebEstimate(fidelity, xeb_sigma(rec), rec.n_samples)
 
 
-def pt_pdf(x, fidelity: float):
-    """Density of the scaled probability x = D*p at the given fidelity."""
-    x = np.asarray(x, dtype=float)
-    return (fidelity * x + (1.0 - fidelity)) * np.exp(-x)
-
-
 def pt_cdf(x, fidelity: float):
     """Closed-form CDF 1 - exp(-x) * (1 + F*x)."""
     x = np.asarray(x, dtype=float)
@@ -195,18 +189,3 @@ def combine_inverse_variance(estimates: list[XebEstimate]) -> XebEstimate:
         sigma=float(np.sqrt(1.0 / total_w)),
         n_samples=sum(e.n_samples for e in estimates),
     )
-
-
-def speckle_purity(distribution: np.ndarray) -> float:
-    """Purity-based fidelity from the variance of the full output
-    distribution: sqrt(Var(P) * D^2 (D+1) / (D-1)), clipped to [0, 1].
-
-    The speckle contrast of an ideal chaotic state gives 1; a uniform
-    (fully dephased) distribution gives 0.
-    """
-    dist = np.asarray(distribution, dtype=float)
-    if abs(dist.sum() - 1.0) > 1e-8:
-        raise InputError("distribution is not normalized")
-    d = dist.size
-    value = np.sqrt(np.var(dist) * d * d * (d + 1) / (d - 1))
-    return float(np.clip(value, 0.0, 1.0))

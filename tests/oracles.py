@@ -3,7 +3,8 @@
 These deliberately avoid the package's computational kernels: circuits are
 evaluated by building explicit 2^n x 2^n gate matrices (stored sparse, so
 that 16-qubit circuits fit) and multiplying them into the state, gradients
-are taken by central finite differences of the function itself, and
+are taken by central finite differences of the function itself, the
+Porter-Thomas CDF is checked against its density, and
 contraction costs are minimized by exhaustive search over set partitions
 or by dynamic programming over tensor subsets, and the greedy path search
 is checked against its index-set form (frozensets and per-index holders).
@@ -93,6 +94,13 @@ def fit_gaussian_sigma(values: np.ndarray, bins: int = 50) -> float:
     p0 = (counts.max(), float(np.mean(values)), float(np.std(values)))
     popt, _ = optimize.curve_fit(gauss, centers, counts, p0=p0, maxfev=10000)
     return float(abs(popt[2]))
+
+
+def pt_pdf(x, fidelity: float):
+    """Density (F*x + (1 - F)) * exp(-x) of the scaled probability x = D*p at
+    fidelity F; the reference for `xeb.pt_cdf`'s derivative."""
+    x = np.asarray(x, dtype=float)
+    return (fidelity * x + (1.0 - fidelity)) * np.exp(-x)
 
 
 def exhaustive_min_cost(tn) -> float:

@@ -76,6 +76,9 @@ class TestCalibrate:
         assert _calibrate(calibrate_inputs, two, "--threads", "2") == EXIT_OK
         assert one.read_bytes() == two.read_bytes()
 
+    def test_zero_threads_exits_2(self, calibrate_inputs, tmp_path):
+        assert _calibrate(calibrate_inputs, tmp_path / "c.json", "--threads", "0") == EXIT_INPUT
+
     def test_wrong_train_count_exits_2(self, calibrate_inputs, tmp_path):
         argv = calibrate_inputs[:-2]  # drop the second --train
         assert _calibrate(argv, tmp_path / "c.json") == EXIT_INPUT
@@ -153,6 +156,9 @@ class TestSample:
         assert _outputs(out) == first
         assert rb.load_samples(str(out)).n_samples == 300
 
+    def test_trajectory_zero_threads_exits_2(self, trajectory_inputs, tmp_path):
+        assert _sample_trajectory(trajectory_inputs, tmp_path / "s.bin", 0) == EXIT_INPUT
+
     def test_analyze_rerun_byte_identical(self, trajectory_inputs, tmp_path):
         samples, out = tmp_path / "s.bin", tmp_path / "a.json"
         assert _sample_trajectory(trajectory_inputs, samples, 2) == EXIT_OK
@@ -179,6 +185,30 @@ class TestExitCodes:
         assert main(argv) == EXIT_OK
         assert main(argv + ["--min-p-fhat", "1.01"]) == EXIT_HYPOTHESIS
 
+    def test_p_zero_above_threshold_exits_3(self, small_circuit, tmp_path):
+        circuit, samples = small_circuit
+        argv = ["analyze", "--circuit", circuit, "--samples", samples,
+                "--bootstrap", "0", "--max-p-zero", "-1", "-o", str(tmp_path / "a.json")]
+        assert main(argv) == EXIT_HYPOTHESIS
+
+
+class TestAnalyze:
+    def test_csv_rerun_byte_identical(self, small_circuit, tmp_path):
+        circuit, samples = small_circuit
+        out, csv = tmp_path / "a.json", tmp_path / "cdf.csv"
+        argv = ["analyze", "--circuit", circuit, "--samples", samples,
+                "--bootstrap", "200", "--csv", str(csv), "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        first = _artifacts(out) + (csv.read_bytes(),)
+        assert main(argv) == EXIT_OK
+        assert _artifacts(out) + (csv.read_bytes(),) == first
+        header, *rows = first[2].decode().splitlines()
+        assert header == "x,empirical_cdf,model_cdf"
+        empirical = [float(row.split(",")[1]) for row in rows]
+        assert len(rows) > 1
+        assert all(a <= b for a, b in zip(empirical, empirical[1:]))
+        assert empirical[-1] == 1.0
+
 
 def _artifacts(out):
     """An output and its manifest, as bytes."""
@@ -195,6 +225,15 @@ class TestGenerateVariantsReport:
         assert main(argv) == EXIT_OK
         assert _artifacts(out) == first
         assert rb.load_circuit(str(out)).n_cycles == 6
+
+    def test_generate_deep22(self, tmp_path):
+        out = tmp_path / "c.json"
+        argv = ["generate", "--topology", "grid:3x3", "--kind", "deep22", "--seed", "8",
+                "-o", str(out)]
+        assert main(argv + ["--cycles", "22"]) == EXIT_OK
+        circ = rb.load_circuit(str(out))
+        assert (circ.kind, circ.n_cycles) == ("deep22", 22)
+        assert main(argv + ["--cycles", "21"]) == EXIT_INPUT
 
     @pytest.mark.parametrize("mode", ["patch", "elided"])
     def test_variants_rerun_byte_identical(self, small_circuit, tmp_path, mode):
@@ -292,6 +331,29 @@ class TestCost:
 
     def test_zero_restarts_exits_2(self, cost_circuit, tmp_path):
         assert _tnc(cost_circuit, tmp_path / "tnc.json", "--restarts", "0") == EXIT_INPUT
+
+    def test_tnc_past_float_range_exits_4(self, tmp_path):
+        circuit = str(tmp_path / "c.json")
+        assert main(["generate", "--topology", "grid:33x34", "--cycles", "1",
+                     "--seed", "1", "-o", circuit]) == EXIT_OK
+        assert main(["cost", "tnc", "--circuit", circuit, "--open-qubits", "1122",
+                     "--restarts", "1", "--max-rank", "30",
+                     "-o", str(tmp_path / "tnc.json")]) == EXIT_RESOURCE
+
+    @pytest.mark.parametrize("flags, path_count", [
+        (("--g", "10", "--delta-theta", "1.5707963267948966", "--phi", "0"), 1.0),
+        (("--g", "3", "--delta-theta", "0.1"), 64.0),
+    ])
+    def test_synthetic_sfa(self, tmp_path, flags, path_count):
+        out = tmp_path / "sfa.json"
+        assert _sfa(out, *flags) == EXIT_OK
+        first = _artifacts(out)
+        assert _sfa(out, *flags) == EXIT_OK
+        assert _artifacts(out) == first
+        assert json.loads(first[0])["path_count"] == path_count
+
+    def test_synthetic_sfa_negative_g_exits_2(self, tmp_path):
+        assert _sfa(tmp_path / "sfa.json", "--g", "-1", "--delta-theta", "0.1") == EXIT_INPUT
 
     def test_sfa_without_circuit_or_g_exits_2(self, tmp_path):
         assert _sfa(tmp_path / "sfa.json") == EXIT_INPUT

@@ -259,6 +259,17 @@ class TestPaths:
         assert _size(names, dims) == want
         assert _size(names[::-1], dims) == want
 
+    def test_size_past_float_range_is_a_resource_limit(self):
+        # Merging the two tensors leaves 1200 open indices: 2^1200 entries.
+        left = tuple(f"l{k}" for k in range(600))
+        right = tuple(f"r{k}" for k in range(600))
+        tn = TensorNetwork(
+            tensors=(("a", left + ("s",)), ("b", right + ("s",))),
+            indices={name: 2 for name in left + right + ("s",)},
+            open_indices=left + right)
+        with pytest.raises(ResourceLimitError):
+            find_path_greedy_full(tn, restarts=1)
+
     def test_optimal_size_guard(self):
         gen = np.random.default_rng(2)
         tn = random_tn(13, gen)

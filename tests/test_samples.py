@@ -44,7 +44,7 @@ class TestFileFormat:
         ss = SampleSet(12, np.array([1, 258], dtype=np.uint64))
         path = str(tmp_path / "s.bin")
         rb.save_samples(path, ss)
-        raw = open(path, "rb").read()
+        raw = (tmp_path / "s.bin").read_bytes()
         assert len(raw) == 16
         assert raw[:8] == (1).to_bytes(8, "little")
         assert raw[8:16] == (258).to_bytes(8, "little")

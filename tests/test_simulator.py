@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from rcsbench.circuit import Circuit, Cycle
 from rcsbench.errors import InputError, ResourceLimitError
 from rcsbench.gates import FsimParams, SingleQubitGate, fsim_matrix
 from rcsbench.simulator import (_execute, _work_buffers, compile_circuit, execute,
-                                zero_state)
+                                fan_out, zero_state)
 
 from conftest import random_fsim
 from oracles import dense_run, dense_single, dense_two
@@ -388,6 +389,23 @@ class TestTrajectory:
         b = rb.sample_trajectory(c, noise, 300, seed=12, threads=3)
         assert np.array_equal(a.words, b.words)
 
+    def test_fan_out_under_fast_thread_switching(self, grid_3x4):
+        # more workers than cores, switching about every microsecond: an
+        # index lost or run twice would change a word or the list of indices
+        c = rb.standard_circuit(grid_3x4, 6, seed=3)
+        noise = rb.NoiseModel(e1=0.01, e2=0.02)
+        want = rb.sample_trajectory(c, noise, 300, seed=12, threads=1)
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = rb.sample_trajectory(c, noise, 300, seed=12, threads=4)
+            fan_out(seen.append, 20_000, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got.words, want.words)
+        assert sorted(seen) == list(range(20_000))
+
     def test_error_count_matches_rates(self, grid_3x4):
         # count injected errors by replaying the per-trajectory streams
         from rcsbench import rng as rngmod
@@ -461,5 +479,6 @@ class TestPredictedFidelity:
         c = rb.standard_circuit(demo60, 24, seed=0)
         assert c.n_single_gates == 1440
         assert c.n_two_qubit_gates == 594
-        got = rb.predicted_fidelity(c, rb.reference_noise())
+        got = rb.predicted_fidelity(
+            c, rb.NoiseModel(e1=0.0016, e2=0.0060, e_r0=0.0148, e_r1=0.0303))
         assert abs(got - 0.0007108362320317223) < 1e-15

