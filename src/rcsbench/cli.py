@@ -394,7 +394,7 @@ def cmd_cost_sfa(args) -> int:
         # modeled runtime: effective paths times both halves' statevector work
         n_a, n_b = halves
         per_path = 4.0 * (2.0 ** n_a + 2.0 ** n_b)
-        effective_paths = 4.0 ** cut.g / speedup
+        effective_paths = costmodel.balanced_paths(cut) / speedup
         total = effective_paths * per_path * args.n_samples * args.fidelity
         seconds = total / (args.cores * args.core_flops)
         doc["runtime_extrapolation"] = {

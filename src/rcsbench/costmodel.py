@@ -182,13 +182,13 @@ def circuit_to_tn(circuit: Circuit, open_qubits=()) -> TensorNetwork:
 
 
 def _as_float(count: int) -> float:
-    """An exact integer size or slice count as a float.  A count beyond the
-    float range raises `ResourceLimitError`."""
+    """An exact integer size, slice count or path count as a float.  A count
+    beyond the float range raises `ResourceLimitError`."""
     try:
         return float(count)
     except OverflowError:
         raise ResourceLimitError(
-            f"a tensor size or slice count of 2^{count.bit_length() - 1} or more "
+            f"a count of 2^{count.bit_length() - 1} or more "
             "exceeds the float range") from None
 
 
@@ -454,15 +454,13 @@ def cut_analysis(bipartition: tuple[int, ...], gates, delta_theta) -> CutAnalysi
         if s is None:
             s = spectra_cache[p] = tuple(float(v) for v in schmidt_values(fsim_matrix(p)))
         spectra.append(s)
-    path_count = 1.0
-    for s in spectra:
-        path_count *= sum(1 for v in s if v * v / 4.0 > _ZERO_WEIGHT)
+    path_count = math.prod(sum(1 for v in s if v * v / 4.0 > _ZERO_WEIGHT) for s in spectra)
     return CutAnalysis(
         bipartition=bipartition,
         g=len(spectra),
         spectra=tuple(spectra),
         delta_theta=tuple(delta_theta),
-        path_count=path_count,
+        path_count=_as_float(path_count),
     )
 
 
@@ -474,6 +472,12 @@ def sfa_cut(circuit: Circuit, bipartition) -> CutAnalysis:
              if (a in side) != (b in side)]
     return cut_analysis(tuple(sorted(side)), cross,
                         [abs(p.theta - np.pi / 2) for p in cross])
+
+
+def balanced_paths(cut: CutAnalysis) -> float:
+    """The 4^g path count of g balanced cross-cut gates, as a float; past the
+    float range it raises `ResourceLimitError`."""
+    return _as_float(4 ** cut.g)
 
 
 def sfa_speedup(cut: CutAnalysis, fidelity_budget: float) -> float:
@@ -512,7 +516,7 @@ def sfa_speedup(cut: CutAnalysis, fidelity_budget: float) -> float:
         ranks[i] -= 1
         fractions[i] = new_fraction
         product = new_product
-    speedup = 4.0 ** cut.g
+    speedup = balanced_paths(cut)
     for rank in ranks:
         speedup /= rank
     return float(speedup)

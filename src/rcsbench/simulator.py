@@ -29,12 +29,21 @@ layouts depend only on the circuit and are fixed at compile time; the
 program starts from |0...0>, which reads the same in every layout, and one
 transpose at the end restores the canonical order.  The executor alternates
 between two flat work buffers and never writes into the state it is given:
-`execute` allocates them once per run, and each trajectory worker thread
-once.  `run`, the trajectory replay and the calibration loss (both on a
-compiled program with gate sites swapped in, `Program.with_sites`),
-`apply_single`, `apply_two` (one-op programs) and the forward sweep of
-`adjoint_gradient` all use the same layouts and GEMMs; its backward sweep
-applies the adjoints of the same ops.
+`execute` allocates them once per run, writes |0...0> into the first and
+returns the other with the final transpose, and each trajectory worker
+thread allocates them once.  `run`, the trajectory replay and the
+calibration loss (both on a compiled program with gate sites swapped in,
+`Program.with_sites`), `apply_single`, `apply_two` (one-op programs) and the
+forward sweep of `adjoint_gradient` all use the same layouts and GEMMs; its
+backward sweep applies the adjoints of the same ops.
+
+Memory, in states of 2^n amplitudes: `run`, sampling from its state,
+`xeb.measured_xeb` and the calibration loss hold 2, the work buffers.
+Trajectories hold their checkpoints, 2^n float64 for the ideal cumulative
+distribution (1/2 state at complex128), and 2 per worker; each replay builds
+its cumulative distribution in its worker's buffers.  The adjoint sweep
+holds one state per op.  The default limit of 30 qubits therefore means
+2 x 16 GiB at complex128.
 
 Two noise models ship: a speckle mixture (each sample comes from the ideal
 distribution with probability F, uniform otherwise) and Pauli-trajectory
@@ -51,7 +60,7 @@ from __future__ import annotations
 
 import contextvars
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -145,6 +154,7 @@ class _Op:
                                   # the front, or None if they lead already
     matrix: np.ndarray            # 2^k x 2^k
     blocks: tuple[_Block, ...]    # disjoint; the matrix is their kron in order
+    singles: tuple[np.ndarray, ...]  # per block, the kron S of its single sites
     sites: frozenset[int]         # gate sites fused into this op
 
 
@@ -165,16 +175,23 @@ class Program:
 
     def with_sites(self, replaced: dict[int, np.ndarray]) -> Program:
         """The program with the given gate sites' matrices replaced; only the
-        ops that hold a replaced site are re-fused."""
+        ops that hold a replaced site are re-fused, and only the blocks with
+        a replaced single-qubit site recompute their S."""
         sites = list(self.sites)
         for s, matrix in replaced.items():
-            sites[s] = replace(sites[s], matrix=matrix)
+            sites[s] = GateSite(sites[s].cycle, sites[s].qubits, matrix)
+
+        def refused(op: _Op) -> _Op:
+            singles = tuple(u if replaced.keys().isdisjoint(b.singles)
+                            else _singles(b, sites, {})
+                            for b, u in zip(op.blocks, op.singles))
+            return _Op(op.perm, _fuse(op.blocks, singles, sites, {}, self.dtype),
+                       op.blocks, singles, op.sites)
+
         cycles = tuple(
-            tuple(replace(op, matrix=_fuse(op.blocks, sites, {}, self.dtype))
-                  if op.sites.intersection(replaced) else op
-                  for op in ops)
+            tuple(refused(op) if op.sites.intersection(replaced) else op for op in ops)
             for ops in self.cycles)
-        return replace(self, sites=tuple(sites), cycles=cycles)
+        return Program(self.dtype, tuple(sites), cycles, self.layout)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,29 +200,47 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * n, m * n)
 
 
-def _block_matrix(block: _Block, sites, replaced: dict) -> np.ndarray:
-    mats = [_PAULIS[0] if s is None else replaced.get(s, sites[s].matrix)
-            for s in block.singles]
-    u = reduce(_kron, mats)
-    if block.two is not None:
-        u = replaced.get(block.two, sites[block.two].matrix) @ u
-    return u
+def _singles(block: _Block, sites, replaced: dict) -> np.ndarray:
+    """Kronecker product S of the block's single-qubit sites."""
+    return reduce(_kron, [_PAULIS[0] if s is None else replaced.get(s, sites[s].matrix)
+                          for s in block.singles])
 
 
-def _fuse(blocks, sites, replaced: dict, dtype) -> np.ndarray:
-    """Kronecker product of disjoint blocks, as an op tensor."""
-    mats = [_block_matrix(block, sites, replaced) for block in blocks]
+def _fuse(blocks, singles, sites, replaced: dict, dtype) -> np.ndarray:
+    """Kronecker product of disjoint blocks, as an op tensor.  A block is
+    G @ S with its two-qubit site G, or S alone; ``singles`` holds each
+    block's S, which is recomputed only for a replaced single-qubit site."""
+    mats = []
+    for block, u in zip(blocks, singles):
+        if not replaced.keys().isdisjoint(block.singles):
+            u = _singles(block, sites, replaced)
+        if block.two is not None:
+            u = replaced.get(block.two, sites[block.two].matrix) @ u
+        mats.append(u)
     return reduce(_kron, mats).astype(dtype, copy=False)
 
 
-def _op(perm: tuple[int, ...] | None, matrix: np.ndarray,
-        blocks: tuple[_Block, ...] = ()) -> _Op:
-    sites = frozenset(s for b in blocks for s in (*b.singles, b.two) if s is not None)
-    return _Op(perm, matrix, blocks, sites)
+def _op(perm: tuple[int, ...] | None, blocks: tuple[_Block, ...], sites, dtype) -> _Op:
+    singles = tuple(_singles(b, sites, {}) for b in blocks)
+    fused = frozenset(s for b in blocks for s in (*b.singles, b.two) if s is not None)
+    return _Op(perm, _fuse(blocks, singles, sites, {}, dtype), blocks, singles, fused)
 
 
 def _work_buffers(n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(1 << n, dtype), np.empty(1 << n, dtype)
+
+
+def _spare(work: tuple[np.ndarray, np.ndarray], psi: np.ndarray) -> np.ndarray:
+    """The work buffer that does not hold ``psi``."""
+    return work[1] if psi is work[0] else work[0]
+
+
+def _vacuum(work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """|0...0>, which reads the same in every layout, in the first buffer."""
+    psi = work[0]
+    psi.fill(0)
+    psi[0] = 1
+    return psi
 
 
 def _execute(ops, psi: np.ndarray, work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -214,20 +249,22 @@ def _execute(ops, psi: np.ndarray, work: tuple[np.ndarray, np.ndarray]) -> np.nd
     only if it is one of the work buffers."""
     for op in ops:
         if op.perm is not None:
-            out = work[1] if psi is work[0] else work[0]
+            out = _spare(work, psi)
             shape = (2,) * len(op.perm)
             np.copyto(out.reshape(shape), psi.reshape(shape).transpose(op.perm))
             psi = out
-        out = work[1] if psi is work[0] else work[0]
+        out = _spare(work, psi)
         k = len(op.matrix)
         np.matmul(psi.reshape(k, -1).T, op.matrix.T, out=out.reshape(-1, k))
         psi = out
     return psi
 
 
-def _canonical(psi: np.ndarray, layout: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes in the canonical qubit order from amplitudes in ``layout``."""
-    return psi.reshape((2,) * len(layout)).transpose(np.argsort(layout)).reshape(-1)
+def _canonical(psi: np.ndarray, layout: tuple[int, ...], out: np.ndarray) -> np.ndarray:
+    """Copy ``psi``, held in ``layout``, into ``out`` in canonical qubit order."""
+    shape = (2,) * len(layout)
+    np.copyto(out.reshape(shape), psi.reshape(shape).transpose(np.argsort(layout)))
+    return out
 
 
 def _cycle_blocks(cycle, c: int, pos: dict, sites: list) -> list[_Block]:
@@ -278,7 +315,7 @@ def compile_circuit(circuit: Circuit, dtype=np.complex128) -> Program:
             start = order + tuple(q for q in (layout or range(n)) if q not in order)
             perm = None if layout in (None, start) else tuple(map(layout.index, start))
             for blocks in run:
-                ops.append(_op(perm, _fuse(blocks, sites, {}, dtype), tuple(blocks)))
+                ops.append(_op(perm, tuple(blocks), sites, dtype))
                 perm = None
             layout = start[len(order):] + order
         cycles.append(tuple(ops))
@@ -311,7 +348,7 @@ def _apply(state: StateVector, qubits: tuple[int, ...], u) -> StateVector:
     k = len(qubits)
     rest = tuple(q for q in range(n) if q not in qubits)
     perm = None if qubits == tuple(range(k)) else qubits + rest
-    op = _op(perm, np.asarray(u, dtype=dtype).reshape(1 << k, 1 << k))
+    op = _Op(perm, np.asarray(u, dtype=dtype).reshape(1 << k, 1 << k), (), (), frozenset())
     psi = _execute((op,), state.amplitudes, _work_buffers(n, dtype))
     state.amplitudes.reshape((2,) * n)[...] = (
         psi.reshape((2,) * n).transpose(np.argsort(rest + qubits)))
@@ -354,13 +391,13 @@ def run(circuit: Circuit, limit: int = DEFAULT_QUBIT_LIMIT,
 
 
 def execute(program: Program) -> np.ndarray:
-    """Final amplitudes, in canonical order, of the program run on |0...0>."""
-    n = len(program.layout)
-    work = _work_buffers(n, program.dtype)
-    psi = zero_state(n, program.dtype).amplitudes
+    """Final amplitudes, in canonical order, of the program run on |0...0>.
+    Holds the two work buffers and returns one of them."""
+    work = _work_buffers(len(program.layout), program.dtype)
+    psi = _vacuum(work)
     for ops in program.cycles:
         psi = _execute(ops, psi, work)
-    return _canonical(psi, program.layout)
+    return _canonical(psi, program.layout, _spare(work, psi))
 
 
 def adjoint_gradient(program: Program, cotangent, derivatives: dict[int, list[np.ndarray]]):
@@ -390,7 +427,7 @@ def adjoint_gradient(program: Program, cotangent, derivatives: dict[int, list[np
         inputs.append(psi)
         k = len(op.matrix)
         psi = np.matmul(psi.reshape(k, -1).T, op.matrix.T).reshape(-1)
-    value, lam = cotangent(_canonical(psi, program.layout))
+    value, lam = cotangent(_canonical(psi, program.layout, np.empty_like(psi)))
     lam = lam.reshape((2,) * n).transpose(program.layout)
     grads = {s: np.zeros(len(d)) for s, d in derivatives.items()}
     for op, psi_in in zip(reversed(ops), reversed(inputs)):
@@ -401,7 +438,8 @@ def adjoint_gradient(program: Program, cotangent, derivatives: dict[int, list[np
             env = lam.conj().T @ psi_in.reshape(k, -1).T
             for s in wanted:
                 for j, dg in enumerate(derivatives[s]):
-                    dm = _fuse(op.blocks, program.sites, {s: dg}, program.dtype)
+                    dm = _fuse(op.blocks, op.singles, program.sites, {s: dg},
+                               program.dtype)
                     grads[s][j] = 2.0 * float(np.sum(dm * env).real)
         lam = op.matrix.conj().T @ lam.T
         if op.perm is not None:
@@ -450,12 +488,19 @@ def sample_noisy_speckle(
                      meta={"model": "speckle", "fidelity": fidelity, "seed": seed})
 
 
-def _cumulative(amps: np.ndarray, layout: tuple[int, ...]) -> np.ndarray:
-    """Normalised cumulative Born probabilities, in canonical order, of
-    amplitudes held in ``layout``."""
-    probs = np.abs(amps).astype(np.float64, copy=False)
+def _float_view(buf: np.ndarray) -> np.ndarray:
+    """2^n float64 in a state's buffer, which fits them at complex64 too."""
+    return buf.view(np.float64)[:buf.size]
+
+
+def _cumulative(amps: np.ndarray, layout: tuple[int, ...], work, out: np.ndarray) -> np.ndarray:
+    """Normalised cumulative Born probabilities, in canonical order, written
+    to ``out``, of amplitudes held in ``layout`` in one of the ``work``
+    buffers; the probabilities pass through the other buffer."""
+    probs = np.abs(amps, out=_float_view(_spare(work, amps)))
     np.square(probs, out=probs)
-    cum = np.cumsum(_canonical(probs, layout))
+    cum = _canonical(probs, layout, out)
+    np.cumsum(cum, out=cum)
     cum /= cum[-1]
     return cum
 
@@ -505,16 +550,17 @@ def sample_trajectory(
     # work buffers; the replays only read them.
     checkpoints = []
     work = _work_buffers(n, program.dtype)
-    psi = zero_state(n, program.dtype).amplitudes
+    psi = _vacuum(work)
     for c, ops in enumerate(program.cycles):
         if c % stride == 0:
             checkpoints.append(psi.copy())
         psi = _execute(ops, psi, work)
-    ideal_cum = _cumulative(psi, program.layout)
-    del work, psi
+    ideal_cum = _cumulative(psi, program.layout, work, out=np.empty(1 << n))
 
     any_noise = len(e_vec) > 0 and float(e_vec.max()) > 0.0
     local = threading.local()  # each worker thread's work buffers
+    local.work = work          # the calling thread reuses the ideal pass's
+    del psi, work
     words = np.empty(n_samples, dtype=np.uint64)
 
     def one_trajectory(t: int) -> None:
@@ -536,10 +582,12 @@ def sample_trajectory(
         work = getattr(local, "work", None)
         if work is None:
             work = local.work = _work_buffers(n, program.dtype)
+        # the replay runs at least the faulty cycle, so amps ends in a work
+        # buffer, which then takes the cumulative distribution
         amps = checkpoints[k]
         for ops in program.with_sites(faulty).cycles[k * stride:]:
             amps = _execute(ops, amps, work)
-        cum = _cumulative(amps, program.layout)
+        cum = _cumulative(amps, program.layout, work, _float_view(amps))
         words[t] = np.searchsorted(cum, gen.random(), side="right")
 
     fan_out(one_trajectory, n_samples, threads)

@@ -21,9 +21,10 @@ from .circuit import extract_subcircuit
 from .errors import InputError
 from .samples import SampleSet, select_bits
 
-# Largest index matrix one bootstrap chunk draws (elements): 16 MiB of int64
-# plus as much for the gathered probabilities.
-_BOOTSTRAP_CHUNK = 1 << 21
+# Largest index matrix one bootstrap chunk draws (elements): 2 MiB of int64
+# plus as much for the gathered probabilities.  The resamples do not depend
+# on it.
+_BOOTSTRAP_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)

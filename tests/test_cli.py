@@ -352,6 +352,11 @@ class TestCost:
         assert _artifacts(out) == first
         assert json.loads(first[0])["path_count"] == path_count
 
+    def test_sfa_past_float_range_exits_4(self, tmp_path):
+        out = tmp_path / "sfa.json"
+        assert _sfa(out, "--g", "600", "--delta-theta", "0.1") == EXIT_RESOURCE
+        assert not out.exists()
+
     def test_synthetic_sfa_negative_g_exits_2(self, tmp_path):
         assert _sfa(tmp_path / "sfa.json", "--g", "-1", "--delta-theta", "0.1") == EXIT_INPUT
 

@@ -12,6 +12,7 @@ from rcsbench.costmodel import (
     TensorNetwork,
     _size,
     circuit_to_tn,
+    cut_analysis,
     estimate_sampling_cost,
     find_path_greedy_full,
     replay_path,
@@ -460,6 +461,18 @@ class TestSfaSpeedup:
         parts = rb.column_bipartition(c)
         patch = rb.make_patch(c, parts)
         assert sfa_speedup(sfa_cut(patch, parts), 0.5) == 1.0
+
+    def test_past_float_range_raises_resource_limit(self):
+        # 4^512 = 2^1024 is the first balanced path count past the float range
+        spectrum = tuple(float(v) for v in schmidt_values(
+            fsim_matrix(FsimParams(np.pi / 2 - 0.1, 0.0))))
+        assert sfa_speedup(self.uniform_cut(511, spectrum), 0.01) >= 1.0
+        cut = CutAnalysis(bipartition=(), g=512, spectra=(spectrum,) * 512,
+                          delta_theta=(0.1,) * 512, path_count=math.inf)
+        with pytest.raises(ResourceLimitError):
+            sfa_speedup(cut, 0.01)
+        with pytest.raises(ResourceLimitError):
+            cut_analysis((), [FsimParams(np.pi / 2 - 0.1, 0.0)] * 512, [0.1] * 512)
 
     def test_rejects_bad_budget(self):
         cut = self.uniform_cut(1, (2.0, 0.0, 0.0, 0.0))

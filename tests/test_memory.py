@@ -1,0 +1,81 @@
+"""Peak memory of the state-vector paths, in units of one state.
+
+The peaks are traced with `tracemalloc`, which numpy reports its array
+buffers to.  On a 4x4 grid one complex128 state is 1 MiB.  The executor's
+two work buffers are the floor of every path; the compiled program (about a
+quarter of a state here, from 4 KiB per fused op) is not a state, so the
+paths that compile inside the traced call are measured beyond it.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import rcsbench as rb
+from rcsbench import simulator, xeb
+
+STATE = (1 << 16) * np.dtype(np.complex128).itemsize
+
+
+def traced_peak(fn) -> int:
+    """Peak traced bytes above those held when ``fn`` starts."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def circuit(grid_4x4):
+    return rb.standard_circuit(grid_4x4, 8, seed=3)
+
+
+@pytest.fixture(scope="module")
+def program_bytes(circuit):
+    """Traced bytes that a compiled program of the circuit holds."""
+    simulator.compile_circuit(circuit)  # warms the fSim matrix cache
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        program = simulator.compile_circuit(circuit)  # noqa: F841 (held)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_program_is_small_beside_a_state(program_bytes):
+    assert program_bytes < 0.3 * STATE
+
+
+def test_execute_holds_two_states(circuit):
+    program = simulator.compile_circuit(circuit)
+    assert traced_peak(lambda: simulator.execute(program)) <= 2.05 * STATE
+
+
+def test_ideal_sampling_holds_two_states(circuit, program_bytes):
+    peak = traced_peak(lambda: rb.sample_ideal(rb.run(circuit), 1000, seed=1))
+    assert peak - program_bytes <= 2.25 * STATE
+
+
+def test_measured_xeb_holds_two_states(circuit, program_bytes):
+    samples = rb.sample_ideal(rb.run(circuit), 2000, seed=1)
+    peak = traced_peak(lambda: rb.measured_xeb(circuit, samples))
+    assert peak - program_bytes <= 2.25 * STATE
+
+
+def test_trajectories_hold_checkpoints_and_two_states(circuit, program_bytes):
+    # 8 cycles within the checkpoint budget: one checkpoint per cycle.  The
+    # other 2.5 states are the two work buffers and the ideal cumulative
+    # distribution; a trajectory with faults re-fuses at most every op
+    noise = rb.NoiseModel(e1=0.0016, e2=0.006)
+    peak = traced_peak(lambda: rb.sample_trajectory(circuit, noise, 100, seed=1))
+    assert peak - 2 * program_bytes <= (8 + 2.75) * STATE
+
+
+def test_bootstrap_chunk_bounds_its_memory():
+    gen = np.random.default_rng(5)
+    rec = xeb.ProbabilityRecord(gen.exponential(size=20_000) / (1 << 16), 16)
+    assert traced_peak(lambda: rb.bootstrap_xeb(rec, 2500, seed=1)) <= 4.5 * 2**20

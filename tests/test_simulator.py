@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from dataclasses import replace
 
@@ -46,6 +47,15 @@ GOLDEN_TRAJECTORY_WORDS = (
     1382, 2180, 3200, 722, 3588, 642, 2191, 4058, 3704, 2317, 2903, 2315,
     1110, 3105, 2522, 873, 3883, 1697, 3704, 899, 1166, 838,
 )
+
+# sha256 of the amplitude bytes of run() on a 3x4, 8-cycle circuit (seed 21),
+# and of the words drawn from that state by sample_ideal (1000 samples, seed
+# 5) and sample_noisy_speckle (F = 0.3, 1000 samples, seed 6).
+GOLDEN_SHA256 = {
+    "run": "c0c7f1bcb8a08e8d64c1ed8d8da6d381b6519c6e72f71d239bc5dafc9fdc741d",
+    "ideal": "7a5a53b0ebd3d33002de1f0a9ff0b965a92c1eeb6240ac0b26f1e67873654e98",
+    "speckle": "6c65647d12477ddfe474bd47dd63500c2af43f09ac52521ae4e8cd95effdf273",
+}
 
 
 def random_state(n, gen):
@@ -257,6 +267,25 @@ class TestCompiledProgram:
         assert np.array_equal(got, execute(want))
         assert np.max(np.abs(got - dense_run(target))) <= 1e-12
 
+    def test_single_site_swap_matches_dense_sites(self):
+        # trajectory faults replace single-qubit sites: a block with a
+        # replaced single site recomputes its Kronecker product of singles
+        c = random_param_circuit(3, 4, 6, seed=43)
+        program = compile_circuit(c)
+        gen = np.random.default_rng(43)
+        chosen = gen.choice(len(program.sites), 16, replace=False)
+        replaced = {int(s): random_unitary(1 << len(program.sites[s].qubits), gen)
+                    for s in chosen}
+        assert sum(len(program.sites[s].qubits) == 1 for s in replaced) >= 8
+        swapped = program.with_sites(replaced)
+        n = c.n_qubits
+        want = np.zeros(1 << n, dtype=complex)
+        want[0] = 1.0
+        for site in swapped.sites:
+            dense = dense_single if len(site.qubits) == 1 else dense_two
+            want = dense(n, *site.qubits, site.matrix) @ want
+        assert np.max(np.abs(execute(swapped) - want)) <= 1e-12
+
     def test_gate_sites_in_circuit_order(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 4, seed=36)
         sites = compile_circuit(c).sites
@@ -311,6 +340,18 @@ class TestProbabilities:
 
 
 class TestSampling:
+    def test_golden_run_and_sampling(self, grid_3x4):
+        # pins the executor bit for bit, and the ideal and speckle draws
+        def sha(a):
+            return hashlib.sha256(a.tobytes()).hexdigest()
+
+        state = rb.run(rb.standard_circuit(grid_3x4, 8, seed=21))
+        assert {
+            "run": sha(state.amplitudes),
+            "ideal": sha(rb.sample_ideal(state, 1000, seed=5).words),
+            "speckle": sha(rb.sample_noisy_speckle(state, 0.3, 1000, seed=6).words),
+        } == GOLDEN_SHA256
+
     def test_point_mass_all_identical(self):
         st = zero_state(6)
         ss = rb.sample_ideal(st, 50, seed=1)
