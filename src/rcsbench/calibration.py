@@ -18,9 +18,9 @@ Each patch is compiled once.  An evaluation swaps the candidate couplers'
 fSim matrices into that program (`Program.with_sites`), and the optimizer
 gets the loss and its exact gradient from one forward and one backward sweep
 through it (`simulator.adjoint_gradient`): the loss is a function of the
-final state with cotangent -(dF/dp) * psi, and each coupler's gradient sums
-the analytic fSim derivatives (`gates.fsim_derivative`) over every cycle in
-which the coupler fires.
+final state with cotangent -(dF/dp) * psi.  The sweep's 4x4 environments
+of a coupler's firings are summed, and one contraction with the analytic
+fSim derivatives (`gates.fsim_derivative`) applies the chain rule per coupler.
 
 The BFGS line search backtracks from the full step, halving it
 (`_BACKTRACK`) up to `_MAX_BACKTRACKS` = 40 times, until the Armijo
@@ -185,7 +185,8 @@ def training_fidelity(weights: np.ndarray, dist: np.ndarray):
         scale = 1.0 / np.sqrt(1e-12)
         return raw * scale, slope * scale
     scale = 1.0 / np.sqrt(collision)
-    return raw * scale, (slope - raw * d * dist / collision) * scale
+    slope -= (raw * d / collision) * dist  # one temporary the size of dist
+    return raw * scale, slope * scale
 
 
 def _candidate(gamma: np.ndarray,
@@ -211,20 +212,19 @@ def loss_and_gradient(gamma: np.ndarray, problem: CalibrationProblem):
     """`loss` and its exact gradient by gamma, from one forward and one
     backward sweep through the patch program."""
     mapping, program = _candidate(gamma, problem)
-    per_coupler = [[fsim_derivative(mapping[key], name) for name in problem.trainable]
-                   for key in problem.couplers]
-    derivatives = {site: per_coupler[i] for site, i in problem.coupler_sites}
 
     def cotangent(amps: np.ndarray):
         f, slope = training_fidelity(problem.weights, np.abs(amps) ** 2)
-        return 1.0 - f, -slope * amps
+        amps *= -slope  # the sweep's own copy, so lambda may take its buffer
+        return 1.0 - f, amps
 
-    value, site_grads = adjoint_gradient(program, cotangent, derivatives)
-    k = len(problem.trainable)
-    grad = np.zeros(problem.dim)
+    value, envs = adjoint_gradient(program, cotangent, (s for s, _ in problem.coupler_sites))
+    per_coupler = np.zeros((len(problem.couplers), 4, 4), dtype=complex)
     for site, i in problem.coupler_sites:
-        grad[i * k:(i + 1) * k] += site_grads[site]
-    return value, grad
+        per_coupler[i] += envs[site]
+    derivatives = np.array([[fsim_derivative(mapping[key], name) for name in problem.trainable]
+                            for key in problem.couplers])
+    return value, 2.0 * np.einsum("ctij,cij->ct", derivatives, per_coupler).real.ravel()
 
 
 @dataclass

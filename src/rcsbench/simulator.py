@@ -32,18 +32,18 @@ between two flat work buffers and never writes into the state it is given:
 `execute` allocates them once per run, writes |0...0> into the first and
 returns the other with the final transpose, and each trajectory worker
 thread allocates them once.  `run`, the trajectory replay and the
-calibration loss (both on a compiled program with gate sites swapped in,
+calibration loss (on programs with gate sites swapped in,
 `Program.with_sites`), `apply_single`, `apply_two` (one-op programs) and the
-forward sweep of `adjoint_gradient` all use the same layouts and GEMMs; its
-backward sweep applies the adjoints of the same ops.
+forward sweep of `adjoint_gradient` all use these layouts and GEMMs.
 
 Memory, in states of 2^n amplitudes: `run`, sampling from its state,
 `xeb.measured_xeb` and the calibration loss hold 2, the work buffers.
-Trajectories hold their checkpoints, 2^n float64 for the ideal cumulative
+Trajectories hold their checkpoints (none for cycle 0: a replay from it
+writes |0...0> into a work buffer), 2^n float64 for the ideal cumulative
 distribution (1/2 state at complex128), and 2 per worker; each replay builds
 its cumulative distribution in its worker's buffers.  The adjoint sweep
-holds one state per op.  The default limit of 30 qubits therefore means
-2 x 16 GiB at complex128.
+holds one state per op; the calibration gradient peaks 2.5 states above
+that.  The default limit of 30 qubits therefore means 2 x 16 GiB at complex128.
 
 Two noise models ship: a speckle mixture (each sample comes from the ideal
 distribution with probability F, uniform otherwise) and Pauli-trajectory
@@ -152,9 +152,10 @@ class _Block:
 class _Op:
     perm: tuple[int, ...] | None  # transpose that brings the op's qubits to
                                   # the front, or None if they lead already
-    matrix: np.ndarray            # 2^k x 2^k
-    blocks: tuple[_Block, ...]    # disjoint; the matrix is their kron in order
+    matrix: np.ndarray            # 2^k x 2^k, the kron of ``mats``
+    blocks: tuple[_Block, ...]    # disjoint, in kron order
     singles: tuple[np.ndarray, ...]  # per block, the kron S of its single sites
+    mats: tuple[np.ndarray, ...]  # per block, G @ S with its two-qubit site G, or S
     sites: frozenset[int]         # gate sites fused into this op
 
 
@@ -182,11 +183,9 @@ class Program:
             sites[s] = GateSite(sites[s].cycle, sites[s].qubits, matrix)
 
         def refused(op: _Op) -> _Op:
-            singles = tuple(u if replaced.keys().isdisjoint(b.singles)
-                            else _singles(b, sites, {})
+            singles = tuple(u if replaced.keys().isdisjoint(b.singles) else _singles(b, sites)
                             for b, u in zip(op.blocks, op.singles))
-            return _Op(op.perm, _fuse(op.blocks, singles, sites, {}, self.dtype),
-                       op.blocks, singles, op.sites)
+            return _op(op.perm, op.blocks, singles, sites, self.dtype, op.sites)
 
         cycles = tuple(
             tuple(refused(op) if op.sites.intersection(replaced) else op for op in ops)
@@ -200,30 +199,15 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * n, m * n)
 
 
-def _singles(block: _Block, sites, replaced: dict) -> np.ndarray:
+def _singles(block: _Block, sites) -> np.ndarray:
     """Kronecker product S of the block's single-qubit sites."""
-    return reduce(_kron, [_PAULIS[0] if s is None else replaced.get(s, sites[s].matrix)
+    return reduce(_kron, [_PAULIS[0] if s is None else sites[s].matrix
                           for s in block.singles])
 
 
-def _fuse(blocks, singles, sites, replaced: dict, dtype) -> np.ndarray:
-    """Kronecker product of disjoint blocks, as an op tensor.  A block is
-    G @ S with its two-qubit site G, or S alone; ``singles`` holds each
-    block's S, which is recomputed only for a replaced single-qubit site."""
-    mats = []
-    for block, u in zip(blocks, singles):
-        if not replaced.keys().isdisjoint(block.singles):
-            u = _singles(block, sites, replaced)
-        if block.two is not None:
-            u = replaced.get(block.two, sites[block.two].matrix) @ u
-        mats.append(u)
-    return reduce(_kron, mats).astype(dtype, copy=False)
-
-
-def _op(perm: tuple[int, ...] | None, blocks: tuple[_Block, ...], sites, dtype) -> _Op:
-    singles = tuple(_singles(b, sites, {}) for b in blocks)
-    fused = frozenset(s for b in blocks for s in (*b.singles, b.two) if s is not None)
-    return _Op(perm, _fuse(blocks, singles, sites, {}, dtype), blocks, singles, fused)
+def _op(perm, blocks: tuple[_Block, ...], singles, sites, dtype, fused) -> _Op:
+    mats = tuple(u if b.two is None else sites[b.two].matrix @ u for b, u in zip(blocks, singles))
+    return _Op(perm, reduce(_kron, mats).astype(dtype, copy=False), blocks, singles, mats, fused)
 
 
 def _work_buffers(n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +299,9 @@ def compile_circuit(circuit: Circuit, dtype=np.complex128) -> Program:
             start = order + tuple(q for q in (layout or range(n)) if q not in order)
             perm = None if layout in (None, start) else tuple(map(layout.index, start))
             for blocks in run:
-                ops.append(_op(perm, tuple(blocks), sites, dtype))
+                singles = tuple(_singles(b, sites) for b in blocks)
+                fused = frozenset(s for b in blocks for s in (*b.singles, b.two) if s is not None)
+                ops.append(_op(perm, tuple(blocks), singles, sites, dtype, fused))
                 perm = None
             layout = start[len(order):] + order
         cycles.append(tuple(ops))
@@ -348,7 +334,7 @@ def _apply(state: StateVector, qubits: tuple[int, ...], u) -> StateVector:
     k = len(qubits)
     rest = tuple(q for q in range(n) if q not in qubits)
     perm = None if qubits == tuple(range(k)) else qubits + rest
-    op = _Op(perm, np.asarray(u, dtype=dtype).reshape(1 << k, 1 << k), (), (), frozenset())
+    op = _Op(perm, np.asarray(u, dtype=dtype).reshape(1 << k, 1 << k), (), (), (), frozenset())
     psi = _execute((op,), state.amplitudes, _work_buffers(n, dtype))
     state.amplitudes.reshape((2,) * n)[...] = (
         psi.reshape((2,) * n).transpose(np.argsort(rest + qubits)))
@@ -400,23 +386,23 @@ def execute(program: Program) -> np.ndarray:
     return _canonical(psi, program.layout, _spare(work, psi))
 
 
-def adjoint_gradient(program: Program, cotangent, derivatives: dict[int, list[np.ndarray]]):
-    """A real function of the final state and its derivatives by gate-site
-    matrices, from one forward and one backward sweep over the program.
+def adjoint_gradient(program: Program, cotangent, sites):
+    """A real function L of the final state, and its 4x4 environment Gamma_s
+    at each two-qubit gate site in ``sites``: a change dG of the site's
+    matrix changes L by 2 Re sum(dG * Gamma_s).  Returns L and {s: Gamma_s}.
 
-    ``cotangent`` maps the final amplitudes, in canonical order, to the
-    function's value L and the cotangent lambda = dL/dpsi* (canonical order).
-    ``derivatives`` maps a gate site to derivative matrices dG of its matrix.
-    The forward sweep runs the executor's layouts and GEMMs and keeps each
-    op's GEMM input psi_in, a K x R matrix with the op's 2^k = K amplitudes
-    of its qubits in front (one state per op).  The backward sweep carries
-    lambda, an R x K matrix in the layout after the op, back through each op
-    in reverse order: lambda <- M^H @ lambda^T, followed by the inverse of the
-    op's transpose.  At an op holding requested sites, the K x K environment
-    is E = lambda^H @ psi_in^T, and each dG contributes
-    dL = 2 Re sum(dM * E), where dM is the op re-fused with the site's matrix
-    replaced by dG.  Returns L and, per requested site, one derivative per dG.
+    ``cotangent`` maps the final amplitudes (canonical order) to L and
+    lambda = dL/dpsi*, and may return lambda in their buffer.  The forward
+    sweep keeps each op's GEMM input psi_in (K x R, the op's K = 2^k
+    amplitudes in front).  The backward sweep carries mu = conj(lambda)
+    (R x K, in the layout after the op) back: mu <- M^T @ mu^T, then the
+    inverse of the op's transpose.  An op's environment E = mu^T @ psi_in^T
+    gives dL = 2 Re sum(dM * E); for a site in block b, Gamma_s = E_b @ S_b^T,
+    with E_b the contraction of E with the op's other blocks.
     """
+    for s in (wanted := set(sites)):
+        if not 0 <= s < len(program.sites) or len(program.sites[s].qubits) != 2:
+            raise InputError(f"{s} is not a two-qubit gate site of the program")
     n = len(program.layout)
     ops = [op for cycle in program.cycles for op in cycle]
     inputs = []
@@ -427,24 +413,38 @@ def adjoint_gradient(program: Program, cotangent, derivatives: dict[int, list[np
         inputs.append(psi)
         k = len(op.matrix)
         psi = np.matmul(psi.reshape(k, -1).T, op.matrix.T).reshape(-1)
-    value, lam = cotangent(_canonical(psi, program.layout, np.empty_like(psi)))
-    lam = lam.reshape((2,) * n).transpose(program.layout)
-    grads = {s: np.zeros(len(d)) for s, d in derivatives.items()}
+    psi = _canonical(psi, program.layout, np.empty_like(psi))  # frees the last output
+    value, lam = cotangent(psi)
+    mu = np.conjugate(lam.reshape((2,) * n).transpose(program.layout), order="C")
+    del psi, lam  # only mu is carried back
+    envs = {}
     for op, psi_in in zip(reversed(ops), reversed(inputs)):
         k = len(op.matrix)
-        lam = lam.reshape(-1, k)
-        wanted = op.sites.intersection(derivatives)
-        if wanted:
-            env = lam.conj().T @ psi_in.reshape(k, -1).T
-            for s in wanted:
-                for j, dg in enumerate(derivatives[s]):
-                    dm = _fuse(op.blocks, op.singles, program.sites, {s: dg},
-                               program.dtype)
-                    grads[s][j] = 2.0 * float(np.sum(dm * env).real)
-        lam = op.matrix.conj().T @ lam.T
+        mu = mu.reshape(-1, k)
+        if not op.sites.isdisjoint(wanted):
+            envs.update(_block_environments(op, mu.T @ psi_in.reshape(k, -1).T, wanted))
+        mu = op.matrix.T @ mu.T
         if op.perm is not None:
-            lam = lam.reshape((2,) * n).transpose(np.argsort(op.perm))
-    return value, grads
+            mu = mu.reshape((2,) * n).transpose(np.argsort(op.perm))
+    return value, envs
+
+
+def _block_environments(op: _Op, env: np.ndarray, wanted: set) -> dict:
+    """Gamma_s of each wanted two-qubit site of the op (see `adjoint_gradient`)."""
+    out, left = {}, 1
+    for b, (block, u) in enumerate(zip(op.blocks, op.singles)):
+        d = len(u)
+        if block.two in wanted:
+            env_b = env
+            if len(op.mats) > 1:
+                # E_b[i, j] = sum E[x i y, X j Y] O[x y, X Y], O the other blocks' kron
+                right = len(env) // (left * d)
+                others = reduce(_kron, op.mats[:b] + op.mats[b + 1:]).ravel()
+                env_b = env.reshape(left, d, right, left, d, right).transpose(1, 4, 0, 2, 3, 5)
+                env_b = (env_b.reshape(d * d, -1) @ others).reshape(d, d)
+            out[block.two] = env_b @ u.T
+        left *= d
+    return out
 
 
 def probabilities(state: StateVector) -> np.ndarray:
@@ -544,15 +544,15 @@ def sample_trajectory(
     stride = 1
     state_bytes = (1 << n) * program.dtype.itemsize
     while (stride < n_cycles
-           and state_bytes * len(range(0, n_cycles, stride)) > _CHECKPOINT_BUDGET):
+           and state_bytes * len(range(stride, n_cycles, stride)) > _CHECKPOINT_BUDGET):
         stride *= 2
-    # Checkpoint i is the state before cycle i * stride, copied out of the
-    # work buffers; the replays only read them.
-    checkpoints = []
+    # Checkpoint i > 0 is the state before cycle i * stride, copied out of the
+    # work buffers for the replays to read; a replay from cycle 0 starts at _vacuum.
+    checkpoints = [None]
     work = _work_buffers(n, program.dtype)
     psi = _vacuum(work)
     for c, ops in enumerate(program.cycles):
-        if c % stride == 0:
+        if c and c % stride == 0:
             checkpoints.append(psi.copy())
         psi = _execute(ops, psi, work)
     ideal_cum = _cumulative(psi, program.layout, work, out=np.empty(1 << n))
@@ -584,7 +584,7 @@ def sample_trajectory(
             work = local.work = _work_buffers(n, program.dtype)
         # the replay runs at least the faulty cycle, so amps ends in a work
         # buffer, which then takes the cumulative distribution
-        amps = checkpoints[k]
+        amps = checkpoints[k] if k else _vacuum(work)
         for ops in program.with_sites(faulty).cycles[k * stride:]:
             amps = _execute(ops, amps, work)
         cum = _cumulative(amps, program.layout, work, _float_view(amps))

@@ -58,15 +58,25 @@ def dense_two(n: int, q1: int, q2: int, u: np.ndarray) -> sparse.csr_matrix:
 
 def dense_run(circuit) -> np.ndarray:
     """Final state via explicit full-matrix products."""
+    return dense_run_sites(circuit, {})
+
+
+def dense_run_sites(circuit, replaced: dict[int, np.ndarray]) -> np.ndarray:
+    """`dense_run` with the given gate sites' matrices replaced by arbitrary
+    ones.  Sites count the gates as `Program.sites` does: per cycle the
+    single-qubit gates by position, then the two-qubit gates in order."""
     n = circuit.n_qubits
     pos = {q: i for i, q in enumerate(circuit.qubits)}
+    site = itertools.count()
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
     for cyc in circuit.cycles:
         for i, g in enumerate(cyc.single):
-            state = dense_single(n, i, sq_matrix(g)) @ state
+            u = replaced.get(next(site), sq_matrix(g))
+            state = dense_single(n, i, u) @ state
         for a, b, p in cyc.two_qubit:
-            state = dense_two(n, pos[a], pos[b], fsim_matrix(p)) @ state
+            u = replaced.get(next(site), fsim_matrix(p))
+            state = dense_two(n, pos[a], pos[b], u) @ state
     return state
 
 

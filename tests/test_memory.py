@@ -13,6 +13,7 @@ import pytest
 
 import rcsbench as rb
 from rcsbench import simulator, xeb
+from rcsbench.calibration import CalibrationProblem, loss_and_gradient, pack_params
 
 STATE = (1 << 16) * np.dtype(np.complex128).itemsize
 
@@ -67,12 +68,24 @@ def test_measured_xeb_holds_two_states(circuit, program_bytes):
 
 
 def test_trajectories_hold_checkpoints_and_two_states(circuit, program_bytes):
-    # 8 cycles within the checkpoint budget: one checkpoint per cycle.  The
+    # 8 cycles within the checkpoint budget: one checkpoint per cycle after
+    # the first, whose |0...0> each replay writes into a work buffer.  The
     # other 2.5 states are the two work buffers and the ideal cumulative
     # distribution; a trajectory with faults re-fuses at most every op
     noise = rb.NoiseModel(e1=0.0016, e2=0.006)
     peak = traced_peak(lambda: rb.sample_trajectory(circuit, noise, 100, seed=1))
-    assert peak - 2 * program_bytes <= (8 + 2.75) * STATE
+    assert peak - 2 * program_bytes <= (7 + 2.75) * STATE
+
+
+def test_adjoint_sweep_holds_one_state_per_op(circuit, program_bytes):
+    # the forward sweep keeps each op's input; beyond them the final state,
+    # conj(lambda) and the cotangent's temporaries stay within 3 states
+    train = rb.sample_ideal(rb.run(circuit), 2000, seed=1)
+    problem = CalibrationProblem(circuit, train, ("theta", "phi"))
+    x = pack_params(problem.base, problem.couplers, ("theta", "phi"))
+    n_ops = sum(len(ops) for ops in problem.program.cycles)
+    peak = traced_peak(lambda: loss_and_gradient(x, problem))
+    assert peak - program_bytes <= (n_ops + 3) * STATE
 
 
 def test_bootstrap_chunk_bounds_its_memory():

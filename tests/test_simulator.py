@@ -10,11 +10,11 @@ import rcsbench as rb
 from rcsbench.circuit import Circuit, Cycle
 from rcsbench.errors import InputError, ResourceLimitError
 from rcsbench.gates import FsimParams, SingleQubitGate, fsim_matrix
-from rcsbench.simulator import (_execute, _work_buffers, compile_circuit, execute,
-                                fan_out, zero_state)
+from rcsbench.simulator import (_execute, _work_buffers, adjoint_gradient,
+                                compile_circuit, execute, fan_out, zero_state)
 
 from conftest import random_fsim
-from oracles import dense_run, dense_single, dense_two
+from oracles import dense_run, dense_run_sites, dense_single, dense_two
 
 
 # Words of sample_trajectory for a 3x4, 6-cycle circuit (seed 3) with
@@ -316,6 +316,64 @@ class TestCompiledProgram:
         assert execute(program).tobytes() == execute(program).tobytes()
 
 
+class TestAdjointGradient:
+    """Per-site environments of `adjoint_gradient` against central
+    differences of the explicit-matrix oracle."""
+
+    @pytest.fixture(scope="class")
+    def patch(self):
+        # the 9-qubit left patch of a 3x6, 14-cycle circuit: its ops hold 1,
+        # 2 and 3 blocks, with two-qubit sites in the first, middle and last block
+        c = random_param_circuit(3, 6, 14, seed=31)
+        return rb.split_grid_patches(c, col_cuts=(3,))[1][0]
+
+    @staticmethod
+    def real_function(n, gen):
+        """L = sum(w |psi|^2) + Re(v^H psi), and its cotangent dL/dpsi*."""
+        w = gen.uniform(0, 1, 1 << n) * (1 << n)
+        v = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+
+        def value(psi):
+            return float(w @ np.abs(psi) ** 2 + np.vdot(v, psi).real)
+
+        return value, lambda psi: (value(psi), w * psi + v / 2)
+
+    def test_environments_match_central_differences(self, patch):
+        program = compile_circuit(patch)
+        # the first two-qubit site at each (blocks in op, position) found
+        chosen = {}
+        for op in (op for ops in program.cycles for op in ops):
+            for b, block in enumerate(op.blocks):
+                if block.two is not None:
+                    chosen.setdefault((len(op.blocks), b), block.two)
+        assert {(1, 0), (2, 0), (2, 1), (3, 0), (3, 1)} <= chosen.keys()
+
+        gen = np.random.default_rng(31)
+        value, cotangent = self.real_function(patch.n_qubits, gen)
+        got_value, envs = adjoint_gradient(program, cotangent, chosen.values())
+        assert abs(got_value - value(dense_run(patch))) <= 1e-12
+        assert envs.keys() == set(chosen.values())
+        h = 1e-3  # L is quadratic in each site's matrix: no truncation error
+        for s in chosen.values():
+            g = program.sites[s].matrix
+            for _ in range(2):
+                d = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+                want = (value(dense_run_sites(patch, {s: g + h * d}))
+                        - value(dense_run_sites(patch, {s: g - h * d}))) / (2 * h)
+                assert abs(2 * np.sum(d * envs[s]).real - want) <= 1e-8
+
+    def test_rejects_sites_that_are_not_two_qubit_sites(self, grid_3x4):
+        program = compile_circuit(rb.standard_circuit(grid_3x4, 4, seed=36))
+
+        def cotangent(psi):
+            return 0.0, psi
+
+        single = next(s for s, site in enumerate(program.sites) if len(site.qubits) == 1)
+        for bad in (single, len(program.sites), -1):
+            with pytest.raises(InputError):
+                adjoint_gradient(program, cotangent, [bad])
+
+
 class TestProbabilities:
     def test_point_mass(self):
         st = zero_state(4)
@@ -412,7 +470,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("budget_states", [None, 2])
     def test_golden_words(self, grid_3x4, monkeypatch, budget_states):
         # pins the error sites, the Pauli draw order and the final draw; a
-        # budget of 2 states keeps every 4th cycle, so replays also run
+        # budget of 2 states keeps every 2nd cycle, so replays also run
         # ideal cycles between a checkpoint and the first error
         from rcsbench import simulator
 
