@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, replace
 
 from . import rng
-from .errors import InputError
+from .errors import InputError, json_object
 from .gates import GATE_KINDS, DEFAULT_FSIM, FsimParams, SingleQubitGate
 from .topology import (
     GridTopology,
@@ -281,7 +281,7 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 
 def circuit_from_dict(doc: dict) -> Circuit:
-    if doc.get("format") != CIRCUIT_FORMAT:
+    if json_object(doc, "a circuit document").get("format") != CIRCUIT_FORMAT:
         raise InputError(f"not a circuit document: format={doc.get('format')!r}")
     topo = topology_from_dict(doc["topology"])
     qubits = topo.qubits_sorted

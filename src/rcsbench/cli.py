@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, circuit as circuit_mod, costmodel, simulator, xeb
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, json_object
 from .gates import DEFAULT_FSIM, FsimParams
 from .samples import load_samples, save_samples, sidecar_path
 from .topology import (
@@ -97,25 +97,36 @@ def _coupler_key(text: str) -> tuple[int, int]:
         raise InputError(f"bad coupler key {text!r}; want 'a-b'") from exc
 
 
-def _load_params_file(path: str, topology) -> dict:
+def _load_json_object(path: str, what: str, keys: tuple[str, ...]) -> dict:
+    """A JSON object from ``path`` whose keys are all among ``keys``."""
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json_object(json.load(fh), f"{what} {path}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise InputError(f"{what} {path}: unknown keys {unknown}; known: {list(keys)}")
+    return doc
+
+
+def _load_params_file(path: str, topology) -> dict:
+    doc = _load_json_object(path, "params file", ("default", "couplers"))
     default = doc.get("default")
     base = FsimParams.from_tuple(default) if default else DEFAULT_FSIM
     params = {c.key: base for c in topology.enabled_couplers}
-    for key, values in doc.get("couplers", {}).items():
-        params[_coupler_key(key)] = FsimParams.from_tuple(values)
+    couplers = json_object(doc.get("couplers", {}), f"params file {path}: 'couplers'")
+    for key, values in couplers.items():
+        coupler = _coupler_key(key)
+        if coupler not in params:
+            raise InputError(f"params file {path}: coupler {key!r} is not an "
+                             "enabled coupler of the topology")
+        params[coupler] = FsimParams.from_tuple(values)
     return params
 
 
 def _load_noise(path: str | None) -> simulator.NoiseModel:
     if path is None:
         return simulator.NoiseModel()
-    with open(path) as fh:
-        doc = json.load(fh)
-    return simulator.NoiseModel(
-        e1=doc.get("e1", 0.0), e2=doc.get("e2", 0.0),
-        e_r0=doc.get("e_r0", 0.0), e_r1=doc.get("e_r1", 0.0))
+    doc = _load_json_object(path, "noise file", ("e1", "e2", "e_r0", "e_r1"))
+    return simulator.NoiseModel(**doc)
 
 
 def cmd_generate(args) -> int:
@@ -586,6 +597,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RESOURCE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import InputError
+from .errors import InputError, json_object
 
 SAMPLES_FORMAT = "rcsbench.samples.v1"
 
@@ -84,7 +84,7 @@ def save_samples(path: str, samples: SampleSet, meta: dict | None = None) -> Non
 
 def load_samples(path: str) -> SampleSet:
     with open(sidecar_path(path)) as fh:
-        doc = json.load(fh)
+        doc = json_object(json.load(fh), "a samples sidecar")
     if doc.get("format") != SAMPLES_FORMAT:
         raise InputError(f"not a samples sidecar: format={doc.get('format')!r}")
     words = np.fromfile(path, dtype="<u8")

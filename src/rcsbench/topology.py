@@ -18,7 +18,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 
-from .errors import InputError
+from .errors import InputError, json_object
 
 PATTERN_LABELS = ("A", "B", "C", "D")
 
@@ -256,7 +256,7 @@ def topology_to_dict(topology: GridTopology) -> dict:
 
 
 def topology_from_dict(doc: dict) -> GridTopology:
-    if doc.get("format") != TOPOLOGY_FORMAT:
+    if json_object(doc, "a topology document").get("format") != TOPOLOGY_FORMAT:
         raise InputError(f"not a topology document: format={doc.get('format')!r}")
     topo = build_grid(
         doc["rows"],

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +194,55 @@ class TestExitCodes:
         argv = ["analyze", "--circuit", circuit, "--samples", samples,
                 "--bootstrap", "0", "--max-p-zero", "-1", "-o", str(tmp_path / "a.json")]
         assert main(argv) == EXIT_HYPOTHESIS
+
+
+def _input_argv(kind, path, small_circuit, tmp_path):
+    """A command that reads ``path`` as its ``kind`` input."""
+    out = str(tmp_path / "out")
+    if kind in ("noise", "circuit"):
+        circuit = path if kind == "circuit" else small_circuit[0]
+        noise = ["--noise", path] if kind == "noise" else []
+        return ["sample", "--circuit", circuit, *noise, "-n", "10", "--seed", "1",
+                "-o", out]
+    topology = path if kind == "topology" else "grid:3x3"
+    params = ["--params", path] if kind == "params" else []
+    return ["generate", "--topology", topology, *params, "--cycles", "2",
+            "--seed", "1", "-o", out]
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("data", [b"{bad", b"[1, 2]", b"\xff\xfe"])
+    @pytest.mark.parametrize("kind", ["noise", "circuit", "topology", "params"])
+    def test_malformed_or_non_object_json_exits_2(self, small_circuit, tmp_path,
+                                                  capsys, kind, data):
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(data)
+        assert main(_input_argv(kind, str(path), small_circuit, tmp_path)) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unknown_noise_key_exits_2(self, small_circuit, tmp_path, capsys):
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps({"e1": 0.01, "e_2": 0.5}))
+        assert main(_input_argv("noise", str(path), small_circuit, tmp_path)) == EXIT_INPUT
+        assert "e_2" in capsys.readouterr().err
+
+    def test_params_coupler_outside_topology_exits_2(self, small_circuit, tmp_path,
+                                                     capsys):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"couplers": {"0-99": [1.5, 0.17, 0, 0, 0]}}))
+        assert main(_input_argv("params", str(path), small_circuit, tmp_path)) == EXIT_INPUT
+        assert "0-99" in capsys.readouterr().err
+        path.write_text(json.dumps({"couplers": {"0-1": [1.5, 0.17, 0, 0, 0]}}))
+        assert main(_input_argv("params", str(path), small_circuit, tmp_path)) == EXIT_OK
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, rcsbench.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestAnalyze:

@@ -1,6 +1,8 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import rcsbench as rb
 from rcsbench import xeb
@@ -88,6 +90,46 @@ class TestModelDistribution:
             for x in (0.1, 0.9, 2.7, 6.0):
                 deriv = (rb.pt_cdf(x + h, f) - rb.pt_cdf(x - h, f)) / (2 * h)
                 assert abs(deriv - pt_pdf(x, f)) < 1e-6
+
+
+def _kolmogorov_sf_50_digits(x):
+    """2 * sum (-1)^(k-1) exp(-2 k^2 x^2) at 50 digits; 40 terms converge for
+    x >= 0.3."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(float(x))
+        return float(2 * sum((-1) ** (k - 1) * (-2 * k * k * d * d).exp()
+                             for k in range(1, 41)))
+
+
+class TestKolmogorovSf:
+    CUT = 0.82
+    AROUND_CUT = [np.nextafter(CUT, 0), CUT, np.nextafter(CUT, 1)]
+
+    def test_matches_scipy(self):
+        grid = np.unique(np.concatenate([
+            np.linspace(1e-3, 30, 30_001), np.geomspace(1e-3, 30, 10_001),
+            np.linspace(0.8, 0.84, 401), self.AROUND_CUT]))
+        ours = np.array([xeb._kolmogorov_sf(x) for x in grid])
+        ref = special.kolmogorov(grid)
+        assert np.abs(ours - ref).max() <= 1e-14
+        tail = ref > 1e-300
+        assert (np.abs(ours - ref)[tail] / ref[tail]).max() <= 1e-13
+        assert np.all(np.diff(ours) <= 0)
+
+    def test_matches_50_digits_near_the_cutover(self):
+        # Tighter than the scipy check, whose own value is about 1e-14 off
+        # just above the cutover: every term of both sums shows here.  The
+        # x^2 allows for the rounding of 2 k^2 x^2.
+        grid = np.concatenate([np.linspace(0.3, 3, 541), self.AROUND_CUT])
+        ours = np.array([xeb._kolmogorov_sf(x) for x in grid])
+        ref = np.array([_kolmogorov_sf_50_digits(x) for x in grid])
+        rel = np.abs(ours - ref) / ref
+        assert np.all(rel <= 4 * np.finfo(float).eps * (1 + grid**2))
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1e-300, -2.0, -np.inf])
+    def test_nonpositive_gives_one(self, x):
+        assert xeb._kolmogorov_sf(x) == 1.0
 
 
 class TestKsTest:
