@@ -34,7 +34,6 @@ from .topology import (
     build_grid,
     load_topology,
     pattern_sequence,
-    save_topology,
     sixty_qubit_grid,
 )
 from .xeb import (

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, replace
 
 from . import rng
-from .errors import InputError, json_object
+from .errors import InputError, json_object, reading
 from .gates import GATE_KINDS, DEFAULT_FSIM, FsimParams, SingleQubitGate
 from .topology import (
     GridTopology,
@@ -314,4 +314,6 @@ def save_circuit(path: str, circuit: Circuit) -> None:
 
 def load_circuit(path: str) -> Circuit:
     with open(path) as fh:
-        return circuit_from_dict(json.load(fh))
+        doc = json.load(fh)
+    with reading(f"circuit file {path}"):
+        return circuit_from_dict(doc)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, circuit as circuit_mod, costmodel, simulator, xeb
-from .errors import InputError, ResourceLimitError, json_object
+from .errors import InputError, ResourceLimitError, json_object, reading
 from .gates import DEFAULT_FSIM, FsimParams
 from .samples import load_samples, save_samples, sidecar_path
 from .topology import (
@@ -109,8 +109,10 @@ def _load_json_object(path: str, what: str, keys: tuple[str, ...]) -> dict:
 
 def _load_params_file(path: str, topology) -> dict:
     doc = _load_json_object(path, "params file", ("default", "couplers"))
-    default = doc.get("default")
-    base = FsimParams.from_tuple(default) if default else DEFAULT_FSIM
+    base = DEFAULT_FSIM
+    if doc.get("default"):
+        with reading(f"params file {path}: 'default'"):
+            base = FsimParams.from_tuple(doc["default"])
     params = {c.key: base for c in topology.enabled_couplers}
     couplers = json_object(doc.get("couplers", {}), f"params file {path}: 'couplers'")
     for key, values in couplers.items():
@@ -118,7 +120,8 @@ def _load_params_file(path: str, topology) -> dict:
         if coupler not in params:
             raise InputError(f"params file {path}: coupler {key!r} is not an "
                              "enabled coupler of the topology")
-        params[coupler] = FsimParams.from_tuple(values)
+        with reading(f"params file {path}: coupler {key!r}"):
+            params[coupler] = FsimParams.from_tuple(values)
     return params
 
 
@@ -126,7 +129,8 @@ def _load_noise(path: str | None) -> simulator.NoiseModel:
     if path is None:
         return simulator.NoiseModel()
     doc = _load_json_object(path, "noise file", ("e1", "e2", "e_r0", "e_r1"))
-    return simulator.NoiseModel(**doc)
+    with reading(f"noise file {path}"):
+        return simulator.NoiseModel(**doc)
 
 
 def cmd_generate(args) -> int:
@@ -432,12 +436,13 @@ def cmd_report(args) -> int:
     rows = []
     for path in paths:
         with open(path) as fh:
-            doc = json.load(fh)
-        for inst in doc.get("instances", []):
-            estimates.append(xeb.XebEstimate(
-                inst["fidelity"], inst["sigma"], inst["n_samples"]))
-            rows.append((str(path), inst["fidelity"], inst["sigma"],
-                         inst["ks"]["p_at_fhat"], inst["ks"]["p_at_zero"]))
+            doc = json_object(json.load(fh), f"analysis file {path}")
+        with reading(f"analysis file {path}"):
+            for inst in doc.get("instances", []):
+                estimates.append(xeb.XebEstimate(
+                    inst["fidelity"], inst["sigma"], inst["n_samples"]))
+                rows.append((str(path), inst["fidelity"], inst["sigma"],
+                             inst["ks"]["p_at_fhat"], inst["ks"]["p_at_zero"]))
     combined = xeb.combine_inverse_variance(estimates)
     doc = {
         "format": "rcsbench.report.v1",
@@ -504,7 +509,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--n-samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--limit", type=int, default=simulator.DEFAULT_QUBIT_LIMIT)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="only --model trajectory uses these worker threads; "
+                        "the ideal and speckle models draw on one")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_sample)
 

@@ -26,6 +26,7 @@ cos(t) (`fsim_derivative`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -89,8 +90,12 @@ class FsimParams:
 
     @classmethod
     def from_tuple(cls, values) -> "FsimParams":
-        t, f, dp, dm, dmo = (float(v) for v in values)
-        return cls(t, f, dp, dm, dmo)
+        """From a list or tuple of five numbers in the order of `as_tuple`."""
+        if not (isinstance(values, (list, tuple)) and len(values) == 5
+                and all(isinstance(v, numbers.Real) for v in values)):
+            raise ValueError("want five numbers (theta, phi, delta_plus, delta_minus, "
+                             f"delta_minus_off), not {values!r}")
+        return cls(*(float(v) for v in values))
 
 
 # Average swap angle / conditional phase of the shipped configuration.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import InputError, json_object
+from .errors import InputError, json_object, reading
 
 SAMPLES_FORMAT = "rcsbench.samples.v1"
 
@@ -88,9 +88,10 @@ def load_samples(path: str) -> SampleSet:
     if doc.get("format") != SAMPLES_FORMAT:
         raise InputError(f"not a samples sidecar: format={doc.get('format')!r}")
     words = np.fromfile(path, dtype="<u8")
-    if words.size != doc["n_samples"]:
-        raise InputError(
-            f"sample file holds {words.size} words, sidecar says {doc['n_samples']}")
-    meta = {k: v for k, v in doc.items()
-            if k not in ("format", "n_qubits", "n_samples")}
-    return SampleSet(n_qubits=doc["n_qubits"], words=words, meta=meta)
+    with reading(f"samples sidecar {sidecar_path(path)}"):
+        if words.size != doc["n_samples"]:
+            raise InputError(
+                f"sample file holds {words.size} words, sidecar says {doc['n_samples']}")
+        meta = {k: v for k, v in doc.items()
+                if k not in ("format", "n_qubits", "n_samples")}
+        return SampleSet(n_qubits=doc["n_qubits"], words=words, meta=meta)

@@ -36,6 +36,16 @@ calibration loss (on programs with gate sites swapped in,
 `Program.with_sites`), `apply_single`, `apply_two` (one-op programs) and the
 forward sweep of `adjoint_gradient` all use these layouts and GEMMs.
 
+Ideal and speckle draws invert the cumulative Born distribution through an
+index table (Chen & Asau 1974): with m the largest power of two <= min(2^n,
+draws), entry k is the first outcome whose cumulative probability exceeds
+k/m, so a uniform u looks up bucket floor(u m), checks its first outcome and
+bisects only within the bucket; each word equals a binary search over the
+whole distribution.  Sampling from a state holds the state plus one float64
+per outcome (the probabilities, made cumulative in place) plus the draws: the
+8-byte words, the table (at most one entry per draw) and a fixed chunk of
+uniforms at a time (`_DRAW_CHUNK`).
+
 Memory, in states of 2^n amplitudes: `run`, sampling from its state,
 `xeb.measured_xeb` and the calibration loss hold 2, the work buffers.
 Trajectories hold their checkpoints (none for cycle 0: a replay from it
@@ -59,6 +69,7 @@ thread count.
 from __future__ import annotations
 
 import contextvars
+import numbers
 import threading
 from dataclasses import dataclass
 from functools import reduce
@@ -83,6 +94,10 @@ _GROUP_QUBITS = 4
 
 # Checkpoint budget for trajectory replay (bytes of saved cycle states).
 _CHECKPOINT_BUDGET = 512 << 20
+
+# Uniforms drawn and looked up per pass of `_draw_words`: its temporaries
+# are a few arrays of this many elements, whatever the number of draws.
+_DRAW_CHUNK = 1 << 14
 
 _PAULIS = (
     np.eye(2, dtype=complex),                         # I
@@ -119,8 +134,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         for name, v in (("e1", self.e1), ("e2", self.e2),
                         ("e_r0", self.e_r0), ("e_r1", self.e_r1)):
-            if not 0.0 <= v <= 1.0:
-                raise InputError(f"noise rate {name}={v} outside [0, 1]")
+            if not (isinstance(v, numbers.Real) and 0.0 <= v <= 1.0):
+                raise InputError(f"noise rate {name}={v!r} is not a number in [0, 1]")
 
 
 def zero_state(n_qubits: int, dtype=np.complex128) -> StateVector:
@@ -449,13 +464,57 @@ def _block_environments(op: _Op, env: np.ndarray, wanted: set) -> dict:
 
 def probabilities(state: StateVector) -> np.ndarray:
     """Born probabilities |amp|^2 over all bitstrings."""
-    return np.abs(state.amplitudes) ** 2
+    probs = np.abs(state.amplitudes)
+    return np.square(probs, out=probs)
+
+
+def _bucket_starts(cum: np.ndarray, n_draws: int) -> np.ndarray:
+    """Index table of the inverse of the cumulative distribution ``cum``
+    (Chen & Asau 1974) for ``n_draws`` draws: entry k of m + 1 is the word
+    that a uniform of exactly k/m draws, the first outcome whose ``cum``
+    exceeds k/m, clamped to the last outcome.  m is the largest power of two
+    <= min(len(cum), n_draws), so k/m and u*m are exact and the table is
+    never larger than the draws."""
+    m = 1 << (min(cum.size, n_draws).bit_length() - 1)
+    first = np.searchsorted(cum, np.arange(m + 1) / m, side="right")
+    return np.minimum(first, cum.size - 1, out=first)
+
+
+def _lookup(cum: np.ndarray, first: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cum, u, side="right")`` through the table ``first`` of
+    `_bucket_starts`: a uniform u in [j/m, (j+1)/m) draws a word in
+    [first[j], first[j+1]].  The bucket start is checked first; the draws it
+    does not resolve, and only those, are bisected within their buckets,
+    keeping cum[lo] <= u < cum[hi] until hi = lo + 1."""
+    j = (u * (first.size - 1)).astype(np.intp)
+    words = first[j]
+    rest = np.flatnonzero(cum[words] <= u)
+    lo, hi, u = words[rest], first[1:][j[rest]], u[rest]
+    while rest.size:
+        words[rest] = hi
+        wide = np.flatnonzero(hi - lo > 1)
+        rest, lo, hi, u = rest[wide], lo[wide], hi[wide], u[wide]
+        mid = (lo + hi) >> 1
+        above = cum[mid] > u
+        lo = np.where(above, lo, mid)
+        hi = np.where(above, mid, hi)
+    return words
 
 
 def _draw_words(probs: np.ndarray, n_draws: int, gen: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(probs)
+    """``n_draws`` words from the Born probabilities ``probs``, which become
+    their normalised cumulative distribution in place: each uniform u draws
+    ``searchsorted(cum, u, side="right")``.  The uniforms are drawn and looked
+    up ``_DRAW_CHUNK`` at a time, which takes the same doubles from ``gen``
+    as one call for all of them."""
+    cum = np.cumsum(probs, out=probs)
     cum /= cum[-1]
-    return np.searchsorted(cum, gen.random(n_draws), side="right").astype(np.uint64)
+    first = _bucket_starts(cum, n_draws)
+    words = np.empty(n_draws, dtype=np.uint64)
+    for start in range(0, n_draws, _DRAW_CHUNK):
+        stop = min(start + _DRAW_CHUNK, n_draws)
+        words[start:stop] = _lookup(cum, first, gen.random(stop - start))
+    return words
 
 
 def sample_ideal(state: StateVector, n_samples: int, seed: int) -> SampleSet:

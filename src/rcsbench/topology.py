@@ -18,7 +18,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 
-from .errors import InputError, json_object
+from .errors import InputError, json_object, reading
 
 PATTERN_LABELS = ("A", "B", "C", "D")
 
@@ -278,12 +278,8 @@ def topology_from_dict(doc: dict) -> GridTopology:
     return out
 
 
-def save_topology(path: str, topology: GridTopology) -> None:
-    with open(path, "w") as fh:
-        json.dump(topology_to_dict(topology), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_topology(path: str) -> GridTopology:
     with open(path) as fh:
-        return topology_from_dict(json.load(fh))
+        doc = json.load(fh)
+    with reading(f"topology file {path}"):
+        return topology_from_dict(doc)

@@ -4,7 +4,8 @@ These deliberately avoid the package's computational kernels: circuits are
 evaluated by building explicit 2^n x 2^n gate matrices (stored sparse, so
 that 16-qubit circuits fit) and multiplying them into the state, gradients
 are taken by central finite differences of the function itself, the
-Porter-Thomas CDF is checked against its density, and
+Porter-Thomas CDF is checked against its density, ideal samples are drawn
+by one binary search over the whole cumulative distribution per uniform, and
 contraction costs are minimized by exhaustive search over set partitions
 or by dynamic programming over tensor subsets, and the greedy path search
 is checked against its index-set form (frozensets and per-index holders).
@@ -91,6 +92,15 @@ def gradient_fd(fn, x: np.ndarray, h: float) -> np.ndarray:
         step[k] = h
         grad[k] = (fn(x + step) - fn(x - step)) / (2.0 * h)
     return grad
+
+
+def draw_words_by_searchsorted(probs: np.ndarray, n_draws: int,
+                               gen: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draws: one uniform per word, each placed by a binary
+    search over the whole normalised cumulative distribution."""
+    cum = np.cumsum(probs)
+    cum /= cum[-1]
+    return np.searchsorted(cum, gen.random(n_draws), side="right").astype(np.uint64)
 
 
 def fit_gaussian_sigma(values: np.ndarray, bins: int = 50) -> float:

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import draw_words_by_searchsorted
 
 import rcsbench as rb
+from rcsbench import rng
 from rcsbench.cli import EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
 
 
@@ -175,6 +177,41 @@ class TestSample:
         assert json.loads(first[0])["instances"][0]["n_samples"] == 300
 
 
+@pytest.fixture(scope="module")
+def circuit_4x4(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grid4x4") / "c.json"
+    assert main(["generate", "--topology", "grid:4x4", "--cycles", "8",
+                 "--seed", "3", "-o", str(path)]) == EXIT_OK
+    return str(path)
+
+
+class TestSampleFromState:
+    @pytest.mark.parametrize("model", [["ideal"], ["speckle", "--fidelity", "0.5"]])
+    def test_rerun_byte_identical(self, circuit_4x4, tmp_path, model):
+        out = tmp_path / "s.bin"
+        argv = ["sample", "--circuit", circuit_4x4, "--model", *model,
+                "-n", "5000", "--seed", "9", "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        first = _outputs(out)
+        assert main(argv) == EXIT_OK
+        assert _outputs(out) == first
+
+    def test_ideal_words_match_one_search_per_draw(self, circuit_4x4, tmp_path):
+        out = tmp_path / "s.bin"
+        assert main(["sample", "--circuit", circuit_4x4, "-n", "5000", "--seed", "9",
+                     "-o", str(out)]) == EXIT_OK
+        probs = rb.probabilities(rb.run(rb.load_circuit(circuit_4x4)))
+        gen = rng.stream(9, rng.Stream.IDEAL_SAMPLING)
+        assert np.array_equal(rb.load_samples(str(out)).words,
+                              draw_words_by_searchsorted(probs, 5000, gen))
+
+    def test_help_says_threads_serve_trajectories_only(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sample", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--threads THREADS only --model trajectory uses" in help_text
+
+
 class TestExitCodes:
     def test_qubit_limit_exits_4(self, small_circuit, tmp_path):
         circuit, _ = small_circuit
@@ -234,6 +271,30 @@ class TestInputFiles:
         assert "0-99" in capsys.readouterr().err
         path.write_text(json.dumps({"couplers": {"0-1": [1.5, 0.17, 0, 0, 0]}}))
         assert main(_input_argv("params", str(path), small_circuit, tmp_path)) == EXIT_OK
+
+
+    @pytest.mark.parametrize("kind, key", [("circuit", "topology"), ("topology", "rows")])
+    def test_document_missing_a_key_exits_2(self, small_circuit, tmp_path, capsys,
+                                            kind, key):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"format": f"rcsbench.{kind}.v1"}))
+        assert main(_input_argv(kind, str(path), small_circuit, tmp_path)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and f"missing key '{key}'" in err
+
+    def test_noise_rate_of_wrong_type_exits_2(self, small_circuit, tmp_path, capsys):
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps({"e1": "x"}))
+        assert main(_input_argv("noise", str(path), small_circuit, tmp_path)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and "e1='x'" in err
+
+    def test_params_coupler_with_one_value_exits_2(self, small_circuit, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"couplers": {"0-1": [1.5]}}))
+        assert main(_input_argv("params", str(path), small_circuit, tmp_path)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and "'0-1'" in err
 
 
 def test_cli_import_loads_no_scipy():
@@ -317,6 +378,12 @@ class TestGenerateVariantsReport:
         assert main(argv) == EXIT_OK
         assert _artifacts(out) + (out.with_suffix(".csv").read_bytes(),) == first
         assert json.loads(first[0])["n_instances"] == 1
+
+    def test_report_on_an_analysis_missing_a_key_exits_2(self, tmp_path, capsys):
+        (tmp_path / "x.analysis.json").write_text(json.dumps({"instances": [{"fidelity": 0.5}]}))
+        assert main(["report", "--dir", str(tmp_path), "-o", str(tmp_path / "r.json")]) \
+            == EXIT_INPUT
+        assert "missing key 'sigma'" in capsys.readouterr().err
 
     def test_report_without_analyses_exits_2(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path), "-o",

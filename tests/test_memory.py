@@ -61,6 +61,25 @@ def test_ideal_sampling_holds_two_states(circuit, program_bytes):
     assert peak - program_bytes <= 2.25 * STATE
 
 
+def test_sampling_a_held_state_holds_one_float64_per_outcome(circuit):
+    # the cumulative distribution is half a state; the index table and the
+    # temporaries of 1000 draws are a few pages
+    state = rb.run(circuit)
+    assert traced_peak(lambda: rb.sample_ideal(state, 1000, seed=1)) <= 0.65 * STATE
+
+
+def test_sampling_many_draws_holds_the_output_and_fixed_chunks(circuit):
+    # beyond the 8-byte words: the cumulative distribution (half a state),
+    # the index table of 2^16 + 1 entries (never more than one per draw) and
+    # the temporaries of one chunk of draws, whatever the number of draws
+    state = rb.run(circuit)
+    n = 1_000_000
+    table = ((1 << 16) + 1) * 8
+    chunk = 6 * 8 * simulator._DRAW_CHUNK
+    peak = traced_peak(lambda: rb.sample_ideal(state, n, seed=1))
+    assert peak - 8 * n <= 0.5 * STATE + table + chunk
+
+
 def test_measured_xeb_holds_two_states(circuit, program_bytes):
     samples = rb.sample_ideal(rb.run(circuit), 2000, seed=1)
     peak = traced_peak(lambda: rb.measured_xeb(circuit, samples))

@@ -1,12 +1,14 @@
 import hashlib
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import rcsbench as rb
+from rcsbench import rng, simulator
 from rcsbench.circuit import Circuit, Cycle
 from rcsbench.errors import InputError, ResourceLimitError
 from rcsbench.gates import FsimParams, SingleQubitGate, fsim_matrix
@@ -14,7 +16,8 @@ from rcsbench.simulator import (_execute, _work_buffers, adjoint_gradient,
                                 compile_circuit, execute, fan_out, zero_state)
 
 from conftest import random_fsim
-from oracles import dense_run, dense_run_sites, dense_single, dense_two
+from oracles import (dense_run, dense_run_sites, dense_single, dense_two,
+                     draw_words_by_searchsorted)
 
 
 # Words of sample_trajectory for a 3x4, 6-cycle circuit (seed 3) with
@@ -458,6 +461,84 @@ class TestSampling:
         _, state, _ = deep_12q_state
         with pytest.raises(InputError):
             rb.sample_noisy_speckle(state, 1.5, 10, seed=0)
+
+
+def _point_mass(at: int) -> np.ndarray:
+    probs = np.zeros(1 << 9)
+    probs[at] = 1.0
+    return probs
+
+
+def _half_zero(gen: np.random.Generator) -> np.ndarray:
+    probs = gen.exponential(size=1 << 9)
+    probs[::2] = 0.0  # repeats every cumulative value, 0.0 among them
+    return probs
+
+
+# Born distributions over 2^n outcomes: Porter-Thomas at five sizes, half of
+# the entries zero, point masses at both ends and the middle, and p^9, whose
+# few heavy outcomes leave most buckets of the index table wide
+DISTRIBUTIONS = {
+    **{f"pt{n}": lambda gen, n=n: gen.exponential(size=1 << n) for n in (1, 2, 9, 16, 20)},
+    "half_zero": _half_zero,
+    "mass_first": lambda gen: _point_mass(0),
+    "mass_middle": lambda gen: _point_mass(1 << 8),
+    "mass_last": lambda gen: _point_mass((1 << 9) - 1),
+    "pt16_pow9": lambda gen: gen.exponential(size=1 << 16) ** 9,
+}
+
+# One draw, a few (m < 2^n at every size past 2^2), and a partial chunk
+# below and past _DRAW_CHUNK (m = 2^n up to 2^16 outcomes)
+DRAW_COUNTS = (1, 5, 1000, 600_000)
+
+
+@lru_cache(maxsize=None)
+def _distribution(name: str) -> np.ndarray:
+    probs = DISTRIBUTIONS[name](np.random.default_rng(17))
+    probs.flags.writeable = False
+    return probs
+
+
+def _cumulative(name: str) -> np.ndarray:
+    cum = np.cumsum(_distribution(name))
+    cum /= cum[-1]
+    return cum
+
+
+@pytest.mark.parametrize("n_draws", DRAW_COUNTS)
+@pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+class TestDrawWords:
+    """The index-table inverse CDF against one binary search per draw."""
+
+    def test_words_match_one_search_per_draw(self, name, n_draws):
+        probs = _distribution(name)
+        gen, ref = (rng.stream(7, rng.Stream.IDEAL_SAMPLING) for _ in range(2))
+        words = simulator._draw_words(probs.copy(), n_draws, gen)
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, draw_words_by_searchsorted(probs, n_draws, ref))
+        assert gen.random() == ref.random()  # the same doubles were taken
+
+    def test_table_holds_the_words_of_bucket_starts(self, name, n_draws):
+        cum = _cumulative(name)
+        first = simulator._bucket_starts(cum, n_draws)
+        m = first.size - 1
+        assert m & (m - 1) == 0 and m <= min(cum.size, n_draws) < 2 * m
+        assert np.array_equal(first[:m], np.searchsorted(cum, np.arange(m) / m, "right"))
+        assert first[m] == cum.size - 1  # u = 1 would draw past the last outcome
+
+    def test_edge_uniforms(self, name, n_draws):
+        # 0, the largest double below 1, the entries of cum and the bucket
+        # starts k/m, each with its neighbouring doubles
+        cum = _cumulative(name)
+        first = simulator._bucket_starts(cum, n_draws)
+        m = first.size - 1
+        values = np.concatenate([cum[cum < 1], np.arange(m) / m])
+        values = values[:: max(1, values.size >> 13)]
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], values,
+                            np.nextafter(values, 0.0), np.nextafter(values, 1.0)])
+        u = u[u < 1]
+        words = simulator._lookup(cum, first, u)
+        assert np.array_equal(words, np.searchsorted(cum, u, side="right"))
 
 
 class TestTrajectory:

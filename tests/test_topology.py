@@ -142,5 +142,6 @@ class TestSerialization:
 
     def test_file_round_trip(self, tmp_path, demo60):
         path = str(tmp_path / "topo.json")
-        rb.save_topology(path, demo60)
+        with open(path, "w") as fh:
+            json.dump(topology_to_dict(demo60), fh)
         assert topology_to_dict(rb.load_topology(path)) == topology_to_dict(demo60)
