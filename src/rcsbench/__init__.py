@@ -4,7 +4,6 @@ statistics, patch-wise gate calibration, and classical-cost estimation."""
 
 from .calibration import split_grid_patches
 from .circuit import (
-    column_bipartition,
     extract_subcircuit,
     load_circuit,
     make_elided,

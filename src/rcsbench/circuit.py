@@ -209,11 +209,6 @@ def grid_bipartition(circuit: Circuit, split: str, at: int | None = None):
     return side_a, frozenset(circuit.qubits) - side_a
 
 
-def column_bipartition(circuit: Circuit, at: int | None = None):
-    """Split active qubits by column: side A has col < at (default middle)."""
-    return grid_bipartition(circuit, "col", at)
-
-
 def with_coupler_params(circuit: Circuit, params: ParamMap) -> Circuit:
     """Replace gate parameters on the given couplers in every cycle."""
     cycles = tuple(

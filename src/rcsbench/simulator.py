@@ -31,10 +31,10 @@ transpose at the end restores the canonical order.  The executor alternates
 between two flat work buffers and never writes into the state it is given:
 `execute` allocates them once per run, writes |0...0> into the first and
 returns the other with the final transpose, and each trajectory worker
-thread allocates them once.  `run`, the trajectory replay and the
-calibration loss (on programs with gate sites swapped in,
-`Program.with_sites`), `apply_single`, `apply_two` (one-op programs) and the
-forward sweep of `adjoint_gradient` all use these layouts and GEMMs.
+thread allocates them once.  `run`, the trajectory replay, the calibration
+loss (on programs with gate sites swapped in, `Program.with_sites`),
+`apply_single`, `apply_two` (one-op programs) and `adjoint_gradient`'s
+forward sweep all run `_execute`; its backward sweep undoes the same GEMMs.
 
 Ideal and speckle draws invert the cumulative Born distribution through an
 index table (Chen & Asau 1974): with m the largest power of two <= min(2^n,
@@ -52,8 +52,8 @@ Trajectories hold their checkpoints (none for cycle 0: a replay from it
 writes |0...0> into a work buffer), 2^n float64 for the ideal cumulative
 distribution (1/2 state at complex128), and 2 per worker; each replay builds
 its cumulative distribution in its worker's buffers.  The adjoint sweep
-holds one state per op; the calibration gradient peaks 2.5 states above
-that.  The default limit of 30 qubits therefore means 2 x 16 GiB at complex128.
+holds 4, two pairs of conj(psi) and conj(lambda), at any depth.  The default
+limit of 30 qubits therefore means 2 x 16 GiB at complex128 for a run.
 
 Two noise models ship: a speckle mixture (each sample comes from the ideal
 distribution with probability F, uniform otherwise) and Pauli-trajectory
@@ -192,7 +192,8 @@ class Program:
     def with_sites(self, replaced: dict[int, np.ndarray]) -> Program:
         """The program with the given gate sites' matrices replaced; only the
         ops that hold a replaced site are re-fused, and only the blocks with
-        a replaced single-qubit site recompute their S."""
+        a replaced single-qubit site recompute their S.  `adjoint_gradient`
+        needs them unitary, as fSims and Paulis times gates are."""
         sites = list(self.sites)
         for s, matrix in replaced.items():
             sites[s] = GateSite(sites[s].cycle, sites[s].qubits, matrix)
@@ -408,39 +409,42 @@ def adjoint_gradient(program: Program, cotangent, sites):
 
     ``cotangent`` maps the final amplitudes (canonical order) to L and
     lambda = dL/dpsi*, and may return lambda in their buffer.  The forward
-    sweep keeps each op's GEMM input psi_in (K x R, the op's K = 2^k
-    amplitudes in front).  The backward sweep carries mu = conj(lambda)
-    (R x K, in the layout after the op) back: mu <- M^T @ mu^T, then the
-    inverse of the op's transpose.  An op's environment E = mu^T @ psi_in^T
-    gives dL = 2 Re sum(dM * E); for a site in block b, Gamma_s = E_b @ S_b^T,
-    with E_b the contraction of E with the op's other blocks.
+    sweep is `_execute`.  Every op must be unitary: the backward sweep gets
+    an op's GEMM input psi_in (K x R, its K = 2^k amplitudes in front) back
+    from its output as M^H @ psi_out^T, so it carries conj(psi) and
+    mu = conj(lambda) (R x K, in the layout after the op) as one pair:
+    pair <- M^T @ pair^T, then the op's inverse transpose, between two pair
+    buffers (four states at any depth).  An op's environment E = mu^T @
+    psi_in^T gives dL = 2 Re sum(dM * E); for a site in block b, Gamma_s =
+    E_b @ S_b^T, with E_b the contraction of E with the op's other blocks.
     """
     for s in (wanted := set(sites)):
         if not 0 <= s < len(program.sites) or len(program.sites[s].qubits) != 2:
             raise InputError(f"{s} is not a two-qubit gate site of the program")
     n = len(program.layout)
+    shape = (2,) * n
     ops = [op for cycle in program.cycles for op in cycle]
-    inputs = []
-    psi = zero_state(n, program.dtype).amplitudes
-    for op in ops:
-        if op.perm is not None:
-            psi = psi.reshape((2,) * n).transpose(op.perm).reshape(-1)
-        inputs.append(psi)
-        k = len(op.matrix)
-        psi = np.matmul(psi.reshape(k, -1).T, op.matrix.T).reshape(-1)
-    psi = _canonical(psi, program.layout, np.empty_like(psi))  # frees the last output
-    value, lam = cotangent(psi)
-    mu = np.conjugate(lam.reshape((2,) * n).transpose(program.layout), order="C")
-    del psi, lam  # only mu is carried back
+    pairs = np.empty((2, 2, 1 << n), program.dtype)
+    work = (pairs[0, 0], pairs[1, 0])
+    psi = _execute(ops, _vacuum(work), work)
+    value, lam = cotangent(_canonical(psi, program.layout, _spare(work, psi)))
+    pair, spare = pairs if psi is work[0] else pairs[::-1]
+    np.conjugate(psi, out=psi)
+    np.conjugate(lam.reshape(shape).transpose(program.layout), out=pair[1].reshape(shape))
+    del psi, lam  # only the pair is carried back
     envs = {}
-    for op, psi_in in zip(reversed(ops), reversed(inputs)):
+    for op in reversed(ops):
         k = len(op.matrix)
-        mu = mu.reshape(-1, k)
+        np.matmul(op.matrix.T, pair.reshape(2, -1, k).transpose(0, 2, 1),
+                  out=spare.reshape(2, k, -1))
         if not op.sites.isdisjoint(wanted):
-            envs.update(_block_environments(op, mu.T @ psi_in.reshape(k, -1).T, wanted))
-        mu = op.matrix.T @ mu.T
-        if op.perm is not None:
-            mu = mu.reshape((2,) * n).transpose(np.argsort(op.perm))
+            psi_in = np.conjugate(spare[0], out=pair[0]).reshape(k, -1)  # over conj(psi_out)
+            envs.update(_block_environments(op, pair[1].reshape(-1, k).T @ psi_in.T, wanted))
+        if op.perm is None:
+            pair, spare = spare, pair
+        else:
+            inverse = (0, *(1 + np.argsort(op.perm)))
+            np.copyto(pair.reshape(2, *shape), spare.reshape(2, *shape).transpose(inverse))
     return value, envs
 
 

@@ -71,11 +71,12 @@ class XebEstimate:
 
 
 def probabilities_of_samples(distribution: np.ndarray, samples: SampleSet) -> ProbabilityRecord:
-    """Look up each sampled word in a full ideal distribution."""
+    """Look up each sampled word in a full ideal distribution, through an
+    int64 view of the words: the size check keeps them below 2^63."""
     dist = np.asarray(distribution, dtype=float)
     if dist.size != 1 << samples.n_qubits:
         raise InputError("distribution size does not match the sample width")
-    return ProbabilityRecord(dist[samples.words.astype(np.int64)], samples.n_qubits)
+    return ProbabilityRecord(dist[samples.words.view(np.int64)], samples.n_qubits)
 
 
 def xeb_sigma(rec: ProbabilityRecord) -> float:

@@ -9,6 +9,10 @@ by one binary search over the whole cumulative distribution per uniform, and
 contraction costs are minimized by exhaustive search over set partitions
 or by dynamic programming over tensor subsets, and the greedy path search
 is checked against its index-set form (frozensets and per-index holders).
+The adjoint gradient is checked against a sweep that stores every op's
+input: `adjoint_stored` runs a compiled program's fused matrices with plain
+numpy matmuls and transposes, not the package's executor, and keeps each
+op's input instead of recomputing it from the op's output.
 Every size is the exact integer product of the dimensions.  Paths are
 replayed by counting each index's occurrences (open indices get
 one phantom occurrence) instead of by the package's symmetric-difference
@@ -30,6 +34,7 @@ from rcsbench import rng
 from rcsbench.costmodel import ContractionPath, SliceResult
 from rcsbench.errors import InputError, ResourceLimitError
 from rcsbench.gates import fsim_matrix, sq_matrix
+from rcsbench.simulator import _block_environments
 
 
 def dense_single(n: int, qubit: int, u: np.ndarray) -> sparse.csr_matrix:
@@ -79,6 +84,37 @@ def dense_run_sites(circuit, replaced: dict[int, np.ndarray]) -> np.ndarray:
             u = replaced.get(next(site), fsim_matrix(p))
             state = dense_two(n, pos[a], pos[b], u) @ state
     return state
+
+
+def adjoint_stored(program, cotangent, sites):
+    """`simulator.adjoint_gradient` by a forward sweep that keeps each op's
+    GEMM input, so it needs no unitarity and holds one state per op; the
+    backward sweep carries mu = conj(lambda) back alone.  Only the split of
+    an op's environment into its blocks is the package's."""
+    n = len(program.layout)
+    ops = [op for cycle in program.cycles for op in cycle]
+    inputs = []
+    psi = np.zeros(1 << n, dtype=program.dtype)
+    psi[0] = 1
+    for op in ops:
+        if op.perm is not None:
+            psi = psi.reshape((2,) * n).transpose(op.perm).reshape(-1)
+        inputs.append(psi)
+        k = len(op.matrix)
+        psi = np.matmul(psi.reshape(k, -1).T, op.matrix.T).reshape(-1)
+    psi = psi.reshape((2,) * n).transpose(np.argsort(program.layout)).reshape(-1)
+    value, lam = cotangent(psi)
+    mu = np.conjugate(lam.reshape((2,) * n).transpose(program.layout), order="C")
+    wanted, envs = set(sites), {}
+    for op, psi_in in zip(reversed(ops), reversed(inputs)):
+        k = len(op.matrix)
+        mu = mu.reshape(-1, k)
+        if not op.sites.isdisjoint(wanted):
+            envs.update(_block_environments(op, mu.T @ psi_in.reshape(k, -1).T, wanted))
+        mu = op.matrix.T @ mu.T
+        if op.perm is not None:
+            mu = mu.reshape((2,) * n).transpose(np.argsort(op.perm))
+    return value, envs
 
 
 def gradient_fd(fn, x: np.ndarray, h: float) -> np.ndarray:

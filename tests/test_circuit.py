@@ -9,6 +9,7 @@ from rcsbench.circuit import (
     circuit_to_dict,
     default_elide_keep_last,
     extract_subcircuit,
+    grid_bipartition,
 )
 from rcsbench.errors import InputError
 from rcsbench.gates import GATE_KINDS
@@ -93,7 +94,7 @@ class TestPatch:
     def test_no_crossing_bipartition_only_changes_tag(self, grid_3x4):
         # a patch of an already-patched circuit removes nothing new
         c = rb.standard_circuit(grid_3x4, 8, seed=0)
-        parts = rb.column_bipartition(c)
+        parts = grid_bipartition(c, "col")
         p1 = rb.make_patch(c, parts)
         p2 = rb.make_patch(p1, parts)
         assert p1.cycles == p2.cycles
@@ -101,7 +102,7 @@ class TestPatch:
     def test_crossing_gates_removed_every_cycle(self):
         topo = rb.assign_patterns(rb.build_grid(2, 4))
         c = rb.standard_circuit(topo, 8, seed=0)
-        parts = rb.column_bipartition(c, at=2)
+        parts = grid_bipartition(c, "col", at=2)
         p = rb.make_patch(c, parts)
         assert crossing_count(p, parts[0]) == 0
         assert p.variant == "patch"
@@ -110,7 +111,7 @@ class TestPatch:
 
     def test_gate_count_identity(self, grid_4x4):
         c = rb.standard_circuit(grid_4x4, 10, seed=1)
-        parts = rb.column_bipartition(c)
+        parts = grid_bipartition(c, "col")
         p = rb.make_patch(c, parts)
         assert (c.n_two_qubit_gates - p.n_two_qubit_gates
                 == crossing_count(c, parts[0]))
@@ -126,19 +127,19 @@ class TestPatch:
 class TestElided:
     def test_keep_all_equals_full(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 10, seed=2)
-        parts = rb.column_bipartition(c)
+        parts = grid_bipartition(c, "col")
         e = rb.make_elided(c, parts, keep_last=10)
         assert e.cycles == c.cycles
         assert e.variant == "elided"
 
     def test_keep_none_equals_patch(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 10, seed=2)
-        parts = rb.column_bipartition(c)
+        parts = grid_bipartition(c, "col")
         assert rb.make_elided(c, parts, 0).cycles == rb.make_patch(c, parts).cycles
 
     def test_window_of_cross_gates(self, grid_4x4):
         c = rb.standard_circuit(grid_4x4, 10, seed=2)
-        parts = rb.column_bipartition(c)
+        parts = grid_bipartition(c, "col")
         e = rb.make_elided(c, parts, keep_last=6)
         side = frozenset(parts[0])
         for i, cyc in enumerate(e.cycles):
@@ -150,7 +151,7 @@ class TestElided:
 
     def test_invalid_keep_last_rejected(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 10, seed=2)
-        parts = rb.column_bipartition(c)
+        parts = grid_bipartition(c, "col")
         for bad in (-1, 11):
             with pytest.raises(InputError):
                 rb.make_elided(c, parts, bad)
@@ -199,7 +200,7 @@ class TestSerialization:
 
     def test_variant_round_trip(self, grid_3x4, tmp_path):
         c = rb.standard_circuit(grid_3x4, 10, seed=9)
-        e = rb.make_elided(c, rb.column_bipartition(c), 6)
+        e = rb.make_elided(c, grid_bipartition(c, "col"), 6)
         path = str(tmp_path / "c.json")
         rb.save_circuit(path, e)
         back = rb.load_circuit(path)

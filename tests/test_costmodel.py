@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rcsbench as rb
+from rcsbench.circuit import grid_bipartition
 from rcsbench.costmodel import (
     SUMMIT_REFERENCE,
     ContractionPath,
@@ -399,14 +400,14 @@ class TestSchmidt:
 class TestSfaCut:
     def test_patch_circuit_has_zero_g(self, grid_4x4):
         c = rb.standard_circuit(grid_4x4, 10, seed=5)
-        parts = rb.column_bipartition(c)
+        parts = grid_bipartition(c, "col")
         patch = rb.make_patch(c, parts)
         cut = sfa_cut(patch, parts)
         assert cut.g == 0
 
     def test_counting_oracle(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 8, seed=5)
-        parts = rb.column_bipartition(c, at=2)
+        parts = grid_bipartition(c, "col", at=2)
         side = frozenset(parts[0])
         want = sum(
             1 for cyc in c.cycles for a, b, _ in cyc.two_qubit
@@ -416,7 +417,7 @@ class TestSfaCut:
 
     def test_full_scale_24_cycles_gives_54(self, demo60):
         c = rb.standard_circuit(demo60, 24, seed=0)
-        cut = sfa_cut(c, rb.column_bipartition(c, at=3))
+        cut = sfa_cut(c, grid_bipartition(c, "col", at=3))
         assert cut.g == 54
         assert len(cut.spectra) == 54
         assert all(abs(d) < 1e-12 for d in cut.delta_theta)  # default theta=pi/2
@@ -424,7 +425,7 @@ class TestSfaCut:
     def test_delta_theta_recorded(self, grid_3x4):
         params = rb.FsimParams(np.pi / 2 - 0.07, np.pi / 18)
         c = rb.standard_circuit(grid_3x4, 8, seed=5, params=params)
-        cut = sfa_cut(c, rb.column_bipartition(c, at=2))
+        cut = sfa_cut(c, grid_bipartition(c, "col", at=2))
         assert all(abs(d - 0.07) < 1e-12 for d in cut.delta_theta)
 
 
@@ -458,7 +459,7 @@ class TestSfaSpeedup:
 
     def test_empty_cut_speedup_one(self, grid_4x4):
         c = rb.standard_circuit(grid_4x4, 10, seed=5)
-        parts = rb.column_bipartition(c)
+        parts = grid_bipartition(c, "col")
         patch = rb.make_patch(c, parts)
         assert sfa_speedup(sfa_cut(patch, parts), 0.5) == 1.0
 

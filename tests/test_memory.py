@@ -34,8 +34,7 @@ def circuit(grid_4x4):
     return rb.standard_circuit(grid_4x4, 8, seed=3)
 
 
-@pytest.fixture(scope="module")
-def program_bytes(circuit):
+def compiled_bytes(circuit) -> int:
     """Traced bytes that a compiled program of the circuit holds."""
     simulator.compile_circuit(circuit)  # warms the fSim matrix cache
     tracemalloc.start()
@@ -45,6 +44,11 @@ def program_bytes(circuit):
         return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def program_bytes(circuit):
+    return compiled_bytes(circuit)
 
 
 def test_program_is_small_beside_a_state(program_bytes):
@@ -96,15 +100,25 @@ def test_trajectories_hold_checkpoints_and_two_states(circuit, program_bytes):
     assert peak - 2 * program_bytes <= (7 + 2.75) * STATE
 
 
-def test_adjoint_sweep_holds_one_state_per_op(circuit, program_bytes):
-    # the forward sweep keeps each op's input; beyond them the final state,
-    # conj(lambda) and the cotangent's temporaries stay within 3 states
+@pytest.mark.parametrize("n_cycles", [8, 40])
+def test_gradient_memory_does_not_grow_with_depth(grid_4x4, n_cycles):
+    # the sweep holds two (conj(psi), mu) pairs, four states, at any depth;
+    # the cotangent's float64 temporaries stay within 2 states more.  The
+    # programs are the patch's and the candidate's
+    circuit = rb.standard_circuit(grid_4x4, n_cycles, seed=3)
     train = rb.sample_ideal(rb.run(circuit), 2000, seed=1)
     problem = CalibrationProblem(circuit, train, ("theta", "phi"))
     x = pack_params(problem.base, problem.couplers, ("theta", "phi"))
-    n_ops = sum(len(ops) for ops in problem.program.cycles)
     peak = traced_peak(lambda: loss_and_gradient(x, problem))
-    assert peak - program_bytes <= (n_ops + 3) * STATE
+    assert peak - 2 * compiled_bytes(circuit) <= 6 * STATE
+
+
+def test_probabilities_of_samples_hold_only_their_output(circuit):
+    # the gather indexes the words through an int64 view: no 8-byte copy
+    dist = rb.probabilities(rb.run(circuit))
+    samples = rb.sample_ideal(rb.run(circuit), 1_000_000, seed=1)
+    peak = traced_peak(lambda: xeb.probabilities_of_samples(dist, samples))
+    assert peak <= 8 * samples.n_samples + 4096
 
 
 def test_bootstrap_chunk_bounds_its_memory():

@@ -9,14 +9,14 @@ from scipy import stats
 
 import rcsbench as rb
 from rcsbench import rng, simulator
-from rcsbench.circuit import Circuit, Cycle
+from rcsbench.circuit import Circuit, Cycle, grid_bipartition
 from rcsbench.errors import InputError, ResourceLimitError
 from rcsbench.gates import FsimParams, SingleQubitGate, fsim_matrix
 from rcsbench.simulator import (_execute, _work_buffers, adjoint_gradient,
                                 compile_circuit, execute, fan_out, zero_state)
 
 from conftest import random_fsim
-from oracles import (dense_run, dense_run_sites, dense_single, dense_two,
+from oracles import (adjoint_stored, dense_run, dense_run_sites, dense_single, dense_two,
                      draw_words_by_searchsorted)
 
 
@@ -216,7 +216,7 @@ class TestCompiledProgram:
 
     def test_patch_elided_and_subcircuit(self):
         c = random_param_circuit(3, 4, 8, seed=32)
-        bip = rb.column_bipartition(c)
+        bip = grid_bipartition(c, "col")
         assert_matches_oracle(rb.make_patch(c, bip))
         assert_matches_oracle(rb.make_elided(c, bip, keep_last=3))
         assert_matches_oracle(rb.extract_subcircuit(c, sorted(bip[0])))
@@ -364,6 +364,20 @@ class TestAdjointGradient:
                 want = (value(dense_run_sites(patch, {s: g + h * d}))
                         - value(dense_run_sites(patch, {s: g - h * d}))) / (2 * h)
                 assert abs(2 * np.sum(d * envs[s]).real - want) <= 1e-8
+
+    def test_recomputed_inputs_do_not_drift_from_stored_ones(self):
+        # 200 cycles of recomputing each op's input from its output, against
+        # the sweep that stores every input, at every two-qubit site
+        c = random_param_circuit(3, 4, 200, seed=37)
+        program = compile_circuit(c)
+        sites = [s for s, site in enumerate(program.sites) if len(site.qubits) == 2]
+        _, cotangent = self.real_function(c.n_qubits, np.random.default_rng(37))
+        value, envs = adjoint_gradient(program, cotangent, sites)
+        want_value, want = adjoint_stored(program, cotangent, sites)
+        assert value == want_value
+        assert envs.keys() == want.keys() == set(sites)
+        drift = max(np.max(np.abs(envs[s] - want[s])) for s in sites)
+        assert drift <= 1e-12 * max(np.max(np.abs(want[s])) for s in sites)
 
     def test_rejects_sites_that_are_not_two_qubit_sites(self, grid_3x4):
         program = compile_circuit(rb.standard_circuit(grid_3x4, 4, seed=36))

@@ -6,6 +6,7 @@ from scipy import integrate, special, stats
 
 import rcsbench as rb
 from rcsbench import xeb
+from rcsbench.circuit import grid_bipartition
 from rcsbench.errors import InputError
 from rcsbench.xeb import ProbabilityRecord
 
@@ -247,7 +248,7 @@ class TestProductXeb:
 
     def test_patch_evaluation_factorizes(self, grid_4x4):
         c = rb.standard_circuit(grid_4x4, 10, seed=3)
-        patch = rb.make_patch(c, rb.column_bipartition(c))
+        patch = rb.make_patch(c, grid_bipartition(c, "col"))
         state = rb.run(patch)
         ss = rb.sample_ideal(state, 50_000, seed=31)
         est, records = rb.measured_xeb(patch, ss)
