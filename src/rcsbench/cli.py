@@ -318,10 +318,14 @@ def cmd_calibrate(args) -> int:
 
 def cmd_cost_tnc(args) -> int:
     circ = circuit_mod.load_circuit(args.circuit)
-    if args.open_qubits >= 0:
-        open_qubits = circ.qubits[: args.open_qubits]
-    else:
-        raise InputError("--open-qubits must be nonnegative")
+    if not 0 <= args.open_qubits <= len(circ.qubits):
+        raise InputError(f"--open-qubits {args.open_qubits} is outside "
+                         f"0..{len(circ.qubits)}, the circuit's qubit count")
+    if (args.n_samples is None) != (args.fidelity is None):
+        missing = "--fidelity" if args.fidelity is None else "--n-samples"
+        raise InputError("the sampling cost needs both --n-samples and "
+                         f"--fidelity; {missing} is missing")
+    open_qubits = circ.qubits[: args.open_qubits]
     tn = costmodel.circuit_to_tn(circ, open_qubits)
     path, restart_costs = costmodel.find_path_greedy_full(
         tn, seed=args.seed, restarts=args.restarts)
@@ -345,7 +349,7 @@ def cmd_cost_tnc(args) -> int:
             "largest_intermediate_rank": sliced.largest_intermediate_rank,
         },
     }
-    if args.n_samples and args.fidelity is not None:
+    if args.n_samples is not None:
         report = costmodel.estimate_sampling_cost(
             sliced.total_flops, args.n_samples, args.fidelity,
             reference=(args.reference_flops, args.reference_seconds))
@@ -368,7 +372,8 @@ def cmd_cost_tnc(args) -> int:
     _write_manifest(args.output, "cost tnc", {
         "open_qubits": args.open_qubits, "max_rank": args.max_rank,
         "restarts": args.restarts, "n_samples": args.n_samples,
-        "fidelity": args.fidelity,
+        "fidelity": args.fidelity, "reference_flops": args.reference_flops,
+        "reference_seconds": args.reference_seconds,
     }, [args.circuit], outputs, seeds={"path_search": args.seed})
     return EXIT_OK
 
@@ -424,6 +429,8 @@ def cmd_cost_sfa(args) -> int:
     _write_manifest(args.output, "cost sfa", {
         "g": args.g, "delta_theta": args.delta_theta, "phi": args.phi,
         "fidelity": args.fidelity, "split": args.split, "at": args.at,
+        "n_samples": args.n_samples, "cores": args.cores,
+        "core_flops": args.core_flops,
     }, inputs, [args.output])
     return EXIT_OK
 

@@ -21,7 +21,11 @@ The greedy search holds each live tensor's index set as an integer bitmask
 (bit k is the k-th index of ``TensorNetwork.indices``) and each live
 tensor's neighbours, the tensors it shares an index with, as a set.  By the
 same invariant the neighbours of the result of merging a and b are those of
-a and of b, less a and b.
+a and of b, less a and b.  Scored pairs wait on a heap and are dropped when
+they surface dead; the few best live pairs a randomised restart did not
+choose wait in a short sorted held list instead.  A size depends only on the
+mask's popcount in each dimension's bitmask, so each search memoises sizes
+by those counts.
 
 Paths are in single-assignment form: the network's tensors are 0..n-1 and
 the k-th merge (from 0) makes tensor n+k, so a merge names its operands by
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -247,9 +252,19 @@ def find_path_greedy_full(
 
     A live tensor's index set is an integer bitmask (bit k is the k-th index
     of ``tn.indices``), and its size is the exact product of its dimensions,
-    as `replay_path` counts it.  Each live tensor keeps the set of tensors it
+    as `replay_path` counts it.  Sizes are memoised per search, keyed by the
+    mask's popcount in each dimension's bitmask; a new entry is the exact
+    integer product made a float once, so a size past the float range still
+    raises `ResourceLimitError`.  Each live tensor keeps the set of tensors it
     shares an index with; by the two-holder invariant the neighbours of the
     result of merging a and b are those of a and of b, less a and b.
+
+    Each merge needs the ``_GREEDY_TOP_K`` best live pairs (one for restart
+    0).  The k-1 a restart did not choose stay in a sorted held list, less
+    those a merge killed; the heap is popped only while that list is short or
+    the heap's best pair sorts below the worst held one, and a pair pushed
+    out of the list goes back onto the heap.  The pairs are distinct, so the
+    k best are the same as popping k live pairs and pushing the rest back.
     """
     tn.validate()
     if restarts < 1:
@@ -258,13 +273,19 @@ def find_path_greedy_full(
     by_dim: dict[int, int] = {}
     for name, dim in tn.indices.items():
         by_dim[dim] = by_dim.get(dim, 0) | bits[name]
-    dim_masks = tuple(by_dim.items())
+    dim_masks = tuple(by_dim.values())
+    width = len(tn.indices).bit_length()  # room for any popcount
+    memo: dict[int, float] = {}
 
     def size(mask: int) -> float:
-        out = 1
-        for dim, dim_mask in dim_masks:
-            out *= dim ** (mask & dim_mask).bit_count()
-        return _as_float(out)
+        key = 0
+        for dim_mask in dim_masks:
+            key = key << width | (mask & dim_mask).bit_count()
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = _as_float(math.prod(
+                dim ** (mask & dim_mask).bit_count() for dim, dim_mask in by_dim.items()))
+        return out
 
     n = len(tn.tensors)
     leaves = [sum(bits[name] for name in idx) for _, idx in tn.tensors]
@@ -309,19 +330,20 @@ def _greedy_once(leaves, sizes, nbrs, heap, size, gen):
     costs: list[float] = []
     largest = 0
     heappush, heappop = heapq.heappush, heapq.heappop
+    held: list[tuple[float, int, int]] = []
 
     for _ in range(len(masks) - 1):
-        popped = []
-        while heap and len(popped) < top_k:
+        # held + heap is every scored pair not yet chosen; held ends as the
+        # top_k best live ones, sorted.
+        held = [entry for entry in held if live[entry[1]] and live[entry[2]]]
+        while heap and (len(held) < top_k or heap[0] < held[-1]):
             entry = heappop(heap)
             if live[entry[1]] and live[entry[2]]:
-                popped.append(entry)
-        if popped:
-            choice = popped[0] if gen is None else popped[int(gen.integers(0, len(popped)))]
-            for entry in popped:
-                if entry is not choice:
-                    heappush(heap, entry)
-            _, a, b = choice
+                insort(held, entry)
+                if len(held) > top_k:
+                    heappush(heap, held.pop())
+        if held:
+            _, a, b = held.pop(0 if gen is None else int(gen.integers(0, len(held))))
         else:
             # disconnected components: join the two smallest by outer product
             ids = [i for i, alive in enumerate(live) if alive]

@@ -433,9 +433,53 @@ class TestCost:
             assert doc["fidelity_budget"] == 0.01
             assert doc["g"] > 0
 
-    @pytest.mark.parametrize("flag", ["--max-rank", "--open-qubits"])
-    def test_negative_tnc_count_exits_2(self, cost_circuit, tmp_path, flag):
-        assert _tnc(cost_circuit, tmp_path / "tnc.json", flag, "-1") == EXIT_INPUT
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--max-rank", "-1", id="--max-rank"),
+        pytest.param("--open-qubits", "-1", id="--open-qubits"),
+        pytest.param("--open-qubits", "13", id="--open-qubits-above-qubit-count"),
+    ])
+    def test_negative_tnc_count_exits_2(self, cost_circuit, tmp_path, capsys, flag, value):
+        assert _tnc(cost_circuit, tmp_path / "tnc.json", flag, value) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("given, missing", [
+        (("--n-samples", "1e6"), "--fidelity"),
+        (("--fidelity", "0.01"), "--n-samples"),
+    ])
+    def test_one_sampling_flag_exits_2(self, cost_circuit, tmp_path, capsys,
+                                       given, missing):
+        out = tmp_path / "tnc.json"
+        assert main(["cost", "tnc", "--circuit", cost_circuit, "--restarts", "1",
+                     *given, "-o", str(out)]) == EXIT_INPUT
+        assert missing in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_samples_cost_nothing(self, cost_circuit, tmp_path):
+        out = tmp_path / "tnc.json"
+        assert _tnc(cost_circuit, out, "--n-samples", "0") == EXIT_OK
+        sampling = json.loads(out.read_bytes())["sampling"]
+        assert sampling["n_samples"] == 0
+        assert sampling["total_flops"] == sampling["runtime_years"] == 0
+
+    @pytest.mark.parametrize("mode, flag, values", [
+        ("tnc", "--reference-flops", ("6.66e18", "1e19")),
+        ("tnc", "--reference-seconds", ("833.75", "1000")),
+        ("sfa", "--n-samples", ("1e6", "7e7")),
+        ("sfa", "--cores", ("7630848", "1000")),
+        ("sfa", "--core-flops", ("1e9", "2e9")),
+    ])
+    def test_config_hash_tracks_output_flags(self, cost_circuit, tmp_path, mode,
+                                             flag, values):
+        out = tmp_path / f"{mode}.json"
+        manifest = tmp_path / f"{mode}.json.manifest.json"
+        hashes = []
+        for value in values:
+            if mode == "tnc":
+                assert _tnc(cost_circuit, out, flag, value) == EXIT_OK
+            else:
+                assert _sfa(out, "--circuit", cost_circuit, flag, value) == EXIT_OK
+            hashes.append(json.loads(manifest.read_bytes())["config_sha256"])
+        assert hashes[0] != hashes[1]
 
     def test_restarts_csv(self, cost_circuit, tmp_path):
         out, csv = tmp_path / "tnc.json", tmp_path / "restarts.csv"

@@ -238,7 +238,7 @@ class TestPaths:
         assert digest(tn, restarts=16) == (
             "bdddeba7131f9adbf875a63837c53584a9515f8e97236ff703a72dc4c3c455c1")
 
-    def test_greedy_matches_index_set_oracle(self):
+    def test_greedy_matches_index_set_oracle(self, grid_3x4):
         gen = np.random.default_rng(11)
         networks = [random_tn(int(gen.integers(2, 13)), gen, dim_range=(2, 5))
                     for _ in range(100)]
@@ -253,6 +253,18 @@ class TestPaths:
             for restarts in range(1, 9):
                 assert (find_path_greedy_full(tn, seed=seed, restarts=restarts)
                         == greedy_by_index_sets(tn, seed, restarts))
+        # Larger networks, where the held candidates outlive several merges
+        # and new pairs score below them.
+        gen = np.random.default_rng(12)
+        networks = [random_tn(int(gen.integers(20, 41)), gen, dim_range=(2, 5))
+                    for _ in range(12)]
+        for cycles in (4, 8):
+            c = rb.standard_circuit(grid_3x4, cycles, seed=cycles)
+            networks += [circuit_to_tn(c), circuit_to_tn(c, c.qubits[:3])]
+        for tn in networks:
+            for seed in range(4):
+                assert (find_path_greedy_full(tn, seed=seed, restarts=8)
+                        == greedy_by_index_sets(tn, seed, 8))
 
     def test_size_is_exact_in_any_order(self):
         dims = {f"a{k:02d}": 3 for k in range(25)} | {f"b{k:02d}": 5 for k in range(25)}
