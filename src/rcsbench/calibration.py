@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, ParamMap, extract_subcircuit
+from .circuit import Circuit, ParamMap, extract_subcircuit, grid_parts, part_of
 from .errors import InputError
 from .gates import FsimParams, fsim_derivative, fsim_matrix
 from .samples import SampleSet
@@ -292,61 +292,30 @@ def bfgs_minimize(fun, x0: np.ndarray, config: OptimizerConfig = OptimizerConfig
                       iterations=len(trace) - 1, status=status)
 
 
-def _patch_bands(cuts: tuple[int, ...], size: int) -> list[range]:
-    bounds = (0,) + tuple(cuts) + (size,)
-    if list(bounds) != sorted(set(bounds)):
-        raise InputError(f"cut positions {cuts} not strictly inside 0..{size}")
-    return [range(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-
-
 def split_grid_patches(
     circuit: Circuit,
     row_cuts: tuple[int, ...] = (),
     col_cuts: tuple[int, ...] = (),
 ) -> tuple[PatchPartition, tuple[Circuit, ...]]:
-    """Split active qubits into grid-aligned patches and extract one
+    """Split active qubits into the `grid_parts` patches and extract one
     standalone circuit per patch (internal couplers only).
 
     Rejects degenerate splits: every patch must contain at least one qubit
     and at least one internal coupler, otherwise it has nothing to calibrate.
     """
-    topo = circuit.topology
-    row_bands = _patch_bands(row_cuts, topo.rows)
-    col_bands = _patch_bands(col_cuts, topo.cols)
-
-    def patch_of(q: int) -> int:
-        r, c = divmod(q, topo.cols)
-        ri = next(i for i, band in enumerate(row_bands) if r in band)
-        ci = next(i for i, band in enumerate(col_bands) if c in band)
-        return ri * len(col_bands) + ci
-
-    n_patches = len(row_bands) * len(col_bands)
-    members: list[list[int]] = [[] for _ in range(n_patches)]
-    for q in circuit.qubits:
-        members[patch_of(q)].append(q)
-    for i, qs in enumerate(members):
-        if not qs:
-            raise InputError(f"patch {i} contains no active qubits")
-
-    internal: list[list[tuple[int, int]]] = [[] for _ in range(n_patches)]
-    cross: list[tuple[int, int]] = []
-    for c in topo.enabled_couplers:
-        pa, pb = patch_of(c.a.linear), patch_of(c.b.linear)
-        if pa == pb:
-            internal[pa].append(c.key)
-        else:
-            cross.append(c.key)
+    patches = grid_parts(circuit, row_cuts, col_cuts)
+    label = part_of(patches)
+    ends = [(label[c.a.linear], label[c.b.linear], c.key)
+            for c in circuit.topology.enabled_couplers]
+    internal = tuple(tuple(sorted(key for a, b, key in ends if a == b == i))
+                     for i in range(len(patches)))
     for i, cs in enumerate(internal):
         if not cs:
             raise InputError(
                 f"patch {i} has no internal couplers; nothing to calibrate")
-
-    partition = PatchPartition(
-        patches=tuple(tuple(sorted(qs)) for qs in members),
-        internal=tuple(tuple(sorted(cs)) for cs in internal),
-        cross=tuple(sorted(cross)),
-    )
-    patch_circuits = tuple(extract_subcircuit(circuit, qs) for qs in partition.patches)
+    partition = PatchPartition(patches, internal,
+                               tuple(sorted(key for a, b, key in ends if a != b)))
+    patch_circuits = tuple(extract_subcircuit(circuit, qs) for qs in patches)
     return partition, patch_circuits
 
 

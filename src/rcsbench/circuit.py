@@ -7,9 +7,11 @@ gate parameters): per cycle, each active qubit draws uniformly from
 {sqrt_x, sqrt_y, sqrt_w}, by default excluding the gate it received in the
 previous cycle; the two-qubit layer applies the iSWAP-like gate on every
 enabled coupler of the cycle's pattern, with one shared parameter set per
-coupler.  The patch and elided variants drop the two-qubit gates that cross
-a bipartition (`grid_bipartition`) from every cycle or from all but the last
-few, through one filter.
+coupler.  The patch and elided variants drop the two-qubit gates that
+join two parts of a partition (`grid_parts`) from every cycle or from all
+but the last few, through one filter, and store the parts (format v2 of the
+circuit document).  A patch's state is a product over its parts, and a patch
+of a patch stores the common refinement of the old and the new parts.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .topology import (
     topology_to_dict,
 )
 
-CIRCUIT_FORMAT = "rcsbench.circuit.v1"
+CIRCUIT_FORMAT = "rcsbench.circuit.v2"
 
 ParamMap = dict[tuple[int, int], FsimParams]
 
@@ -53,7 +55,7 @@ class Circuit:
     seed: int
     kind: str
     variant: str = "full"
-    bipartition: tuple[int, ...] | None = None
+    parts: tuple[tuple[int, ...], ...] | None = None
     keep_last: int | None = None
 
     @property
@@ -141,48 +143,56 @@ def standard_circuit(
     )
 
 
-def _normalize_bipartition(circuit: Circuit, bipartition) -> frozenset[int]:
-    """Validate an (A, B) qubit-set pair; return the side holding the lowest
-    active qubit (the canonical side stored on the circuit)."""
-    side_a, side_b = (frozenset(int(q) for q in s) for s in bipartition)
-    active = set(circuit.qubits)
-    if side_a & side_b:
-        raise InputError("bipartition sides overlap")
-    if side_a | side_b != active:
-        raise InputError("bipartition does not cover the active qubits")
-    if not side_a or not side_b:
-        raise InputError("bipartition has an empty side")
-    return side_a if min(active) in side_a else side_b
+def check_parts(qubits, parts) -> tuple[tuple[int, ...], ...]:
+    """``parts`` as sorted qubit tuples ordered by their lowest qubit, after
+    checking that they cover ``qubits`` exactly once in two or more
+    non-empty parts."""
+    parts = tuple(sorted(tuple(sorted(int(q) for q in part)) for part in parts))
+    if len(parts) < 2 or not all(parts):
+        raise InputError("a partition needs two or more non-empty parts")
+    if sorted(q for part in parts for q in part) != sorted(qubits):
+        raise InputError("parts must cover the active qubits exactly once")
+    return parts
 
 
-def _drop_cross_gates(circuit: Circuit, bipartition, n_cut: int,
+def part_of(parts) -> dict[int, int]:
+    """The index of each qubit's part."""
+    return {q: i for i, part in enumerate(parts) for q in part}
+
+
+def _drop_cross_gates(circuit: Circuit, parts, n_cut: int,
                       variant: str, keep_last: int | None) -> Circuit:
-    """The circuit with every two-qubit gate that crosses the bipartition
-    removed from its first ``n_cut`` cycles."""
-    side = _normalize_bipartition(circuit, bipartition)
+    """The circuit with every two-qubit gate that joins two parts removed
+    from its first ``n_cut`` cycles."""
+    parts = check_parts(circuit.qubits, parts)
+    label = part_of(parts)
     cycles = tuple(
         c if i >= n_cut else replace(c, two_qubit=tuple(
-            g for g in c.two_qubit if (g[0] in side) == (g[1] in side)
+            g for g in c.two_qubit if label[g[0]] == label[g[1]]
         ))
         for i, c in enumerate(circuit.cycles)
     )
-    return replace(circuit, cycles=cycles, variant=variant,
-                   bipartition=tuple(sorted(side)), keep_last=keep_last)
+    if variant == "patch" and circuit.variant == "patch" and circuit.parts:
+        cells = (set(a) & set(b) for a in circuit.parts for b in parts)
+        parts = check_parts(circuit.qubits, [cell for cell in cells if cell])
+    return replace(circuit, cycles=cycles, variant=variant, parts=parts,
+                   keep_last=keep_last)
 
 
-def make_patch(circuit: Circuit, bipartition) -> Circuit:
-    """Remove every two-qubit gate crossing the bipartition; single-qubit
-    layers are unchanged."""
-    return _drop_cross_gates(circuit, bipartition, circuit.n_cycles, "patch", None)
+def make_patch(circuit: Circuit, parts) -> Circuit:
+    """Remove every two-qubit gate joining two parts; single-qubit layers
+    are unchanged.  A patch of a patch stores the common refinement of the
+    old and new parts."""
+    return _drop_cross_gates(circuit, parts, circuit.n_cycles, "patch", None)
 
 
-def make_elided(circuit: Circuit, bipartition, keep_last: int) -> Circuit:
-    """Remove cross-partition two-qubit gates in all but the final
+def make_elided(circuit: Circuit, parts, keep_last: int) -> Circuit:
+    """Remove the two-qubit gates joining two parts in all but the final
     ``keep_last`` cycles."""
     if not 0 <= keep_last <= circuit.n_cycles:
         raise InputError(
             f"keep_last must be in [0, {circuit.n_cycles}], got {keep_last}")
-    return _drop_cross_gates(circuit, bipartition, circuit.n_cycles - keep_last,
+    return _drop_cross_gates(circuit, parts, circuit.n_cycles - keep_last,
                              "elided", keep_last)
 
 
@@ -192,21 +202,23 @@ def default_elide_keep_last(n_cycles: int) -> int:
     return 6 if n_cycles >= 12 else (n_cycles + 1) // 2
 
 
-def grid_bipartition(circuit: Circuit, split: str, at: int | None = None):
-    """Split the active qubits by column (``col``) or by row (``row``): side
-    A holds the qubits before line ``at`` (default: the middle line)."""
-    cols = circuit.topology.cols
-    if split == "col":
-        name, size, line = "column", cols, (lambda q: q % cols)
-    elif split == "row":
-        name, size, line = "row", circuit.topology.rows, (lambda q: q // cols)
-    else:
-        raise InputError(f"unknown split {split!r}; want col or row")
-    boundary = size // 2 if at is None else at
-    if not 0 < boundary < size:
-        raise InputError(f"{name} boundary {boundary} outside 1..{size - 1}")
-    side_a = frozenset(q for q in circuit.qubits if line(q) < boundary)
-    return side_a, frozenset(circuit.qubits) - side_a
+def grid_parts(circuit: Circuit, row_cuts=(), col_cuts=()) -> tuple[tuple[int, ...], ...]:
+    """The active qubits grouped into row-band by column-band parts, in
+    row-major order; a cut at ``k`` starts a new band at row or column
+    ``k``.  Every part must hold an active qubit."""
+    topo = circuit.topology
+    for name, cuts, size in (("row", row_cuts, topo.rows), ("column", col_cuts, topo.cols)):
+        bounds = [0, *cuts, size]
+        if any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
+            raise InputError(f"{name} cuts {list(cuts)} not increasing inside 1..{size - 1}")
+    members: dict[tuple[int, int], list[int]] = {}
+    for q in circuit.qubits:
+        r, c = divmod(q, topo.cols)
+        band = (sum(r >= k for k in row_cuts), sum(c >= k for k in col_cuts))
+        members.setdefault(band, []).append(q)
+    if len(members) != (len(row_cuts) + 1) * (len(col_cuts) + 1):
+        raise InputError("a grid part holds no active qubit")
+    return tuple(tuple(members[band]) for band in sorted(members))
 
 
 def with_coupler_params(circuit: Circuit, params: ParamMap) -> Circuit:
@@ -258,7 +270,7 @@ def circuit_to_dict(circuit: Circuit) -> dict:
         "seed": circuit.seed,
         "kind": circuit.kind,
         "variant": circuit.variant,
-        "bipartition": list(circuit.bipartition) if circuit.bipartition else None,
+        "parts": [list(p) for p in circuit.parts] if circuit.parts else None,
         "keep_last": circuit.keep_last,
         "topology": topology_to_dict(circuit.topology),
         "layers": [
@@ -288,15 +300,20 @@ def circuit_from_dict(doc: dict) -> Circuit:
             for e in layer["two_qubit"]
         )
         cycles.append(Cycle(layer["pattern"], single, two_qubit))
-    bip = doc.get("bipartition")
+    variant = doc.get("variant", "full")
+    parts = check_parts(qubits, doc["parts"]) if doc.get("parts") else None
+    label = part_of(parts or (qubits,))
+    if variant == "patch" and any(label[a] != label[b] for c in cycles
+                                  for a, b, _ in c.two_qubit):
+        raise InputError("a patch has a two-qubit gate that joins two parts")
     return Circuit(
         topology=topo,
         qubits=qubits,
         cycles=tuple(cycles),
         seed=int(doc["seed"]),
         kind=doc["kind"],
-        variant=doc.get("variant", "full"),
-        bipartition=tuple(bip) if bip else None,
+        variant=variant,
+        parts=parts,
         keep_last=doc.get("keep_last"),
     )
 

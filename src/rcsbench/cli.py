@@ -150,9 +150,18 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _one_cut(circ, split: str, at: int | None):
+    """The two `grid_parts` of one cut at row or column ``at`` (default: the
+    middle line)."""
+    rows = split == "row"
+    size = circ.topology.rows if rows else circ.topology.cols
+    cut = (size // 2 if at is None else at,)
+    return circuit_mod.grid_parts(circ, *((cut, ()) if rows else ((), cut)))
+
+
 def cmd_variants(args) -> int:
     circ = circuit_mod.load_circuit(args.circuit)
-    parts = circuit_mod.grid_bipartition(circ, args.split, args.at)
+    parts = _one_cut(circ, args.split, args.at)
     if args.mode == "patch":
         out = circuit_mod.make_patch(circ, parts)
     elif args.mode == "elided":
@@ -325,6 +334,9 @@ def cmd_cost_tnc(args) -> int:
         missing = "--fidelity" if args.fidelity is None else "--n-samples"
         raise InputError("the sampling cost needs both --n-samples and "
                          f"--fidelity; {missing} is missing")
+    reference = (args.reference_flops, args.reference_seconds)
+    if args.n_samples is not None:  # reject bad sampling flags before the search
+        costmodel.estimate_sampling_cost(0.0, args.n_samples, args.fidelity, reference)
     open_qubits = circ.qubits[: args.open_qubits]
     tn = costmodel.circuit_to_tn(circ, open_qubits)
     path, restart_costs = costmodel.find_path_greedy_full(
@@ -351,8 +363,7 @@ def cmd_cost_tnc(args) -> int:
     }
     if args.n_samples is not None:
         report = costmodel.estimate_sampling_cost(
-            sliced.total_flops, args.n_samples, args.fidelity,
-            reference=(args.reference_flops, args.reference_seconds))
+            sliced.total_flops, args.n_samples, args.fidelity, reference)
         doc["sampling"] = {
             "n_samples": args.n_samples,
             "fidelity": args.fidelity,
@@ -381,18 +392,19 @@ def cmd_cost_tnc(args) -> int:
 def cmd_cost_sfa(args) -> int:
     if args.circuit:
         circ = circuit_mod.load_circuit(args.circuit)
-        parts = circuit_mod.grid_bipartition(circ, args.split, args.at)
+        parts = _one_cut(circ, args.split, args.at)
         cut = costmodel.sfa_cut(circ, parts)
         inputs = [args.circuit]
-        halves = (len(parts[0]), len(parts[1]))
     elif args.g is not None:
         if args.delta_theta is None or args.g < 0:
             raise InputError("synthetic mode needs --g >= 0 and --delta-theta")
+        if args.n_samples is not None:
+            raise InputError("the runtime extrapolation (--n-samples) needs "
+                             "--circuit; synthetic mode has no halves to run")
         params = FsimParams(theta=math.pi / 2 - args.delta_theta, phi=args.phi)
         cut = costmodel.cut_analysis(
-            (), [params] * args.g, [abs(args.delta_theta)] * args.g)
+            [params] * args.g, [abs(args.delta_theta)] * args.g)
         inputs = []
-        halves = None
     else:
         raise InputError("need --circuit or synthetic --g/--delta-theta flags")
 
@@ -410,10 +422,9 @@ def cmd_cost_sfa(args) -> int:
             [float(v) for v in np.mean(np.array(cut.spectra), axis=0)]
             if cut.spectra else []),
     }
-    if halves and args.n_samples:
+    if args.n_samples is not None:
         # modeled runtime: effective paths times both halves' statevector work
-        n_a, n_b = halves
-        per_path = 4.0 * (2.0 ** n_a + 2.0 ** n_b)
+        per_path = 4.0 * sum(2.0 ** len(part) for part in parts)
         effective_paths = costmodel.balanced_paths(cut) / speedup
         total = effective_paths * per_path * args.n_samples * args.fidelity
         seconds = total / (args.cores * args.core_flops)
@@ -608,6 +619,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"resource limit: out of memory: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .circuit import Circuit, _normalize_bipartition
+from .circuit import Circuit, check_parts
 from .errors import InputError, ResourceLimitError
 from .gates import FsimParams, fsim_matrix
 
@@ -123,7 +123,6 @@ class SliceResult:
 class CutAnalysis:
     """Cross-cut gate census for a split simulation of the circuit."""
 
-    bipartition: tuple[int, ...]
     g: int                                   # cross-cut two-qubit gate count
     spectra: tuple[tuple[float, float, float, float], ...]
     delta_theta: tuple[float, ...]           # |theta - pi/2| per cross gate
@@ -464,7 +463,7 @@ def schmidt_values(u: np.ndarray) -> np.ndarray:
     return np.linalg.svd(reshuffled, compute_uv=False)
 
 
-def cut_analysis(bipartition: tuple[int, ...], gates, delta_theta) -> CutAnalysis:
+def cut_analysis(gates, delta_theta) -> CutAnalysis:
     """Census of the two-qubit gates ``gates`` (their `FsimParams`) that
     cross a cut, with their swap angle deviations ``delta_theta``: the
     operator-Schmidt spectrum per gate, and the path count, the product of
@@ -478,7 +477,6 @@ def cut_analysis(bipartition: tuple[int, ...], gates, delta_theta) -> CutAnalysi
         spectra.append(s)
     path_count = math.prod(sum(1 for v in s if v * v / 4.0 > _ZERO_WEIGHT) for s in spectra)
     return CutAnalysis(
-        bipartition=bipartition,
         g=len(spectra),
         spectra=tuple(spectra),
         delta_theta=tuple(delta_theta),
@@ -486,14 +484,16 @@ def cut_analysis(bipartition: tuple[int, ...], gates, delta_theta) -> CutAnalysi
     )
 
 
-def sfa_cut(circuit: Circuit, bipartition) -> CutAnalysis:
-    """`cut_analysis` of the two-qubit gates crossing a bipartition of the
-    circuit, with swap angle deviations |theta - pi/2|."""
-    side = _normalize_bipartition(circuit, bipartition)
+def sfa_cut(circuit: Circuit, parts) -> CutAnalysis:
+    """`cut_analysis` of the two-qubit gates joining the two ``parts`` of
+    the circuit's qubits, with swap angle deviations |theta - pi/2|."""
+    parts = check_parts(circuit.qubits, parts)
+    if len(parts) != 2:
+        raise InputError(f"a split simulation needs two parts, got {len(parts)}")
+    side = frozenset(parts[0])
     cross = [p for cyc in circuit.cycles for a, b, p in cyc.two_qubit
              if (a in side) != (b in side)]
-    return cut_analysis(tuple(sorted(side)), cross,
-                        [abs(p.theta - np.pi / 2) for p in cross])
+    return cut_analysis(cross, [abs(p.theta - np.pi / 2) for p in cross])
 
 
 def balanced_paths(cut: CutAnalysis) -> float:

@@ -163,12 +163,6 @@ def product_xeb(estimates: list[XebEstimate]) -> XebEstimate:
     return XebEstimate(fidelity, float(np.sqrt(var)), estimates[0].n_samples)
 
 
-def _normalized_estimate(dist: np.ndarray, rec: ProbabilityRecord) -> XebEstimate:
-    est = linear_xeb(rec)
-    collision = float(dist.size * np.sum(dist**2) - 1.0)
-    return XebEstimate(est.fidelity / collision, est.sigma / collision, est.n_samples)
-
-
 def measured_xeb(circuit, samples: SampleSet, limit: int | None = None):
     """Fidelity of measured samples against the circuit's own ideal
     probabilities, normalized by the ideal collision ratio D*sum(p^2) - 1 of
@@ -176,31 +170,32 @@ def measured_xeb(circuit, samples: SampleSet, limit: int | None = None):
     at scale this is the plain linear XEB; at desk sizes the normalization
     removes the per-instance finite-dimension bias.
 
-    For patch circuits (no cross-partition gates) the state factorizes, so
-    each side is evaluated in its own Hilbert space and the fidelities are
-    multiplied; whole-system XEB is not normalizable for a product state.
-    Returns (estimate, records) with one probability record per evaluated
-    subsystem.
+    A patch circuit has no gate across its parts, so its state factorizes:
+    each part is evaluated in its own Hilbert space and the fidelities are
+    multiplied (whole-system XEB is not normalizable for a product state).
+    Any other circuit is one part.  Returns (estimate, records) with one
+    probability record per part.
     """
     limit = simulator.DEFAULT_QUBIT_LIMIT if limit is None else limit
     if samples.n_qubits != circuit.n_qubits:
         raise InputError("sample width does not match the circuit")
-    if circuit.variant == "patch" and circuit.bipartition:
-        side_a = tuple(sorted(circuit.bipartition))
-        side_b = tuple(q for q in circuit.qubits if q not in set(side_a))
-        estimates, records = [], []
-        pos = {q: i for i, q in enumerate(circuit.qubits)}
-        for side in (side_a, side_b):
-            sub = extract_subcircuit(circuit, side)
-            dist = simulator.probabilities(simulator.run(sub, limit=limit))
-            sub_samples = select_bits(samples, [pos[q] for q in side])
-            rec = probabilities_of_samples(dist, sub_samples)
-            records.append(rec)
-            estimates.append(_normalized_estimate(dist, rec))
-        return product_xeb(estimates), records
-    dist = simulator.probabilities(simulator.run(circuit, limit=limit))
-    rec = probabilities_of_samples(dist, samples)
-    return _normalized_estimate(dist, rec), [rec]
+    parts = (circuit.parts if circuit.variant == "patch" else None) or (circuit.qubits,)
+    pos = {q: i for i, q in enumerate(circuit.qubits)}
+    estimates, records = [], []
+    for part in parts:
+        if len(parts) == 1:
+            sub, sub_samples = circuit, samples
+        else:
+            sub = extract_subcircuit(circuit, part)
+            sub_samples = select_bits(samples, [pos[q] for q in part])
+        dist = simulator.probabilities(simulator.run(sub, limit=limit))
+        records.append(probabilities_of_samples(dist, sub_samples))
+        est = linear_xeb(records[-1])
+        collision = float(dist.size * np.sum(dist**2) - 1.0)
+        estimates.append(XebEstimate(est.fidelity / collision, est.sigma / collision,
+                                     est.n_samples))
+    est = estimates[0] if len(estimates) == 1 else product_xeb(estimates)
+    return est, records
 
 
 def combine_inverse_variance(estimates: list[XebEstimate]) -> XebEstimate:

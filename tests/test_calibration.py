@@ -17,7 +17,7 @@ from rcsbench.calibration import (
     staggered_split_pair,
     unpack_params,
 )
-from rcsbench.circuit import grid_bipartition
+from rcsbench.circuit import grid_parts
 from rcsbench.errors import InputError
 from rcsbench.gates import FsimParams
 from rcsbench.simulator import compile_circuit
@@ -344,7 +344,7 @@ class TestCalibration:
         # held-out circuit: fresh instance with truth parameters; XEB of its
         # ideal samples must improve with the calibrated parameters
         held = rb.standard_circuit(topo, 10, seed=909, params=truth)
-        held_patch = rb.make_patch(held, grid_bipartition(held, "col", at=4))
+        held_patch = rb.make_patch(held, grid_parts(held, col_cuts=(4,)))
         hardware = rb.sample_ideal(rb.run(held_patch), 100_000, seed=77)
 
         def holdout_xeb(params):

@@ -9,7 +9,7 @@ from rcsbench.circuit import (
     circuit_to_dict,
     default_elide_keep_last,
     extract_subcircuit,
-    grid_bipartition,
+    grid_parts,
 )
 from rcsbench.errors import InputError
 from rcsbench.gates import GATE_KINDS
@@ -94,7 +94,7 @@ class TestPatch:
     def test_no_crossing_bipartition_only_changes_tag(self, grid_3x4):
         # a patch of an already-patched circuit removes nothing new
         c = rb.standard_circuit(grid_3x4, 8, seed=0)
-        parts = grid_bipartition(c, "col")
+        parts = grid_parts(c, col_cuts=(2,))
         p1 = rb.make_patch(c, parts)
         p2 = rb.make_patch(p1, parts)
         assert p1.cycles == p2.cycles
@@ -102,7 +102,7 @@ class TestPatch:
     def test_crossing_gates_removed_every_cycle(self):
         topo = rb.assign_patterns(rb.build_grid(2, 4))
         c = rb.standard_circuit(topo, 8, seed=0)
-        parts = grid_bipartition(c, "col", at=2)
+        parts = grid_parts(c, col_cuts=(2,))
         p = rb.make_patch(c, parts)
         assert crossing_count(p, parts[0]) == 0
         assert p.variant == "patch"
@@ -111,7 +111,7 @@ class TestPatch:
 
     def test_gate_count_identity(self, grid_4x4):
         c = rb.standard_circuit(grid_4x4, 10, seed=1)
-        parts = grid_bipartition(c, "col")
+        parts = grid_parts(c, col_cuts=(2,))
         p = rb.make_patch(c, parts)
         assert (c.n_two_qubit_gates - p.n_two_qubit_gates
                 == crossing_count(c, parts[0]))
@@ -122,24 +122,75 @@ class TestPatch:
             rb.make_patch(c, ({0, 1}, {2, 3}))  # does not cover active set
         with pytest.raises(InputError):
             rb.make_patch(c, (set(c.qubits), set()))
+        with pytest.raises(InputError):
+            rb.make_patch(c, (set(c.qubits), {0}))  # parts overlap
+        with pytest.raises(InputError):
+            rb.make_patch(c, (set(c.qubits),))  # one part
+
+    def test_parts_sorted_and_ordered_by_lowest_qubit(self, grid_3x4):
+        c = rb.standard_circuit(grid_3x4, 4, seed=0)
+        left, right = grid_parts(c, col_cuts=(2,))
+        p = rb.make_patch(c, (set(right), list(reversed(left))))
+        assert p.parts == (left, right)
+
+    def test_patch_of_a_patch_stores_the_refinement(self, grid_4x4):
+        c = rb.standard_circuit(grid_4x4, 12, seed=3)
+        quadrants = grid_parts(c, row_cuts=(2,), col_cuts=(2,))
+        twice = rb.make_patch(rb.make_patch(c, grid_parts(c, row_cuts=(2,))),
+                              grid_parts(c, col_cuts=(2,)))
+        assert twice.parts == quadrants
+        assert twice.cycles == rb.make_patch(c, quadrants).cycles
+
+    def test_elided_stores_the_parts_it_was_given(self, grid_4x4):
+        c = rb.standard_circuit(grid_4x4, 12, seed=3)
+        cols = grid_parts(c, col_cuts=(2,))
+        e = rb.make_elided(rb.make_patch(c, grid_parts(c, row_cuts=(2,))), cols, 3)
+        assert e.parts == cols
+
+
+class TestGridParts:
+    def test_row_major_bands(self, grid_3x4):
+        c = rb.standard_circuit(grid_3x4, 2, seed=0)
+        assert grid_parts(c, row_cuts=(1,), col_cuts=(2,)) == (
+            (0, 1), (2, 3), (4, 5, 8, 9), (6, 7, 10, 11))
+        assert grid_parts(c) == (c.qubits,)
+
+    @pytest.mark.parametrize("row_cuts, col_cuts", [
+        ((), (0,)), ((), (4,)), ((3,), ()), ((), (2, 1)), ((), (2, 2)),
+    ])
+    def test_cut_outside_or_out_of_order_rejected(self, grid_3x4, row_cuts, col_cuts):
+        c = rb.standard_circuit(grid_3x4, 2, seed=0)
+        with pytest.raises(InputError):
+            grid_parts(c, row_cuts, col_cuts)
+
+    def test_part_without_active_qubit_rejected(self):
+        topo = rb.assign_patterns(rb.build_grid(3, 3, excluded=(0, 1, 3, 4)))
+        c = rb.standard_circuit(topo, 2, seed=0)
+        assert grid_parts(c, col_cuts=(2,)) == ((6, 7), (2, 5, 8))
+        with pytest.raises(InputError):
+            grid_parts(c, row_cuts=(2,), col_cuts=(2,))
+
+    def test_demo60_quadrants(self, demo60):
+        c = rb.standard_circuit(demo60, 2, seed=0)
+        assert [len(p) for p in grid_parts(c, (5,), (3,))] == [13, 14, 16, 17]
 
 
 class TestElided:
     def test_keep_all_equals_full(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 10, seed=2)
-        parts = grid_bipartition(c, "col")
+        parts = grid_parts(c, col_cuts=(2,))
         e = rb.make_elided(c, parts, keep_last=10)
         assert e.cycles == c.cycles
         assert e.variant == "elided"
 
     def test_keep_none_equals_patch(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 10, seed=2)
-        parts = grid_bipartition(c, "col")
+        parts = grid_parts(c, col_cuts=(2,))
         assert rb.make_elided(c, parts, 0).cycles == rb.make_patch(c, parts).cycles
 
     def test_window_of_cross_gates(self, grid_4x4):
         c = rb.standard_circuit(grid_4x4, 10, seed=2)
-        parts = grid_bipartition(c, "col")
+        parts = grid_parts(c, col_cuts=(2,))
         e = rb.make_elided(c, parts, keep_last=6)
         side = frozenset(parts[0])
         for i, cyc in enumerate(e.cycles):
@@ -151,7 +202,7 @@ class TestElided:
 
     def test_invalid_keep_last_rejected(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 10, seed=2)
-        parts = grid_bipartition(c, "col")
+        parts = grid_parts(c, col_cuts=(2,))
         for bad in (-1, 11):
             with pytest.raises(InputError):
                 rb.make_elided(c, parts, bad)
@@ -186,7 +237,42 @@ class TestExtractAndParams:
                     assert p == rb.DEFAULT_FSIM
 
 
+def _patch_doc(circuit, parts):
+    doc = circuit_to_dict(circuit)
+    doc["variant"], doc["parts"] = "patch", [list(p) for p in parts]
+    return doc
+
+
 class TestSerialization:
+    def test_parts_round_trip(self, grid_4x4):
+        c = rb.standard_circuit(grid_4x4, 6, seed=9)
+        p = rb.make_patch(c, grid_parts(c, (2,), (2,)))
+        doc = json.loads(json.dumps(circuit_to_dict(p)))
+        assert doc["format"] == "rcsbench.circuit.v2"
+        assert circuit_from_dict(doc) == p
+
+    def test_v1_document_rejected(self, grid_3x4):
+        doc = circuit_to_dict(rb.standard_circuit(grid_3x4, 4, seed=9))
+        doc["format"] = "rcsbench.circuit.v1"
+        with pytest.raises(InputError, match="not a circuit document"):
+            circuit_from_dict(doc)
+
+    def test_patch_with_a_gate_joining_two_parts_rejected(self, grid_3x4):
+        c = rb.standard_circuit(grid_3x4, 4, seed=9)
+        with pytest.raises(InputError, match="joins two parts"):
+            circuit_from_dict(_patch_doc(c, grid_parts(c, col_cuts=(2,))))
+        patch = rb.make_patch(c, grid_parts(c, col_cuts=(2,)))
+        assert circuit_from_dict(_patch_doc(patch, patch.parts)) == patch
+
+    @pytest.mark.parametrize("parts", [
+        [list(range(12)), [0]], [list(range(6)), list(range(6, 11))], [list(range(12))],
+    ], ids=["overlap", "missing-qubit", "one-part"])
+    def test_bad_parts_rejected(self, grid_3x4, parts):
+        doc = circuit_to_dict(rb.standard_circuit(grid_3x4, 4, seed=9))
+        doc["parts"] = parts
+        with pytest.raises(InputError):
+            circuit_from_dict(doc)
+
     def test_round_trip_bit_exact(self, grid_3x4):
         gen = np.random.default_rng(0)
         params = {
@@ -200,7 +286,7 @@ class TestSerialization:
 
     def test_variant_round_trip(self, grid_3x4, tmp_path):
         c = rb.standard_circuit(grid_3x4, 10, seed=9)
-        e = rb.make_elided(c, grid_bipartition(c, "col"), 6)
+        e = rb.make_elided(c, grid_parts(c, col_cuts=(2,)), 6)
         path = str(tmp_path / "c.json")
         rb.save_circuit(path, e)
         back = rb.load_circuit(path)

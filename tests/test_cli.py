@@ -9,8 +9,10 @@ import pytest
 from oracles import draw_words_by_searchsorted
 
 import rcsbench as rb
-from rcsbench import rng
+from rcsbench import costmodel, rng, simulator
+from rcsbench.circuit import CIRCUIT_FORMAT
 from rcsbench.cli import EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
+from rcsbench.topology import TOPOLOGY_FORMAT
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +234,17 @@ class TestExitCodes:
                 "--bootstrap", "0", "--max-p-zero", "-1", "-o", str(tmp_path / "a.json")]
         assert main(argv) == EXIT_HYPOTHESIS
 
+    def test_out_of_memory_exits_4(self, small_circuit, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(simulator, "run", out_of_memory)
+        circuit, samples = small_circuit
+        argv = ["analyze", "--circuit", circuit, "--samples", samples,
+                "-o", str(tmp_path / "a.json")]
+        assert main(argv) == EXIT_RESOURCE
+        assert capsys.readouterr().err.startswith("resource limit: ")
+
 
 def _input_argv(kind, path, small_circuit, tmp_path):
     """A command that reads ``path`` as its ``kind`` input."""
@@ -277,10 +290,25 @@ class TestInputFiles:
     def test_document_missing_a_key_exits_2(self, small_circuit, tmp_path, capsys,
                                             kind, key):
         path = tmp_path / f"{kind}.json"
-        path.write_text(json.dumps({"format": f"rcsbench.{kind}.v1"}))
+        fmt = {"circuit": CIRCUIT_FORMAT, "topology": TOPOLOGY_FORMAT}[kind]
+        path.write_text(json.dumps({"format": fmt}))
         assert main(_input_argv(kind, str(path), small_circuit, tmp_path)) == EXIT_INPUT
         err = capsys.readouterr().err
         assert str(path) in err and f"missing key '{key}'" in err
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param({"format": "rcsbench.circuit.v1"}, id="v1"),
+        pytest.param({"variant": "patch", "parts": [[0, 1, 2], [3, 4, 5, 6, 7, 8]]},
+                     id="patch-gate-joins-two-parts"),
+        pytest.param({"parts": [list(range(9)), [0]]}, id="parts-overlap"),
+        pytest.param({"parts": [[0, 1, 2], [3, 4, 5, 6, 7]]}, id="parts-miss-a-qubit"),
+    ])
+    def test_bad_circuit_document_exits_2(self, small_circuit, tmp_path, capsys, edit):
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps({**json.loads(Path(small_circuit[0]).read_text()),
+                                    **edit}))
+        assert main(_input_argv("circuit", str(path), small_circuit, tmp_path)) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_noise_rate_of_wrong_type_exits_2(self, small_circuit, tmp_path, capsys):
         path = tmp_path / "noise.json"
@@ -365,6 +393,22 @@ class TestGenerateVariantsReport:
                 "--keep-last", "7", "-o", str(tmp_path / "v.json")]
         assert main(argv) == EXIT_INPUT
 
+    def test_demo60_patch_cut_twice_scores_its_quadrants(self, tmp_path):
+        circuit, rows, quadrants, samples, out = (
+            str(tmp_path / name) for name in ("c.json", "r.json", "q.json", "s.bin", "a.json"))
+        assert main(["generate", "--topology", "demo60", "--cycles", "24", "--seed", "1",
+                     "-o", circuit]) == EXIT_OK
+        assert main(["variants", "--circuit", circuit, "--mode", "patch", "--split", "row",
+                     "--at", "5", "-o", rows]) == EXIT_OK
+        assert main(["variants", "--circuit", rows, "--mode", "patch", "--split", "col",
+                     "--at", "3", "-o", quadrants]) == EXIT_OK
+        words = np.random.default_rng(7).integers(0, 1 << 60, 20_000, dtype=np.uint64)
+        rb.save_samples(samples, rb.SampleSet(60, words))
+        assert main(["analyze", "--circuit", quadrants, "--samples", samples,
+                     "-o", out]) == EXIT_OK
+        records = json.loads(Path(out).read_text())["instances"][0]["ks_records"]
+        assert sorted(r["n_qubits"] for r in records) == [13, 14, 16, 17]
+
     def test_report_rerun_byte_identical(self, small_circuit, tmp_path):
         circuit, samples = small_circuit
         assert main(["analyze", "--circuit", circuit, "--samples", samples,
@@ -406,8 +450,7 @@ def _tnc(circuit, out, *extra):
 
 
 def _sfa(out, *extra):
-    return main(["cost", "sfa", "--fidelity", "0.01", "--n-samples", "1e6",
-                 *extra, "-o", str(out)])
+    return main(["cost", "sfa", "--fidelity", "0.01", *extra, "-o", str(out)])
 
 
 class TestCost:
@@ -419,7 +462,7 @@ class TestCost:
         def run_once():
             if mode == "tnc":
                 return _tnc(cost_circuit, out)
-            return _sfa(out, "--circuit", cost_circuit)
+            return _sfa(out, "--circuit", cost_circuit, "--n-samples", "1e6")
 
         assert run_once() == EXIT_OK
         first = out.read_bytes(), manifest.read_bytes()
@@ -454,6 +497,25 @@ class TestCost:
         assert missing in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("--n-samples", "1e6", "--fidelity", "2"),
+        ("--n-samples", "-1", "--fidelity", "0.01"),
+        ("--n-samples", "1e6", "--fidelity", "0.01", "--reference-flops", "0"),
+        ("--n-samples", "1e6", "--fidelity", "0.01", "--reference-seconds", "-1"),
+    ])
+    def test_bad_sampling_flag_exits_2_before_the_search(self, cost_circuit, tmp_path,
+                                                         capsys, monkeypatch, flags):
+        def search(*args, **kwargs):
+            raise AssertionError("built or searched the network")
+
+        monkeypatch.setattr(costmodel, "circuit_to_tn", search)
+        monkeypatch.setattr(costmodel, "find_path_greedy_full", search)
+        out = tmp_path / "tnc.json"
+        assert main(["cost", "tnc", "--circuit", cost_circuit, "--restarts", "1",
+                     *flags, "-o", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_zero_samples_cost_nothing(self, cost_circuit, tmp_path):
         out = tmp_path / "tnc.json"
         assert _tnc(cost_circuit, out, "--n-samples", "0") == EXIT_OK
@@ -477,7 +539,8 @@ class TestCost:
             if mode == "tnc":
                 assert _tnc(cost_circuit, out, flag, value) == EXIT_OK
             else:
-                assert _sfa(out, "--circuit", cost_circuit, flag, value) == EXIT_OK
+                assert _sfa(out, "--circuit", cost_circuit, "--n-samples", "1e6",
+                            flag, value) == EXIT_OK
             hashes.append(json.loads(manifest.read_bytes())["config_sha256"])
         assert hashes[0] != hashes[1]
 
@@ -523,6 +586,26 @@ class TestCost:
 
     def test_synthetic_sfa_negative_g_exits_2(self, tmp_path):
         assert _sfa(tmp_path / "sfa.json", "--g", "-1", "--delta-theta", "0.1") == EXIT_INPUT
+
+    def test_synthetic_sfa_with_n_samples_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sfa.json"
+        assert _sfa(out, "--g", "3", "--delta-theta", "0.1",
+                    "--n-samples", "1e6") == EXIT_INPUT
+        assert "--circuit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_samples", [(), ("--n-samples", "0")], ids=["absent", "zero"])
+    def test_sfa_extrapolates_when_n_samples_is_given(self, cost_circuit, tmp_path,
+                                                      n_samples):
+        out = tmp_path / "sfa.json"
+        assert _sfa(out, "--circuit", cost_circuit, *n_samples) == EXIT_OK
+        doc = json.loads(out.read_bytes())
+        if not n_samples:
+            assert "runtime_extrapolation" not in doc
+        else:
+            extrapolation = doc["runtime_extrapolation"]
+            assert extrapolation["n_samples"] == 0
+            assert extrapolation["total_flops"] == extrapolation["runtime_years"] == 0
 
     def test_sfa_without_circuit_or_g_exits_2(self, tmp_path):
         assert _sfa(tmp_path / "sfa.json") == EXIT_INPUT

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rcsbench as rb
-from rcsbench.circuit import grid_bipartition
+from rcsbench.circuit import grid_parts
 from rcsbench.costmodel import (
     SUMMIT_REFERENCE,
     ContractionPath,
@@ -412,14 +412,14 @@ class TestSchmidt:
 class TestSfaCut:
     def test_patch_circuit_has_zero_g(self, grid_4x4):
         c = rb.standard_circuit(grid_4x4, 10, seed=5)
-        parts = grid_bipartition(c, "col")
+        parts = grid_parts(c, col_cuts=(2,))
         patch = rb.make_patch(c, parts)
         cut = sfa_cut(patch, parts)
         assert cut.g == 0
 
     def test_counting_oracle(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 8, seed=5)
-        parts = grid_bipartition(c, "col", at=2)
+        parts = grid_parts(c, col_cuts=(2,))
         side = frozenset(parts[0])
         want = sum(
             1 for cyc in c.cycles for a, b, _ in cyc.two_qubit
@@ -429,7 +429,7 @@ class TestSfaCut:
 
     def test_full_scale_24_cycles_gives_54(self, demo60):
         c = rb.standard_circuit(demo60, 24, seed=0)
-        cut = sfa_cut(c, grid_bipartition(c, "col", at=3))
+        cut = sfa_cut(c, grid_parts(c, col_cuts=(3,)))
         assert cut.g == 54
         assert len(cut.spectra) == 54
         assert all(abs(d) < 1e-12 for d in cut.delta_theta)  # default theta=pi/2
@@ -437,14 +437,14 @@ class TestSfaCut:
     def test_delta_theta_recorded(self, grid_3x4):
         params = rb.FsimParams(np.pi / 2 - 0.07, np.pi / 18)
         c = rb.standard_circuit(grid_3x4, 8, seed=5, params=params)
-        cut = sfa_cut(c, grid_bipartition(c, "col", at=2))
+        cut = sfa_cut(c, grid_parts(c, col_cuts=(2,)))
         assert all(abs(d - 0.07) < 1e-12 for d in cut.delta_theta)
 
 
 class TestSfaSpeedup:
     @staticmethod
     def uniform_cut(g, spectrum):
-        return CutAnalysis(bipartition=(), g=g, spectra=(spectrum,) * g,
+        return CutAnalysis(g=g, spectra=(spectrum,) * g,
                            delta_theta=(0.0,) * g, path_count=4.0**g)
 
     def test_balanced_at_zero_budget(self):
@@ -471,7 +471,7 @@ class TestSfaSpeedup:
 
     def test_empty_cut_speedup_one(self, grid_4x4):
         c = rb.standard_circuit(grid_4x4, 10, seed=5)
-        parts = grid_bipartition(c, "col")
+        parts = grid_parts(c, col_cuts=(2,))
         patch = rb.make_patch(c, parts)
         assert sfa_speedup(sfa_cut(patch, parts), 0.5) == 1.0
 
@@ -480,12 +480,12 @@ class TestSfaSpeedup:
         spectrum = tuple(float(v) for v in schmidt_values(
             fsim_matrix(FsimParams(np.pi / 2 - 0.1, 0.0))))
         assert sfa_speedup(self.uniform_cut(511, spectrum), 0.01) >= 1.0
-        cut = CutAnalysis(bipartition=(), g=512, spectra=(spectrum,) * 512,
+        cut = CutAnalysis(g=512, spectra=(spectrum,) * 512,
                           delta_theta=(0.1,) * 512, path_count=math.inf)
         with pytest.raises(ResourceLimitError):
             sfa_speedup(cut, 0.01)
         with pytest.raises(ResourceLimitError):
-            cut_analysis((), [FsimParams(np.pi / 2 - 0.1, 0.0)] * 512, [0.1] * 512)
+            cut_analysis([FsimParams(np.pi / 2 - 0.1, 0.0)] * 512, [0.1] * 512)
 
     def test_rejects_bad_budget(self):
         cut = self.uniform_cut(1, (2.0, 0.0, 0.0, 0.0))

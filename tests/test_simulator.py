@@ -9,7 +9,7 @@ from scipy import stats
 
 import rcsbench as rb
 from rcsbench import rng, simulator
-from rcsbench.circuit import Circuit, Cycle, grid_bipartition
+from rcsbench.circuit import Circuit, Cycle, grid_parts
 from rcsbench.errors import InputError, ResourceLimitError
 from rcsbench.gates import FsimParams, SingleQubitGate, fsim_matrix
 from rcsbench.simulator import (_execute, _work_buffers, adjoint_gradient,
@@ -216,7 +216,7 @@ class TestCompiledProgram:
 
     def test_patch_elided_and_subcircuit(self):
         c = random_param_circuit(3, 4, 8, seed=32)
-        bip = grid_bipartition(c, "col")
+        bip = grid_parts(c, col_cuts=(2,))
         assert_matches_oracle(rb.make_patch(c, bip))
         assert_matches_oracle(rb.make_elided(c, bip, keep_last=3))
         assert_matches_oracle(rb.extract_subcircuit(c, sorted(bip[0])))

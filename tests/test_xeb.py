@@ -6,8 +6,9 @@ from scipy import integrate, special, stats
 
 import rcsbench as rb
 from rcsbench import xeb
-from rcsbench.circuit import grid_bipartition
+from rcsbench.circuit import grid_parts
 from rcsbench.errors import InputError
+from rcsbench.samples import pack_bits
 from rcsbench.xeb import ProbabilityRecord
 
 from oracles import fit_gaussian_sigma, pt_pdf
@@ -248,12 +249,27 @@ class TestProductXeb:
 
     def test_patch_evaluation_factorizes(self, grid_4x4):
         c = rb.standard_circuit(grid_4x4, 10, seed=3)
-        patch = rb.make_patch(c, grid_bipartition(c, "col"))
+        patch = rb.make_patch(c, grid_parts(c, col_cuts=(2,)))
         state = rb.run(patch)
         ss = rb.sample_ideal(state, 50_000, seed=31)
         est, records = rb.measured_xeb(patch, ss)
         assert len(records) == 2
         assert abs(est.fidelity - 1.0) < 4 * est.sigma
+
+    def test_patch_of_a_patch_scores_each_quadrant(self, grid_4x4):
+        # cut by row, then by column: the state factorises over the quadrants
+        c = rb.standard_circuit(grid_4x4, 12, seed=3)
+        patch = rb.make_patch(rb.make_patch(c, grid_parts(c, row_cuts=(2,))),
+                              grid_parts(c, col_cuts=(2,)))
+        n_samples = 20_000
+        bits = np.zeros((n_samples, patch.n_qubits), dtype=np.uint8)
+        for i, part in enumerate(patch.parts):
+            state = rb.run(rb.extract_subcircuit(patch, part))
+            words = rb.sample_noisy_speckle(state, 0.5, n_samples, seed=101 + i)
+            bits[:, [patch.qubits.index(q) for q in part]] = words.bits()
+        est, records = rb.measured_xeb(patch, rb.SampleSet(patch.n_qubits, pack_bits(bits)))
+        assert len(records) == 4
+        assert abs(est.fidelity - 0.5 ** 4) < 5 * est.sigma
 
 
 class TestEstimatorUnbiasedness:
