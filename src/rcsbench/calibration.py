@@ -27,7 +27,10 @@ The BFGS line search backtracks from the full step, halving it
 condition holds with constant `_ARMIJO_C` = 1e-4.
 
 The loss is a deterministic pure function of (gamma, b_train); patch
-optimizations are independent of each other and of evaluation order.
+optimizations are independent of each other and of evaluation order.  A
+patch solve holds six states and a float64 histogram of 2^n entries;
+`calibrate_patches` checks that the patches its workers may solve at once
+fit in physical memory before it solves any.
 """
 from __future__ import annotations
 
@@ -40,13 +43,13 @@ from .errors import InputError
 from .gates import FsimParams, fsim_derivative, fsim_matrix
 from .samples import SampleSet
 from .simulator import (
-    DEFAULT_QUBIT_LIMIT,
     Program,
-    _check_limit,
     adjoint_gradient,
+    check_memory,
     compile_circuit,
     execute,
     fan_out,
+    memory_need,
 )
 
 PARAM_NAMES = ("theta", "phi", "delta_plus", "delta_minus", "delta_minus_off")
@@ -64,6 +67,8 @@ class OptimizerConfig:
     grad_tol: float = 1e-5         # infinity-norm convergence threshold
 
     def __post_init__(self) -> None:
+        if self.max_iters < 0:
+            raise InputError("max_iters must not be negative")
         if self.grad_tol <= 0:
             raise InputError("grad_tol must be positive")
 
@@ -114,14 +119,14 @@ class CalibrationProblem:
             raise InputError("training bitstring width does not match the patch")
         if self.b_train.n_samples < 1:
             raise InputError("training set holds no bitstrings")
-        _check_limit(self.patch_circuit.n_qubits, DEFAULT_QUBIT_LIMIT)
+        n = self.patch_circuit.n_qubits
+        check_memory(_solve_bytes(n), f"a {n}-qubit patch")
         self.base = self.patch_circuit.coupler_params()
         if not self.base:
             raise InputError("no coupler fires in the patch; nothing to calibrate")
         self.couplers = tuple(sorted(self.base))
         # SampleSet words fit the bitstring width, so the int64 view is exact.
-        counts = np.bincount(self.b_train.words.view(np.int64),
-                             minlength=1 << self.patch_circuit.n_qubits)
+        counts = np.bincount(self.b_train.words.view(np.int64), minlength=1 << n)
         self.weights = counts / float(self.b_train.n_samples)
         self.program = compile_circuit(self.patch_circuit)
         index = {key: i for i, key in enumerate(self.couplers)}
@@ -135,6 +140,13 @@ class CalibrationProblem:
     @property
     def dim(self) -> int:
         return len(self.couplers) * len(self.trainable)
+
+
+def _solve_bytes(n_qubits: int) -> int:
+    """Bytes one patch solve holds: the gradient's six states (the adjoint
+    sweep's four and the cotangent's float64 temporaries) and the float64
+    training histogram."""
+    return memory_need(n_qubits, 6, 1)
 
 
 def pack_params(
@@ -305,7 +317,7 @@ def split_grid_patches(
     """
     patches = grid_parts(circuit, row_cuts, col_cuts)
     label = part_of(patches)
-    ends = [(label[c.a.linear], label[c.b.linear], c.key)
+    ends = [(label[c.a], label[c.b], c.key)
             for c in circuit.topology.enabled_couplers]
     internal = tuple(tuple(sorted(key for a, b, key in ends if a == b == i))
                      for i in range(len(patches)))
@@ -361,6 +373,12 @@ def calibrate_patches(
     if len(trains) != len(patch_circuits):
         raise InputError(
             f"{len(patch_circuits)} patches but {len(trains)} training sets")
+
+    # the largest patches that ``threads`` workers may solve at once (none
+    # for threads < 1, which `fan_out` rejects)
+    at_once = sorted((_solve_bytes(c.n_qubits) for c in patch_circuits),
+                     reverse=True)[:max(threads, 0)]
+    check_memory(sum(at_once), f"solving {len(at_once)} patches at once")
 
     solved: list[tuple[PatchResult, ParamMap]] = [None] * len(patch_circuits)
 

@@ -182,18 +182,17 @@ def cmd_sample(args) -> int:
     circ = circuit_mod.load_circuit(args.circuit)
     noise = _load_noise(args.noise)
     if args.model == "ideal":
-        state = simulator.run(circ, limit=args.limit)
+        state = simulator.run(circ)
         samples = simulator.sample_ideal(state, args.n_samples, args.seed)
     elif args.model == "speckle":
         if args.fidelity is None:
             raise InputError("--fidelity is required for the speckle model")
-        state = simulator.run(circ, limit=args.limit)
+        state = simulator.run(circ)
         samples = simulator.sample_noisy_speckle(
             state, args.fidelity, args.n_samples, args.seed)
     elif args.model == "trajectory":
         samples = simulator.sample_trajectory(
-            circ, noise, args.n_samples, args.seed,
-            limit=args.limit, threads=args.threads)
+            circ, noise, args.n_samples, args.seed, threads=args.threads)
     else:
         raise InputError(f"unknown sampling model {args.model!r}")
     if args.readout:
@@ -389,9 +388,21 @@ def cmd_cost_tnc(args) -> int:
     return EXIT_OK
 
 
+def _sfa_runtime(flops_per_sample: float, args) -> costmodel.CostReport:
+    """`costmodel.estimate_sampling_cost` on ``--cores`` cores of
+    ``--core-flops`` each, a reference machine that does their product of
+    flops in one second."""
+    if not (args.cores > 0 and args.core_flops > 0):
+        raise InputError("--cores and --core-flops must be positive")
+    return costmodel.estimate_sampling_cost(
+        flops_per_sample, args.n_samples, args.fidelity, (args.cores * args.core_flops, 1.0))
+
+
 def cmd_cost_sfa(args) -> int:
     if args.circuit:
         circ = circuit_mod.load_circuit(args.circuit)
+        if args.n_samples is not None:  # reject bad runtime flags before the cut
+            _sfa_runtime(0.0, args)
         parts = _one_cut(circ, args.split, args.at)
         cut = costmodel.sfa_cut(circ, parts)
         inputs = [args.circuit]
@@ -425,16 +436,14 @@ def cmd_cost_sfa(args) -> int:
     if args.n_samples is not None:
         # modeled runtime: effective paths times both halves' statevector work
         per_path = 4.0 * sum(2.0 ** len(part) for part in parts)
-        effective_paths = costmodel.balanced_paths(cut) / speedup
-        total = effective_paths * per_path * args.n_samples * args.fidelity
-        seconds = total / (args.cores * args.core_flops)
+        report = _sfa_runtime(costmodel.balanced_paths(cut) / speedup * per_path, args)
         doc["runtime_extrapolation"] = {
             "n_samples": args.n_samples,
             "cores": args.cores,
             "flops_per_core": args.core_flops,
-            "total_flops": total,
-            "runtime_seconds": seconds,
-            "runtime_years": seconds / costmodel.YEAR_SECONDS,
+            "total_flops": report.total_flops,
+            "runtime_seconds": report.runtime_seconds,
+            "runtime_years": report.runtime_years,
         }
     _dump_json(args.output, doc)
     _write_manifest(args.output, "cost sfa", {
@@ -526,7 +535,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="apply readout errors after sampling")
     p.add_argument("-n", "--n-samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--limit", type=int, default=simulator.DEFAULT_QUBIT_LIMIT)
     p.add_argument("--threads", type=int, default=1,
                    help="only --model trajectory uses these worker threads; "
                         "the ideal and speckle models draw on one")

@@ -430,15 +430,21 @@ def estimate_sampling_cost(
 
     total = flops_per_sample * n_samples * fidelity (the perfect-sample
     equivalent count); runtime scales the reference machine's seconds by
-    total / reference flops.
+    total / reference flops.  A NaN or infinite sample count or reference
+    is an `InputError`; a total or runtime past the float range raises
+    `ResourceLimitError`.
     """
+    flops_ref, seconds_ref = reference
+    if not all(math.isfinite(v) for v in (n_samples, flops_ref, seconds_ref)):
+        raise InputError("sample count and reference throughput must be finite")
     if flops_per_sample < 0 or n_samples < 0 or not 0 <= fidelity <= 1:
         raise InputError("cost inputs must be nonnegative, fidelity in [0, 1]")
-    flops_ref, seconds_ref = reference
     if flops_ref <= 0 or seconds_ref <= 0:
         raise InputError("reference throughput must be positive")
     total = flops_per_sample * n_samples * fidelity
     seconds = total / flops_ref * seconds_ref
+    if not math.isfinite(seconds):
+        raise ResourceLimitError("the sampling cost is past the float range")
     return CostReport(
         flops_per_sample=flops_per_sample,
         n_samples=n_samples,

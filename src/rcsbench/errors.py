@@ -7,7 +7,9 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured resource limit (qubit count, tensor count) was exceeded."""
+    """A resource limit was exceeded: a state-vector path would hold more
+    bytes than the machine's physical memory, or a cost left the float
+    range."""
 
 
 def json_object(doc, what: str) -> dict:

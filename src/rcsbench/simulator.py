@@ -3,8 +3,7 @@
 Conventions: qubit 0 is the most significant bit of the state index, and the
 sampled word equals that index.  For a two-qubit gate the first qubit argument
 is the high bit of the 4x4 matrix basis.  Amplitudes are complex128 by
-default (complex64 on request); the qubit limit (default 30) guards against
-accidental huge allocations.
+default (complex64 on request).
 
 A circuit is compiled once (`compile_circuit`) into a program of fused ops.
 Within a cycle every single-qubit gate comes before the two-qubit layer, so
@@ -47,13 +46,16 @@ per outcome (the probabilities, made cumulative in place) plus the draws: the
 uniforms at a time (`_DRAW_CHUNK`).
 
 Memory, in states of 2^n amplitudes: `run`, sampling from its state,
-`xeb.measured_xeb` and the calibration loss hold 2, the work buffers.
-Trajectories hold their checkpoints (none for cycle 0: a replay from it
-writes |0...0> into a work buffer), 2^n float64 for the ideal cumulative
-distribution (1/2 state at complex128), and 2 per worker; each replay builds
-its cumulative distribution in its worker's buffers.  The adjoint sweep
-holds 4, two pairs of conj(psi) and conj(lambda), at any depth.  The default
-limit of 30 qubits therefore means 2 x 16 GiB at complex128 for a run.
+`xeb.measured_xeb` (per part) and the calibration loss hold 2, the work
+buffers.  Trajectories hold their checkpoints (none for cycle 0: a replay
+from it writes |0...0> into a work buffer), 2^n float64 for the ideal
+cumulative distribution (1/2 state at complex128), and 2 per worker; each
+replay builds its cumulative distribution in its worker's buffers.  The
+adjoint sweep holds 4, two pairs of conj(psi) and conj(lambda), at any
+depth.  Before it allocates, each path adds up these bytes
+(`memory_need`) and raises `ResourceLimitError` if they exceed the
+machine's physical memory (`check_memory`): at complex128 a run of 28
+qubits needs 8 GiB, and one of 40 qubits 32 TiB.
 
 Two noise models ship: a speckle mixture (each sample comes from the ideal
 distribution with probability F, uniform otherwise) and Pauli-trajectory
@@ -70,6 +72,7 @@ from __future__ import annotations
 
 import contextvars
 import numbers
+import os
 import threading
 from dataclasses import dataclass
 from functools import reduce
@@ -82,7 +85,9 @@ from .errors import InputError, ResourceLimitError
 from .gates import GATE_KINDS, fsim_matrix, sq_matrix
 from .samples import SampleSet, pack_bits
 
-DEFAULT_QUBIT_LIMIT = 30
+# The machine's physical memory in bytes, read once: the most that a path
+# may plan to hold (see `check_memory`).
+_MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 # Qubits of the largest fused op.  An op costs 2^k complex multiply-adds per
 # amplitude, and the rotating layout moves no data between the ops of a
@@ -373,14 +378,22 @@ def apply_two(state: StateVector, qubits: tuple[int, int], u: np.ndarray) -> Sta
     return _apply(state, (q1, q2), u)
 
 
-def _check_limit(n: int, limit: int) -> None:
-    if n > limit:
+def memory_need(n_qubits: int, states: int, float64s: int = 0, dtype=np.complex128) -> int:
+    """Bytes of ``states`` states of 2^n ``dtype`` amplitudes and ``float64s``
+    arrays of 2^n float64."""
+    return (states * np.dtype(dtype).itemsize + 8 * float64s) << n_qubits
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise `ResourceLimitError` if ``what`` needs more than the machine's
+    physical memory; called before ``what`` allocates."""
+    if need > _MEMORY_BUDGET:
         raise ResourceLimitError(
-            f"circuit has {n} qubits, exceeding the simulator limit {limit}")
+            f"{what} needs {need / 2**30:.4g} GiB, more than the "
+            f"{_MEMORY_BUDGET / 2**30:.4g} GiB of physical memory")
 
 
-def run(circuit: Circuit, limit: int = DEFAULT_QUBIT_LIMIT,
-        dtype=np.complex128) -> StateVector:
+def run(circuit: Circuit, dtype=np.complex128) -> StateVector:
     """Evolve |0...0> through every cycle of the circuit.
 
     The circuit is compiled once into fused ops (see `compile_circuit`),
@@ -388,8 +401,9 @@ def run(circuit: Circuit, limit: int = DEFAULT_QUBIT_LIMIT,
     ``numpy.complex64`` for speed at reduced precision; the fused matrices
     are formed in double precision and then rounded.
     """
-    _check_limit(circuit.n_qubits, limit)
-    return StateVector(circuit.n_qubits, execute(compile_circuit(circuit, dtype)))
+    n = circuit.n_qubits
+    check_memory(memory_need(n, 2, dtype=dtype), f"a {n}-qubit run")
+    return StateVector(n, execute(compile_circuit(circuit, dtype)))
 
 
 def execute(program: Program) -> np.ndarray:
@@ -573,7 +587,6 @@ def sample_trajectory(
     noise: NoiseModel,
     n_samples: int,
     seed: int,
-    limit: int = DEFAULT_QUBIT_LIMIT,
     threads: int = 1,
     dtype=np.complex128,
 ) -> SampleSet:
@@ -594,21 +607,23 @@ def sample_trajectory(
     of its first error, and replays the rest with each Pauli folded into the
     fused op that holds its site.
     """
-    n = circuit.n_qubits
-    _check_limit(n, limit)
+    n, n_cycles = circuit.n_qubits, circuit.n_cycles
     if n_samples < 1:
         raise InputError(f"need at least one sample, got {n_samples}")
 
-    program = compile_circuit(circuit, dtype)
-    n_cycles = len(program.cycles)
-    e_vec = np.array([noise.e2 if len(s.qubits) == 2 else noise.e1
-                      for s in program.sites])
-
     stride = 1
-    state_bytes = (1 << n) * program.dtype.itemsize
+    state_bytes = memory_need(n, 1, dtype=dtype)
     while (stride < n_cycles
            and state_bytes * len(range(stride, n_cycles, stride)) > _CHECKPOINT_BUDGET):
         stride *= 2
+    states = len(range(stride, n_cycles, stride)) + 2 * min(threads, n_samples)
+    check_memory(memory_need(n, states, 1, dtype),
+                 f"sampling {n_samples} trajectories of {n} qubits on {threads} threads")
+
+    program = compile_circuit(circuit, dtype)
+    e_vec = np.array([noise.e2 if len(s.qubits) == 2 else noise.e1
+                      for s in program.sites])
+
     # Checkpoint i > 0 is the state before cycle i * stride, copied out of the
     # work buffers for the replays to read; a replay from cycle 0 starts at _vacuum.
     checkpoints = [None]

@@ -1,11 +1,11 @@
 """Rectangular qubit lattice, nearest-neighbor couplers, and activation patterns.
 
-Qubits sit on a ``rows x cols`` grid and are addressed either by ``(row, col)``
-or by the linear index ``row * cols + col``.  Enabled couplers are exactly the
-nearest-neighbor pairs of active qubits minus any broken pairs.  Every enabled
-coupler carries one of four pattern labels A-D; a pattern is the set of
-couplers activated together in one two-qubit layer, so each label must form a
-matching (no qubit touched twice).
+Qubits sit on a ``rows x cols`` grid and are addressed by the linear index
+``row * cols + col``.  Enabled couplers are exactly the nearest-neighbor pairs
+of active qubits minus any broken pairs.  Every enabled coupler carries one of
+four pattern labels A-D; a pattern is the set of couplers activated together
+in one two-qubit layer, so each label must form a matching (no qubit touched
+twice).
 
 Label rule (diagonal striping, valid on any grid size): a vertical coupler
 with upper endpoint ``(r, c)`` gets A when ``r + c`` is even, else B; a
@@ -30,67 +30,43 @@ DEEP22_SEQUENCE = STANDARD_PERIOD * 2 + ("A", "B", "C", "D") + ("C", "B")
 TOPOLOGY_FORMAT = "rcsbench.topology.v1"
 
 
-@dataclass(frozen=True, order=True)
-class QubitId:
-    """A lattice site; ``linear == row * cols + col`` for its topology."""
-
-    row: int
-    col: int
-    linear: int
-
-
 @dataclass(frozen=True)
 class Coupler:
-    """A nearest-neighbor qubit pair, canonically ordered a.linear < b.linear."""
+    """A nearest-neighbor pair of linear qubit indices, ``a < b``, and its
+    pattern label.  Only `build_grid` makes couplers, from checked pairs."""
 
-    a: QubitId
-    b: QubitId
+    a: int
+    b: int
     pattern: str | None = None
-    enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if self.a.linear >= self.b.linear:
-            raise InputError(f"coupler endpoints out of order: {self.a} {self.b}")
-        if abs(self.a.row - self.b.row) + abs(self.a.col - self.b.col) != 1:
-            raise InputError(f"coupler endpoints not adjacent: {self.a} {self.b}")
 
     @property
     def key(self) -> tuple[int, int]:
-        return (self.a.linear, self.b.linear)
-
-    @property
-    def is_vertical(self) -> bool:
-        return self.a.col == self.b.col
+        return (self.a, self.b)
 
 
 @dataclass(frozen=True)
 class GridTopology:
-    """Active qubits and couplers of a rectangular lattice.
+    """Active qubits (linear indices) and enabled couplers, sorted by key, of
+    a rectangular lattice.
 
     Immutable after construction; safe to share across threads.
     """
 
     rows: int
     cols: int
-    active: frozenset[QubitId]
-    couplers: tuple[Coupler, ...]
-    excluded: frozenset[QubitId]
+    active: frozenset[int]
+    enabled_couplers: tuple[Coupler, ...]
     broken: frozenset[tuple[int, int]]
 
-    def qubit(self, linear: int) -> QubitId:
-        row, col = divmod(linear, self.cols)
-        if not (0 <= row < self.rows):
-            raise InputError(f"linear index {linear} outside {self.rows}x{self.cols} lattice")
-        return QubitId(row, col, linear)
+    @property
+    def excluded(self) -> frozenset[int]:
+        """The lattice sites that are not active."""
+        return frozenset(range(self.rows * self.cols)) - self.active
 
     @property
     def qubits_sorted(self) -> tuple[int, ...]:
         """Active qubit linear indices in ascending order."""
-        return tuple(sorted(q.linear for q in self.active))
-
-    @property
-    def enabled_couplers(self) -> tuple[Coupler, ...]:
-        return tuple(c for c in self.couplers if c.enabled)
+        return tuple(sorted(self.active))
 
     def pattern_couplers(self, label: str) -> tuple[Coupler, ...]:
         return tuple(c for c in self.enabled_couplers if c.pattern == label)
@@ -127,34 +103,13 @@ def build_grid(
             raise InputError(f"broken pair ({a}, {b}) is not nearest-neighbor")
         broken_set.add((a, b))
 
-    def qid(linear: int) -> QubitId:
-        r, c = divmod(linear, cols)
-        return QubitId(r, c, linear)
-
-    active = frozenset(qid(q) for q in range(n_sites) if q not in excluded_set)
-    active_linear = {q.linear for q in active}
-
-    couplers = []
-    for q in sorted(active_linear):
-        r, c = divmod(q, cols)
-        for (nr, nc) in ((r + 1, c), (r, c + 1)):
-            if nr >= rows or nc >= cols:
-                continue
-            nb = nr * cols + nc
-            if nb not in active_linear:
-                continue
-            enabled = (q, nb) not in broken_set
-            couplers.append(Coupler(qid(q), qid(nb), enabled=enabled))
-    couplers.sort(key=lambda cp: cp.key)
-
-    return GridTopology(
-        rows=rows,
-        cols=cols,
-        active=active,
-        couplers=tuple(couplers),
-        excluded=frozenset(qid(q) for q in sorted(excluded_set)),
-        broken=frozenset(broken_set),
-    )
+    active = frozenset(range(n_sites)) - excluded_set
+    # per qubit, its right then its lower neighbour: sorted by key
+    couplers = tuple(
+        Coupler(q, nb) for q in sorted(active)
+        for nb, on_grid in ((q + 1, (q + 1) % cols != 0), (q + cols, q + cols < n_sites))
+        if on_grid and nb in active and (q, nb) not in broken_set)
+    return GridTopology(rows, cols, active, couplers, frozenset(broken_set))
 
 
 def assign_patterns(topology: GridTopology) -> GridTopology:
@@ -168,19 +123,12 @@ def assign_patterns(topology: GridTopology) -> GridTopology:
     if any(c.pattern is not None for c in topology.enabled_couplers):
         raise InputError("patterns already assigned")
 
-    labeled = []
-    for c in topology.couplers:
-        if not c.enabled:
-            labeled.append(c)
-            continue
-        parity = (c.a.row + c.a.col) % 2
-        if c.is_vertical:
-            label = "A" if parity == 0 else "B"
-        else:
-            label = "C" if parity == 0 else "D"
-        labeled.append(replace(c, pattern=label))
+    def label(c: Coupler) -> str:
+        parity = sum(divmod(c.a, topology.cols)) % 2
+        return ("AB" if c.b - c.a == topology.cols else "CD")[parity]
 
-    out = replace(topology, couplers=tuple(labeled))
+    out = replace(topology, enabled_couplers=tuple(
+        replace(c, pattern=label(c)) for c in topology.enabled_couplers))
     _check_matchings(out)
     return out
 
@@ -189,7 +137,7 @@ def _check_matchings(topology: GridTopology) -> None:
     for label in PATTERN_LABELS:
         seen: set[int] = set()
         for c in topology.pattern_couplers(label):
-            for q in (c.a.linear, c.b.linear):
+            for q in (c.a, c.b):
                 if q in seen:
                     raise InputError(f"pattern {label} is not a matching at qubit {q}")
                 seen.add(q)
@@ -218,19 +166,13 @@ def restrict(topology: GridTopology, keep: frozenset[int] | tuple[int, ...]) -> 
     Qubits outside ``keep`` become excluded.
     """
     keep_set = {int(q) for q in keep}
-    active = frozenset(q for q in topology.active if q.linear in keep_set)
+    active = topology.active & keep_set
     if not active:
         raise InputError("restriction removes every active qubit")
-    couplers = tuple(
-        c for c in topology.couplers
-        if c.a.linear in keep_set and c.b.linear in keep_set
-    )
-    all_sites = range(topology.rows * topology.cols)
-    excluded = frozenset(
-        topology.qubit(q) for q in all_sites if q not in {a.linear for a in active}
-    )
+    couplers = tuple(c for c in topology.enabled_couplers
+                     if c.a in active and c.b in active)
     broken = frozenset(p for p in topology.broken if p[0] in keep_set and p[1] in keep_set)
-    return GridTopology(topology.rows, topology.cols, active, couplers, excluded, broken)
+    return GridTopology(topology.rows, topology.cols, active, couplers, broken)
 
 
 def sixty_qubit_grid() -> GridTopology:
@@ -241,15 +183,15 @@ def sixty_qubit_grid() -> GridTopology:
 
 
 def topology_to_dict(topology: GridTopology) -> dict:
-    """Canonical JSON document; couplers sorted by (a.linear, b.linear)."""
+    """Canonical JSON document; couplers sorted by (a, b)."""
     return {
         "format": TOPOLOGY_FORMAT,
         "rows": topology.rows,
         "cols": topology.cols,
-        "excluded": sorted(q.linear for q in topology.excluded),
+        "excluded": sorted(topology.excluded),
         "broken": sorted(list(p) for p in topology.broken),
         "couplers": [
-            {"a": c.a.linear, "b": c.b.linear, "pattern": c.pattern}
+            {"a": c.a, "b": c.b, "pattern": c.pattern}
             for c in sorted(topology.enabled_couplers, key=lambda c: c.key)
         ],
     }
@@ -270,10 +212,8 @@ def topology_from_dict(doc: dict) -> GridTopology:
     expected = {c.key for c in topo.enabled_couplers}
     if set(labels) != expected:
         raise InputError("coupler list does not match lattice/excluded/broken fields")
-    couplers = tuple(
-        replace(c, pattern=labels[c.key]) if c.enabled else c for c in topo.couplers
-    )
-    out = replace(topo, couplers=couplers)
+    out = replace(topo, enabled_couplers=tuple(
+        replace(c, pattern=labels[c.key]) for c in topo.enabled_couplers))
     _check_matchings(out)
     return out
 

@@ -163,7 +163,7 @@ def product_xeb(estimates: list[XebEstimate]) -> XebEstimate:
     return XebEstimate(fidelity, float(np.sqrt(var)), estimates[0].n_samples)
 
 
-def measured_xeb(circuit, samples: SampleSet, limit: int | None = None):
+def measured_xeb(circuit, samples: SampleSet):
     """Fidelity of measured samples against the circuit's own ideal
     probabilities, normalized by the ideal collision ratio D*sum(p^2) - 1 of
     each evaluated subsystem.  The ratio converges to 1 for deep circuits, so
@@ -173,10 +173,10 @@ def measured_xeb(circuit, samples: SampleSet, limit: int | None = None):
     A patch circuit has no gate across its parts, so its state factorizes:
     each part is evaluated in its own Hilbert space and the fidelities are
     multiplied (whole-system XEB is not normalizable for a product state).
-    Any other circuit is one part.  Returns (estimate, records) with one
+    Any other circuit is one part.  Each part's `simulator.run` checks its
+    memory before it allocates.  Returns (estimate, records) with one
     probability record per part.
     """
-    limit = simulator.DEFAULT_QUBIT_LIMIT if limit is None else limit
     if samples.n_qubits != circuit.n_qubits:
         raise InputError("sample width does not match the circuit")
     parts = (circuit.parts if circuit.variant == "patch" else None) or (circuit.qubits,)
@@ -188,7 +188,7 @@ def measured_xeb(circuit, samples: SampleSet, limit: int | None = None):
         else:
             sub = extract_subcircuit(circuit, part)
             sub_samples = select_bits(samples, [pos[q] for q in part])
-        dist = simulator.probabilities(simulator.run(sub, limit=limit))
+        dist = simulator.probabilities(simulator.run(sub))
         records.append(probabilities_of_samples(dist, sub_samples))
         est = linear_xeb(records[-1])
         collision = float(dist.size * np.sum(dist**2) - 1.0)

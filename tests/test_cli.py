@@ -109,6 +109,13 @@ class TestCalibrate:
         # One cycle fires no coupler inside any 1x3 quadrant.
         assert _calibrate_generated(tmp_path, 1, 4) == EXIT_INPUT
 
+    @pytest.mark.parametrize("flag, value", [("--max-iters", "-3"), ("--grad-tol", "0")])
+    def test_bad_optimizer_flag_exits_2(self, calibrate_inputs, tmp_path, capsys, flag, value):
+        out = tmp_path / "c.json"
+        assert _calibrate(calibrate_inputs, out, flag, value) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_fd_step_rejected(self, calibrate_inputs, tmp_path):
         with pytest.raises(SystemExit) as exc:
             _calibrate(calibrate_inputs, tmp_path / "c.json", "--fd-step", "1e-3")
@@ -215,11 +222,20 @@ class TestSampleFromState:
 
 
 class TestExitCodes:
-    def test_qubit_limit_exits_4(self, small_circuit, tmp_path):
-        circuit, _ = small_circuit
-        argv = ["sample", "--circuit", circuit, "-n", "10", "--seed", "2",
-                "--limit", "4", "-o", str(tmp_path / "s.bin")]
-        assert main(argv) == EXIT_RESOURCE
+    def test_qubit_limit_exits_4(self, tmp_path, capsys):
+        # two states of 40 qubits are 32 TiB, more than any host holds
+        circuit, samples = str(tmp_path / "c.json"), str(tmp_path / "s.bin")
+        assert main(["generate", "--topology", "grid:5x8", "--cycles", "1",
+                     "--seed", "1", "-o", circuit]) == EXIT_OK
+        rb.save_samples(samples, rb.SampleSet(40, np.arange(10) << 30))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        draw = ["-n", "10", "--seed", "2"]
+        for argv in (["sample", *draw], ["sample", "--model", "trajectory", *draw],
+                     ["analyze", "--samples", samples]):
+            assert main([*argv, "--circuit", circuit, "-o", str(out)]) == EXIT_RESOURCE
+            assert capsys.readouterr().err.startswith("resource limit: ")
+            assert not out.exists()
 
     def test_failed_ks_threshold_exits_3(self, small_circuit, tmp_path):
         circuit, samples = small_circuit
@@ -502,6 +518,8 @@ class TestCost:
         ("--n-samples", "-1", "--fidelity", "0.01"),
         ("--n-samples", "1e6", "--fidelity", "0.01", "--reference-flops", "0"),
         ("--n-samples", "1e6", "--fidelity", "0.01", "--reference-seconds", "-1"),
+        ("--n-samples", "nan", "--fidelity", "0.5"),
+        ("--n-samples", "1e6", "--fidelity", "0.01", "--reference-seconds", "inf"),
     ])
     def test_bad_sampling_flag_exits_2_before_the_search(self, cost_circuit, tmp_path,
                                                          capsys, monkeypatch, flags):
@@ -513,6 +531,25 @@ class TestCost:
         out = tmp_path / "tnc.json"
         assert main(["cost", "tnc", "--circuit", cost_circuit, "--restarts", "1",
                      *flags, "-o", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--n-samples", "-5"),
+        ("--n-samples", "nan"),
+        ("--n-samples", "1e6", "--core-flops", "-1"),
+        ("--n-samples", "1e6", "--cores", "0"),
+        ("--n-samples", "1e6", "--cores", "-1", "--core-flops", "-1000"),
+        ("--n-samples", "1e6", "--cores", "inf"),
+    ])
+    def test_bad_sfa_runtime_flag_exits_2_before_the_cut(self, cost_circuit, tmp_path,
+                                                         capsys, monkeypatch, flags):
+        def cut(*args, **kwargs):
+            raise AssertionError("analysed the cut")
+
+        monkeypatch.setattr(costmodel, "sfa_cut", cut)
+        out = tmp_path / "sfa.json"
+        assert _sfa(out, "--circuit", cost_circuit, *flags) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 

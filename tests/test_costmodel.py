@@ -384,6 +384,22 @@ class TestSamplingCost:
         with pytest.raises(InputError):
             estimate_sampling_cost(1, 1, 2.0)
 
+    @pytest.mark.parametrize("n_samples, reference", [
+        (float("nan"), SUMMIT_REFERENCE),
+        (float("inf"), SUMMIT_REFERENCE),
+        (1e6, (float("inf"), 833.75)),
+        (1e6, (6.66e18, float("nan"))),
+    ])
+    def test_rejects_non_finite_inputs(self, n_samples, reference):
+        with pytest.raises(InputError):
+            estimate_sampling_cost(1e20, n_samples, 0.5, reference)
+
+    def test_runtime_past_float_range_is_a_resource_limit(self):
+        with pytest.raises(ResourceLimitError):
+            estimate_sampling_cost(1e300, 1e300, 0.5)
+        with pytest.raises(ResourceLimitError):
+            estimate_sampling_cost(1e20, 1e6, 0.5, (1e-300, 1e300))
+
 
 class TestSchmidt:
     def test_identity(self):

@@ -13,7 +13,14 @@ import pytest
 
 import rcsbench as rb
 from rcsbench import simulator, xeb
-from rcsbench.calibration import CalibrationProblem, loss_and_gradient, pack_params
+from rcsbench.calibration import (
+    CalibrationProblem,
+    OptimizerConfig,
+    calibrate_patches,
+    loss_and_gradient,
+    pack_params,
+)
+from rcsbench.errors import ResourceLimitError
 
 STATE = (1 << 16) * np.dtype(np.complex128).itemsize
 
@@ -111,6 +118,33 @@ def test_gradient_memory_does_not_grow_with_depth(grid_4x4, n_cycles):
     x = pack_params(problem.base, problem.couplers, ("theta", "phi"))
     peak = traced_peak(lambda: loss_and_gradient(x, problem))
     assert peak - 2 * compiled_bytes(circuit) <= 6 * STATE
+
+
+def test_budget_counts_the_states_each_path_holds(grid_4x4, monkeypatch):
+    # one cycle: trajectories keep no checkpoint.  A run holds 2 states, one
+    # trajectory worker 2 plus the float64 cumulative distribution (2.5), two
+    # workers 4.5, and a patch solve 6 plus its float64 histogram
+    circuit = rb.standard_circuit(grid_4x4, 1, seed=3)
+    train = rb.sample_ideal(rb.run(circuit), 100, seed=1)
+    monkeypatch.setattr(simulator, "_MEMORY_BUDGET", int(2.5 * STATE))
+    rb.measured_xeb(circuit, rb.sample_ideal(rb.run(circuit), 100, seed=2))
+    rb.sample_trajectory(circuit, rb.NoiseModel(), 10, seed=1, threads=1)
+    with pytest.raises(ResourceLimitError):
+        rb.sample_trajectory(circuit, rb.NoiseModel(), 10, seed=1, threads=2)
+    with pytest.raises(ResourceLimitError):
+        CalibrationProblem(circuit, train)
+
+
+def test_budget_counts_the_patches_solved_at_once(grid_4x4, monkeypatch):
+    # two 8-qubit patches: one solve at a time fits a budget of one solve
+    circuit = rb.standard_circuit(grid_4x4, 2, seed=3)
+    _, patches = rb.split_grid_patches(circuit, col_cuts=(2,))
+    trains = [rb.sample_ideal(rb.run(p), 100, seed=i) for i, p in enumerate(patches)]
+    monkeypatch.setattr(simulator, "_MEMORY_BUDGET", simulator.memory_need(8, 6, 1))
+    config = OptimizerConfig(max_iters=0)
+    calibrate_patches(circuit, patches, trains, config, threads=1)
+    with pytest.raises(ResourceLimitError):
+        calibrate_patches(circuit, patches, trains, config, threads=2)
 
 
 def test_probabilities_of_samples_hold_only_their_output(circuit):

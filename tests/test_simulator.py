@@ -182,10 +182,13 @@ class TestRun:
         c = rb.standard_circuit(grid_3x4, 20, seed=5)
         assert abs(rb.run(c).norm() - 1) < 1e-10
 
-    def test_qubit_limit_enforced(self, grid_3x4):
-        c = rb.standard_circuit(grid_3x4, 2, seed=0)
+    def test_qubit_limit_enforced(self):
+        # two states of 40 qubits are 32 TiB, more than any host holds
+        c = rb.standard_circuit(rb.assign_patterns(rb.build_grid(5, 8)), 1, seed=0)
         with pytest.raises(ResourceLimitError):
-            rb.run(c, limit=10)
+            rb.run(c)
+        with pytest.raises(ResourceLimitError):
+            rb.sample_trajectory(c, rb.NoiseModel(), 10, seed=1)
 
     def test_single_precision_close_to_double(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 8, seed=5)
