@@ -2,8 +2,7 @@
 
 Conventions: qubit 0 is the most significant bit of the state index, and the
 sampled word equals that index.  For a two-qubit gate the first qubit argument
-is the high bit of the 4x4 matrix basis.  Amplitudes are complex128 by
-default (complex64 on request).
+is the high bit of the 4x4 matrix basis.  Amplitudes are complex128.
 
 A circuit is compiled once (`compile_circuit`) into a program of fused ops.
 Within a cycle every single-qubit gate comes before the two-qubit layer, so
@@ -49,13 +48,13 @@ Memory, in states of 2^n amplitudes: `run`, sampling from its state,
 `xeb.measured_xeb` (per part) and the calibration loss hold 2, the work
 buffers.  Trajectories hold their checkpoints (none for cycle 0: a replay
 from it writes |0...0> into a work buffer), 2^n float64 for the ideal
-cumulative distribution (1/2 state at complex128), and 2 per worker; each
+cumulative distribution (1/2 state), and 2 per worker; each
 replay builds its cumulative distribution in its worker's buffers.  The
 adjoint sweep holds 4, two pairs of conj(psi) and conj(lambda), at any
 depth.  Before it allocates, each path adds up these bytes
 (`memory_need`) and raises `ResourceLimitError` if they exceed the
-machine's physical memory (`check_memory`): at complex128 a run of 28
-qubits needs 8 GiB, and one of 40 qubits 32 TiB.
+machine's physical memory (`check_memory`): a run of 28 qubits needs
+8 GiB, and one of 40 qubits 32 TiB.
 
 Two noise models ship: a speckle mixture (each sample comes from the ideal
 distribution with probability F, uniform otherwise) and Pauli-trajectory
@@ -143,8 +142,8 @@ class NoiseModel:
                 raise InputError(f"noise rate {name}={v!r} is not a number in [0, 1]")
 
 
-def zero_state(n_qubits: int, dtype=np.complex128) -> StateVector:
-    amps = np.zeros(1 << n_qubits, dtype=dtype)
+def zero_state(n_qubits: int) -> StateVector:
+    amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
 
@@ -189,7 +188,6 @@ class Program:
     after the last op.
     """
 
-    dtype: np.dtype
     sites: tuple[GateSite, ...]
     cycles: tuple[tuple[_Op, ...], ...]
     layout: tuple[int, ...]
@@ -206,12 +204,12 @@ class Program:
         def refused(op: _Op) -> _Op:
             singles = tuple(u if replaced.keys().isdisjoint(b.singles) else _singles(b, sites)
                             for b, u in zip(op.blocks, op.singles))
-            return _op(op.perm, op.blocks, singles, sites, self.dtype, op.sites)
+            return _op(op.perm, op.blocks, singles, sites, op.sites)
 
         cycles = tuple(
             tuple(refused(op) if op.sites.intersection(replaced) else op for op in ops)
             for ops in self.cycles)
-        return Program(self.dtype, tuple(sites), cycles, self.layout)
+        return Program(tuple(sites), cycles, self.layout)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,13 +224,13 @@ def _singles(block: _Block, sites) -> np.ndarray:
                           for s in block.singles])
 
 
-def _op(perm, blocks: tuple[_Block, ...], singles, sites, dtype, fused) -> _Op:
+def _op(perm, blocks: tuple[_Block, ...], singles, sites, fused) -> _Op:
     mats = tuple(u if b.two is None else sites[b.two].matrix @ u for b, u in zip(blocks, singles))
-    return _Op(perm, reduce(_kron, mats).astype(dtype, copy=False), blocks, singles, mats, fused)
+    return _Op(perm, reduce(_kron, mats), blocks, singles, mats, fused)
 
 
-def _work_buffers(n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    return np.empty(1 << n, dtype), np.empty(1 << n, dtype)
+def _work_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(1 << n, complex), np.empty(1 << n, complex)
 
 
 def _spare(work: tuple[np.ndarray, np.ndarray], psi: np.ndarray) -> np.ndarray:
@@ -294,10 +292,9 @@ def _cycle_blocks(cycle, c: int, pos: dict, sites: list) -> list[_Block]:
     return [blk for _, _, blk in ranked]
 
 
-def compile_circuit(circuit: Circuit, dtype=np.complex128) -> Program:
+def compile_circuit(circuit: Circuit) -> Program:
     """Compile the circuit into fused ops of at most ``_GROUP_QUBITS`` qubits."""
     n = circuit.n_qubits
-    dtype = np.dtype(dtype)
     pos = {q: i for i, q in enumerate(circuit.qubits)}
     sites: list[GateSite] = []
     layout = None  # |0...0> reads the same in every layout
@@ -322,11 +319,11 @@ def compile_circuit(circuit: Circuit, dtype=np.complex128) -> Program:
             for blocks in run:
                 singles = tuple(_singles(b, sites) for b in blocks)
                 fused = frozenset(s for b in blocks for s in (*b.singles, b.two) if s is not None)
-                ops.append(_op(perm, tuple(blocks), singles, sites, dtype, fused))
+                ops.append(_op(perm, tuple(blocks), singles, sites, fused))
                 perm = None
             layout = start[len(order):] + order
         cycles.append(tuple(ops))
-    return Program(dtype, tuple(sites), tuple(cycles), layout or tuple(range(n)))
+    return Program(tuple(sites), tuple(cycles), layout or tuple(range(n)))
 
 
 def _disjoint_runs(groups: list[list[_Block]]) -> list[list[list[_Block]]]:
@@ -351,12 +348,11 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
 def _apply(state: StateVector, qubits: tuple[int, ...], u) -> StateVector:
     """Run the one-op program ``u`` on ``qubits``, writing back in place."""
     n = state.n_qubits
-    dtype = state.amplitudes.dtype
     k = len(qubits)
     rest = tuple(q for q in range(n) if q not in qubits)
     perm = None if qubits == tuple(range(k)) else qubits + rest
-    op = _Op(perm, np.asarray(u, dtype=dtype).reshape(1 << k, 1 << k), (), (), (), frozenset())
-    psi = _execute((op,), state.amplitudes, _work_buffers(n, dtype))
+    op = _Op(perm, np.asarray(u, dtype=complex).reshape(1 << k, 1 << k), (), (), (), frozenset())
+    psi = _execute((op,), state.amplitudes, _work_buffers(n))
     state.amplitudes.reshape((2,) * n)[...] = (
         psi.reshape((2,) * n).transpose(np.argsort(rest + qubits)))
     return state
@@ -378,10 +374,10 @@ def apply_two(state: StateVector, qubits: tuple[int, int], u: np.ndarray) -> Sta
     return _apply(state, (q1, q2), u)
 
 
-def memory_need(n_qubits: int, states: int, float64s: int = 0, dtype=np.complex128) -> int:
-    """Bytes of ``states`` states of 2^n ``dtype`` amplitudes and ``float64s``
-    arrays of 2^n float64."""
-    return (states * np.dtype(dtype).itemsize + 8 * float64s) << n_qubits
+def memory_need(n_qubits: int, states: int, float64s: int = 0) -> int:
+    """Bytes of ``states`` states of 2^n complex128 amplitudes and
+    ``float64s`` arrays of 2^n float64."""
+    return (16 * states + 8 * float64s) << n_qubits
 
 
 def check_memory(need: int, what: str) -> None:
@@ -393,23 +389,21 @@ def check_memory(need: int, what: str) -> None:
             f"{_MEMORY_BUDGET / 2**30:.4g} GiB of physical memory")
 
 
-def run(circuit: Circuit, dtype=np.complex128) -> StateVector:
+def run(circuit: Circuit) -> StateVector:
     """Evolve |0...0> through every cycle of the circuit.
 
     The circuit is compiled once into fused ops (see `compile_circuit`),
-    which the executor applies cycle by cycle.  ``dtype`` may be
-    ``numpy.complex64`` for speed at reduced precision; the fused matrices
-    are formed in double precision and then rounded.
+    which the executor applies cycle by cycle.
     """
     n = circuit.n_qubits
-    check_memory(memory_need(n, 2, dtype=dtype), f"a {n}-qubit run")
-    return StateVector(n, execute(compile_circuit(circuit, dtype)))
+    check_memory(memory_need(n, 2), f"a {n}-qubit run")
+    return StateVector(n, execute(compile_circuit(circuit)))
 
 
 def execute(program: Program) -> np.ndarray:
     """Final amplitudes, in canonical order, of the program run on |0...0>.
     Holds the two work buffers and returns one of them."""
-    work = _work_buffers(len(program.layout), program.dtype)
+    work = _work_buffers(len(program.layout))
     psi = _vacuum(work)
     for ops in program.cycles:
         psi = _execute(ops, psi, work)
@@ -438,7 +432,7 @@ def adjoint_gradient(program: Program, cotangent, sites):
     n = len(program.layout)
     shape = (2,) * n
     ops = [op for cycle in program.cycles for op in cycle]
-    pairs = np.empty((2, 2, 1 << n), program.dtype)
+    pairs = np.empty((2, 2, 1 << n), complex)
     work = (pairs[0, 0], pairs[1, 0])
     psi = _execute(ops, _vacuum(work), work)
     value, lam = cotangent(_canonical(psi, program.layout, _spare(work, psi)))
@@ -566,7 +560,7 @@ def sample_noisy_speckle(
 
 
 def _float_view(buf: np.ndarray) -> np.ndarray:
-    """2^n float64 in a state's buffer, which fits them at complex64 too."""
+    """2^n float64 in the first half of a state's buffer."""
     return buf.view(np.float64)[:buf.size]
 
 
@@ -588,7 +582,6 @@ def sample_trajectory(
     n_samples: int,
     seed: int,
     threads: int = 1,
-    dtype=np.complex128,
 ) -> SampleSet:
     """Pauli-trajectory sampling, one bitstring per trajectory.
 
@@ -610,24 +603,26 @@ def sample_trajectory(
     n, n_cycles = circuit.n_qubits, circuit.n_cycles
     if n_samples < 1:
         raise InputError(f"need at least one sample, got {n_samples}")
+    if threads < 1:
+        raise InputError(f"need at least one thread, got {threads}")
 
     stride = 1
-    state_bytes = memory_need(n, 1, dtype=dtype)
+    state_bytes = memory_need(n, 1)
     while (stride < n_cycles
            and state_bytes * len(range(stride, n_cycles, stride)) > _CHECKPOINT_BUDGET):
         stride *= 2
     states = len(range(stride, n_cycles, stride)) + 2 * min(threads, n_samples)
-    check_memory(memory_need(n, states, 1, dtype),
+    check_memory(memory_need(n, states, 1),
                  f"sampling {n_samples} trajectories of {n} qubits on {threads} threads")
 
-    program = compile_circuit(circuit, dtype)
+    program = compile_circuit(circuit)
     e_vec = np.array([noise.e2 if len(s.qubits) == 2 else noise.e1
                       for s in program.sites])
 
     # Checkpoint i > 0 is the state before cycle i * stride, copied out of the
     # work buffers for the replays to read; a replay from cycle 0 starts at _vacuum.
     checkpoints = [None]
-    work = _work_buffers(n, program.dtype)
+    work = _work_buffers(n)
     psi = _vacuum(work)
     for c, ops in enumerate(program.cycles):
         if c and c % stride == 0:
@@ -659,7 +654,7 @@ def sample_trajectory(
         k = program.sites[err_at[0]].cycle // stride
         work = getattr(local, "work", None)
         if work is None:
-            work = local.work = _work_buffers(n, program.dtype)
+            work = local.work = _work_buffers(n)
         # the replay runs at least the faulty cycle, so amps ends in a work
         # buffer, which then takes the cumulative distribution
         amps = checkpoints[k] if k else _vacuum(work)

@@ -173,13 +173,15 @@ def measured_xeb(circuit, samples: SampleSet):
     A patch circuit has no gate across its parts, so its state factorizes:
     each part is evaluated in its own Hilbert space and the fidelities are
     multiplied (whole-system XEB is not normalizable for a product state).
-    Any other circuit is one part.  Each part's `simulator.run` checks its
-    memory before it allocates.  Returns (estimate, records) with one
-    probability record per part.
+    Any other circuit is one part.  The memory of the largest part is
+    checked before any part is simulated.  Returns (estimate, records) with
+    one probability record per part.
     """
     if samples.n_qubits != circuit.n_qubits:
         raise InputError("sample width does not match the circuit")
     parts = (circuit.parts if circuit.variant == "patch" else None) or (circuit.qubits,)
+    largest = max(map(len, parts))
+    simulator.check_memory(simulator.memory_need(largest, 2), f"a {largest}-qubit run")
     pos = {q: i for i, q in enumerate(circuit.qubits)}
     estimates, records = [], []
     for part in parts:

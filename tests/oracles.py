@@ -94,7 +94,7 @@ def adjoint_stored(program, cotangent, sites):
     n = len(program.layout)
     ops = [op for cycle in program.cycles for op in cycle]
     inputs = []
-    psi = np.zeros(1 << n, dtype=program.dtype)
+    psi = np.zeros(1 << n, dtype=complex)
     psi[0] = 1
     for op in ops:
         if op.perm is not None:

@@ -190,12 +190,6 @@ class TestRun:
         with pytest.raises(ResourceLimitError):
             rb.sample_trajectory(c, rb.NoiseModel(), 10, seed=1)
 
-    def test_single_precision_close_to_double(self, grid_3x4):
-        c = rb.standard_circuit(grid_3x4, 8, seed=5)
-        a = rb.run(c).amplitudes
-        b = rb.run(c, dtype=np.complex64).amplitudes.astype(np.complex128)
-        assert np.max(np.abs(a - b)) < 1e-5
-
 
 def assert_matches_oracle(circuit):
     got = rb.run(circuit).amplitudes
@@ -313,7 +307,7 @@ class TestCompiledProgram:
         psi = random_state(12, np.random.default_rng(38)).amplitudes
         before = psi.tobytes()
         ops = [op for ops in program.cycles for op in ops]
-        out = _execute(ops, psi, _work_buffers(12, psi.dtype))
+        out = _execute(ops, psi, _work_buffers(12))
         assert out is not psi
         assert psi.tobytes() == before
 
@@ -603,6 +597,16 @@ class TestTrajectory:
         assert np.array_equal(got.words, want.words)
         assert sorted(seen) == list(range(20_000))
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_bad_thread_count_rejected_before_any_work(self, grid_3x4, monkeypatch, threads):
+        def compile_circuit(*args, **kwargs):
+            raise AssertionError("compiled before the thread count was checked")
+
+        monkeypatch.setattr(simulator, "compile_circuit", compile_circuit)
+        c = rb.standard_circuit(grid_3x4, 6, seed=3)
+        with pytest.raises(InputError, match="thread"):
+            rb.sample_trajectory(c, rb.NoiseModel(e1=0.01), 10, seed=1, threads=threads)
+
     def test_error_count_matches_rates(self, grid_3x4):
         # count injected errors by replaying the per-trajectory streams
         from rcsbench import rng as rngmod
@@ -624,7 +628,7 @@ class TestTrajectory:
         c = rb.standard_circuit(grid_3x4, 10, seed=151)
         noise = rb.NoiseModel(e2=0.006)
         pred = rb.predicted_fidelity(c, noise)
-        ss = rb.sample_trajectory(c, noise, 20_000, seed=13, dtype=np.complex64)
+        ss = rb.sample_trajectory(c, noise, 20_000, seed=13)
         est, _ = rb.measured_xeb(c, ss)
         assert abs(est.fidelity - pred) / pred < 0.15
 

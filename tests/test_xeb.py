@@ -5,9 +5,9 @@ import pytest
 from scipy import integrate, special, stats
 
 import rcsbench as rb
-from rcsbench import xeb
+from rcsbench import simulator, xeb
 from rcsbench.circuit import grid_parts
-from rcsbench.errors import InputError
+from rcsbench.errors import InputError, ResourceLimitError
 from rcsbench.samples import pack_bits
 from rcsbench.xeb import ProbabilityRecord
 
@@ -270,6 +270,26 @@ class TestProductXeb:
         est, records = rb.measured_xeb(patch, rb.SampleSet(patch.n_qubits, pack_bits(bits)))
         assert len(records) == 4
         assert abs(est.fidelity - 0.5 ** 4) < 5 * est.sigma
+
+    def test_patch_memory_checked_before_any_part_runs(self, grid_4x4, monkeypatch):
+        # parts of 4 and 12 qubits under a budget between their needs: the
+        # 12-qubit part is refused before the 4-qubit part is simulated
+        c = rb.standard_circuit(grid_4x4, 4, seed=3)
+        patch = rb.make_patch(c, grid_parts(c, col_cuts=(1,)))
+        assert sorted(map(len, patch.parts)) == [4, 12]
+        samples = rb.sample_ideal(rb.run(patch), 100, seed=1)
+        runs = []
+        run = simulator.run
+
+        def recorded_run(circuit):
+            runs.append(circuit.n_qubits)
+            return run(circuit)
+
+        monkeypatch.setattr(simulator, "run", recorded_run)
+        monkeypatch.setattr(simulator, "_MEMORY_BUDGET", simulator.memory_need(8, 2))
+        with pytest.raises(ResourceLimitError):
+            rb.measured_xeb(patch, samples)
+        assert runs == []
 
 
 class TestEstimatorUnbiasedness:
