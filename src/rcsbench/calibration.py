@@ -112,9 +112,10 @@ class CalibrationProblem:
     coupler_sites: list[tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        unknown = set(self.trainable) - set(PARAM_NAMES)
-        if unknown:
-            raise InputError(f"unknown trainable parameters: {sorted(unknown)}")
+        names = set(self.trainable)
+        if not names <= set(PARAM_NAMES) or len(names) != len(self.trainable):
+            raise InputError(f"trainable parameters {list(self.trainable)} are not "
+                             f"distinct names among {list(PARAM_NAMES)}")
         if self.b_train.n_qubits != self.patch_circuit.n_qubits:
             raise InputError("training bitstring width does not match the patch")
         if self.b_train.n_samples < 1:
@@ -130,12 +131,10 @@ class CalibrationProblem:
         self.weights = counts / float(self.b_train.n_samples)
         self.program = compile_circuit(self.patch_circuit)
         index = {key: i for i, key in enumerate(self.couplers)}
-        # A site's qubits mapped back to circuit qubits; a single-qubit
-        # site's 1-tuple is never a coupler key.
-        qubits = self.patch_circuit.qubits
-        keys = (tuple(qubits[i] for i in site.qubits) for site in self.program.sites)
-        self.coupler_sites = [(s, index[key]) for s, key in enumerate(keys)
-                              if key in index]
+        # site s is gate s; a single-qubit gate's 1-tuple is never a coupler key
+        self.coupler_sites = [(s, index[qubits])
+                              for s, (_, qubits, _) in enumerate(self.patch_circuit.gates())
+                              if qubits in index]
 
     @property
     def dim(self) -> int:

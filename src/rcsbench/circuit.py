@@ -12,6 +12,8 @@ join two parts of a partition (`grid_parts`) from every cycle or from all
 but the last few, through one filter, and store the parts (format v2 of the
 circuit document).  A patch's state is a product over its parts, and a patch
 of a patch stores the common refinement of the old and the new parts.
+`Circuit.gates` is the one gate order: gate k is the simulator's site k,
+the tensor network's ``g{k}``, and the cut census and calibration read it.
 """
 from __future__ import annotations
 
@@ -74,12 +76,22 @@ class Circuit:
     def n_two_qubit_gates(self) -> int:
         return sum(len(c.two_qubit) for c in self.cycles)
 
+    def gates(self) -> list[tuple[int, tuple[int, ...], SingleQubitGate | FsimParams]]:
+        """Every gate as (cycle, qubits, gate), in site order: per cycle the
+        single-qubit gates in qubit order, then the two-qubit gates, whose
+        ``qubits`` (circuit qubit ids) are their coupler key."""
+        out = []
+        for c, cyc in enumerate(self.cycles):
+            out.extend((c, (q,), g) for q, g in zip(self.qubits, cyc.single))
+            out.extend((c, (a, b), p) for a, b, p in cyc.two_qubit)
+        return out
+
     def coupler_params(self) -> ParamMap:
         """Current parameters per coupler (first occurrence wins)."""
         out: ParamMap = {}
-        for cyc in self.cycles:
-            for a, b, p in cyc.two_qubit:
-                out.setdefault((a, b), p)
+        for _, qubits, gate in self.gates():
+            if len(qubits) == 2:
+                out.setdefault(qubits, gate)
         return out
 
 

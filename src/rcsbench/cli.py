@@ -221,6 +221,7 @@ def _write_cdf_csv(path: str, rec, fidelity: float, points: int = 512) -> None:
 
 def cmd_analyze(args) -> int:
     circ = circuit_mod.load_circuit(args.circuit)
+    xeb.scored_parts(circ)  # the memory check, before the samples are read
     samples = load_samples(args.samples)
     if samples.n_qubits != circ.n_qubits:
         raise InputError(
@@ -399,6 +400,9 @@ def _sfa_runtime(flops_per_sample: float, args) -> costmodel.CostReport:
 
 
 def cmd_cost_sfa(args) -> int:
+    """Split-simulation cut census and speedup.  ``--fidelity`` is both the
+    truncation budget of `costmodel.sfa_speedup` (retained weight at least
+    1 - budget) and the fidelity multiplier of the ``--n-samples`` runtime."""
     if args.circuit:
         circ = circuit_mod.load_circuit(args.circuit)
         if args.n_samples is not None:  # reject bad runtime flags before the cut
@@ -600,7 +604,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="synthetic mode: uniform |theta - pi/2|")
     q.add_argument("--phi", type=float, default=math.pi / 18)
     q.add_argument("--fidelity", type=float, required=True,
-                   help="truncation fidelity budget")
+                   help="truncation fidelity budget (retained Schmidt weight "
+                        ">= 1 - budget); with --n-samples also the fidelity "
+                        "that multiplies the sampling cost")
     q.add_argument("--n-samples", type=float)
     q.add_argument("--cores", type=float, default=costmodel.FUGAKU_CORES)
     q.add_argument("--core-flops", type=float, default=1e9,

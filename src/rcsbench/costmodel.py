@@ -8,7 +8,9 @@ operation.  An index is summed out of a merge result when no other tensor
 carries it and it is not open.  Slicing fixes index values to bound the
 largest intermediate tensor, multiplying the work by the slice count.
 Slicing an open index computes the amplitude batch in parts, one part per
-slice; ``total_flops`` counts all parts.
+slice; ``total_flops`` counts all parts.  The network's gate tensors and
+the cut census take their gates from `Circuit.gates`, the one gate order:
+tensor ``g{k}`` is gate k, the simulator's site k.
 
 In a valid network every index sits on exactly two live tensors, or on one
 if it is open, and a merge keeps it so.  Hence the result of merging A and
@@ -142,45 +144,30 @@ class CostReport:
 
 def circuit_to_tn(circuit: Circuit, open_qubits=()) -> TensorNetwork:
     """Structural network of a circuit: one rank-1 tensor per initial |0>,
-    one rank-2/rank-4 tensor per gate, a rank-1 projector on every closed
-    output, and one open index per open qubit."""
+    one rank-2/rank-4 tensor ``g{k}`` per gate k of `Circuit.gates`, over
+    its qubits' input then output indices, a rank-1 projector on every
+    closed output, and one open index per open qubit."""
     open_set = {int(q) for q in open_qubits}
     unknown = open_set - set(circuit.qubits)
     if unknown:
         raise InputError(f"open qubits not in the circuit: {sorted(unknown)}")
 
     wire = {q: 0 for q in circuit.qubits}
+    current: dict[int, str] = {}  # each qubit's latest index
     dims: dict[str, int] = {}
 
     def fresh(q: int) -> str:
-        name = f"q{q}.{wire[q]}"
+        name = current[q] = f"q{q}.{wire[q]}"
         wire[q] += 1
         dims[name] = 2
         return name
 
-    def current(q: int) -> str:
-        return f"q{q}.{wire[q] - 1}"
-
-    tensors: list[tuple[str, tuple[str, ...]]] = []
-    for q in circuit.qubits:
-        tensors.append((f"in:{q}", (fresh(q),)))
-    gate_no = 0
-    for cyc in circuit.cycles:
-        for q in circuit.qubits:
-            prev = current(q)
-            tensors.append((f"g{gate_no}", (prev, fresh(q))))
-            gate_no += 1
-        for a, b, _ in cyc.two_qubit:
-            pa, pb = current(a), current(b)
-            tensors.append((f"g{gate_no}", (pa, pb, fresh(a), fresh(b))))
-            gate_no += 1
-    open_indices = []
-    for q in circuit.qubits:
-        if q in open_set:
-            open_indices.append(current(q))
-        else:
-            tensors.append((f"out:{q}", (current(q),)))
-    tn = TensorNetwork(tuple(tensors), dims, tuple(open_indices))
+    tensors = [(f"in:{q}", (fresh(q),)) for q in circuit.qubits]
+    for k, (_, qubits, _) in enumerate(circuit.gates()):
+        tensors.append((f"g{k}", (*map(current.get, qubits), *map(fresh, qubits))))
+    tensors += [(f"out:{q}", (current[q],)) for q in circuit.qubits if q not in open_set]
+    open_indices = tuple(current[q] for q in circuit.qubits if q in open_set)
+    tn = TensorNetwork(tuple(tensors), dims, open_indices)
     tn.validate()
     return tn
 
@@ -492,13 +479,14 @@ def cut_analysis(gates, delta_theta) -> CutAnalysis:
 
 def sfa_cut(circuit: Circuit, parts) -> CutAnalysis:
     """`cut_analysis` of the two-qubit gates joining the two ``parts`` of
-    the circuit's qubits, with swap angle deviations |theta - pi/2|."""
+    the circuit's qubits, in the order of `Circuit.gates`, with swap angle
+    deviations |theta - pi/2|."""
     parts = check_parts(circuit.qubits, parts)
     if len(parts) != 2:
         raise InputError(f"a split simulation needs two parts, got {len(parts)}")
     side = frozenset(parts[0])
-    cross = [p for cyc in circuit.cycles for a, b, p in cyc.two_qubit
-             if (a in side) != (b in side)]
+    cross = [p for _, qubits, p in circuit.gates()
+             if len(qubits) == 2 and (qubits[0] in side) != (qubits[1] in side)]
     return cut_analysis(cross, [abs(p.theta - np.pi / 2) for p in cross])
 
 
@@ -517,7 +505,9 @@ def sfa_speedup(cut: CutAnalysis, fidelity_budget: float) -> float:
     retained weights while the product of per-gate retained fractions stays
     at least 1 - budget (zero-weight terms are free).  The speedup is
     4^g divided by the product of retained ranks, so balanced gates give 1 at
-    zero budget and the factor is nondecreasing in the budget.
+    zero budget and the factor is nondecreasing in the budget.  ``cost sfa
+    --fidelity`` passes one number here as the budget and to
+    `estimate_sampling_cost` as the fidelity multiplier.
     """
     if not 0.0 <= fidelity_budget <= 1.0:
         raise InputError(f"fidelity budget {fidelity_budget} outside [0, 1]")

@@ -13,9 +13,11 @@ from enum import IntEnum
 
 import numpy as np
 
+from .errors import InputError
+
 RNG_ALGORITHM = "numpy-philox4x64"
 
-_MASK64 = (1 << 64) - 1
+_SEED_LIMIT = 1 << 64
 _MAX_INDEX = 1 << 48
 
 
@@ -35,9 +37,13 @@ def stream(seed: int, role: Stream, index: int = 0) -> np.random.Generator:
     """Return the generator for ``(seed, role, index)``.
 
     Distinct ``index`` values give independent substreams, used e.g. for
-    per-trajectory or per-restart randomness.
+    per-trajectory or per-restart randomness.  A seed outside [0, 2^64) is
+    an `InputError`.
     """
+    if not 0 <= seed < _SEED_LIMIT:
+        raise InputError(f"seed {seed} is outside [0, 2^64)")
     if not 0 <= index < _MAX_INDEX:
         raise ValueError(f"stream index out of range: {index}")
-    key = [seed & _MASK64, ((int(role) & 0xFFFF) << 48) | index]
+    # an explicit uint64 key: a list holding a word >= 2^63 would become float64
+    key = np.array([seed, ((int(role) & 0xFFFF) << 48) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

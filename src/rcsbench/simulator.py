@@ -4,7 +4,8 @@ Conventions: qubit 0 is the most significant bit of the state index, and the
 sampled word equals that index.  For a two-qubit gate the first qubit argument
 is the high bit of the 4x4 matrix basis.  Amplitudes are complex128.
 
-A circuit is compiled once (`compile_circuit`) into a program of fused ops.
+A circuit is compiled once (`compile_circuit`) into a program of fused ops,
+whose gate site k is gate k of `Circuit.gates`, the one gate order.
 Within a cycle every single-qubit gate comes before the two-qubit layer, so
 the cycle is a product of blocks: ``fsim @ kron(u_i, u_j)`` for a two-qubit
 gate on (i, j), with the single-qubit gates of its qubits absorbed, and
@@ -182,10 +183,9 @@ class _Op:
 class Program:
     """A circuit compiled into fused ops, one tuple of ops per cycle.
 
-    ``sites`` lists every gate site in circuit order: per cycle the
-    single-qubit gates by position, then the two-qubit gates.  ``layout``
-    is the qubit of each bit of the amplitude index, most significant first,
-    after the last op.
+    ``sites`` lists every gate site in the order of `Circuit.gates`, the
+    one gate order.  ``layout`` is the qubit of each bit of the amplitude
+    index, most significant first, after the last op.
     """
 
     sites: tuple[GateSite, ...]
@@ -270,22 +270,22 @@ def _canonical(psi: np.ndarray, layout: tuple[int, ...], out: np.ndarray) -> np.
     return out
 
 
-def _cycle_blocks(cycle, c: int, pos: dict, sites: list) -> list[_Block]:
-    """Append the cycle's gate sites and return its blocks in execution
-    order: by dependency depth, then by lowest qubit."""
-    first = len(sites)
-    sites.extend(GateSite(c, (i,), _SQ_MATRICES[g]) for i, g in enumerate(cycle.single))
-    free = {i: first + i for i in range(len(cycle.single))}
+def _cycle_blocks(ids, sites) -> list[_Block]:
+    """The blocks of one cycle's gate sites ``ids``, single-qubit sites
+    first, in execution order: by dependency depth, then by lowest qubit."""
+    free: dict[int, int] = {}
     depth: dict[int, int] = {}
     ranked = []
-    for a, b, p in cycle.two_qubit:
-        i, j = pos[a], pos[b]
-        two = len(sites)
-        sites.append(GateSite(c, (i, j), fsim_matrix(p)))
+    for s in ids:
+        qubits = sites[s].qubits
+        if len(qubits) == 1:
+            free[qubits[0]] = s
+            continue
+        i, j = qubits
         si, sj = free.pop(i, None), free.pop(j, None)
         d = max(depth.get(i, 0), depth.get(j, 0))
         depth[i] = depth[j] = d + 1
-        ranked.append((d, min(i, j), _Block((i, j), (si, sj), two)))
+        ranked.append((d, min(i, j), _Block((i, j), (si, sj), s)))
     for i, s in free.items():
         ranked.append((0, i, _Block((i,), (s,), None)))
     ranked.sort(key=lambda r: r[:2])
@@ -297,12 +297,17 @@ def compile_circuit(circuit: Circuit) -> Program:
     n = circuit.n_qubits
     pos = {q: i for i, q in enumerate(circuit.qubits)}
     sites: list[GateSite] = []
+    by_cycle: list[list[int]] = [[] for _ in circuit.cycles]
+    for c, qubits, gate in circuit.gates():
+        matrix = _SQ_MATRICES[gate] if len(qubits) == 1 else fsim_matrix(gate)
+        by_cycle[c].append(len(sites))
+        sites.append(GateSite(c, tuple(pos[q] for q in qubits), matrix))
     layout = None  # |0...0> reads the same in every layout
     cycles = []
-    for c, cyc in enumerate(circuit.cycles):
+    for ids in by_cycle:
         groups: list[list[_Block]] = []
         used: set[int] = set()
-        for blk in _cycle_blocks(cyc, c, pos, sites):
+        for blk in _cycle_blocks(ids, sites):
             if (not groups or used.intersection(blk.qubits)
                     or len(used) + len(blk.qubits) > _GROUP_QUBITS):
                 groups.append([])

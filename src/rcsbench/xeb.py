@@ -163,6 +163,15 @@ def product_xeb(estimates: list[XebEstimate]) -> XebEstimate:
     return XebEstimate(fidelity, float(np.sqrt(var)), estimates[0].n_samples)
 
 
+def scored_parts(circuit) -> tuple[tuple[int, ...], ...]:
+    """The parts `measured_xeb` scores (a patch's parts, else all qubits),
+    after checking that a run of the largest fits in memory."""
+    parts = (circuit.parts if circuit.variant == "patch" else None) or (circuit.qubits,)
+    largest = max(map(len, parts))
+    simulator.check_memory(simulator.memory_need(largest, 2), f"a {largest}-qubit run")
+    return parts
+
+
 def measured_xeb(circuit, samples: SampleSet):
     """Fidelity of measured samples against the circuit's own ideal
     probabilities, normalized by the ideal collision ratio D*sum(p^2) - 1 of
@@ -174,14 +183,12 @@ def measured_xeb(circuit, samples: SampleSet):
     each part is evaluated in its own Hilbert space and the fidelities are
     multiplied (whole-system XEB is not normalizable for a product state).
     Any other circuit is one part.  The memory of the largest part is
-    checked before any part is simulated.  Returns (estimate, records) with
-    one probability record per part.
+    checked before any part is simulated (`scored_parts`).  Returns
+    (estimate, records) with one probability record per part.
     """
     if samples.n_qubits != circuit.n_qubits:
         raise InputError("sample width does not match the circuit")
-    parts = (circuit.parts if circuit.variant == "patch" else None) or (circuit.qubits,)
-    largest = max(map(len, parts))
-    simulator.check_memory(simulator.memory_need(largest, 2), f"a {largest}-qubit run")
+    parts = scored_parts(circuit)
     pos = {q: i for i, q in enumerate(circuit.qubits)}
     estimates, records = [], []
     for part in parts:

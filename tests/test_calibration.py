@@ -165,6 +165,12 @@ class TestLoss:
         with pytest.raises(InputError):
             CalibrationProblem(idle, train)
 
+    def test_repeated_trainable_name_rejected(self, nine_qubit_patch):
+        # unpacking keeps the last copy, so the loss would ignore the first
+        _, _, patch, train = nine_qubit_patch
+        with pytest.raises(InputError):
+            CalibrationProblem(patch, train, trainable=("theta", "theta"))
+
     def test_empty_training_set_rejected(self, nine_qubit_patch):
         _, _, patch, _ = nine_qubit_patch
         empty = rb.SampleSet(patch.n_qubits, np.zeros(0, dtype=np.uint64))

@@ -9,7 +9,7 @@ import pytest
 from oracles import draw_words_by_searchsorted
 
 import rcsbench as rb
-from rcsbench import costmodel, rng, simulator
+from rcsbench import cli, costmodel, rng, simulator
 from rcsbench.circuit import CIRCUIT_FORMAT
 from rcsbench.cli import EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
 from rcsbench.topology import TOPOLOGY_FORMAT
@@ -94,6 +94,11 @@ class TestCalibrate:
     def test_unknown_trainable_exits_2(self, calibrate_inputs, tmp_path):
         argv = list(calibrate_inputs)
         argv[argv.index("theta,phi")] = "theta,gamma"
+        assert _calibrate(argv, tmp_path / "c.json") == EXIT_INPUT
+
+    def test_repeated_trainable_exits_2(self, calibrate_inputs, tmp_path):
+        argv = list(calibrate_inputs)
+        argv[argv.index("theta,phi")] = "theta,theta"
         assert _calibrate(argv, tmp_path / "c.json") == EXIT_INPUT
 
     def test_lists_only_couplers_that_fire(self, tmp_path):
@@ -250,6 +255,18 @@ class TestExitCodes:
                 "--bootstrap", "0", "--max-p-zero", "-1", "-o", str(tmp_path / "a.json")]
         assert main(argv) == EXIT_HYPOTHESIS
 
+    def test_analyze_checks_memory_before_reading_samples(self, circuit_4x4, tmp_path,
+                                                          monkeypatch):
+        def load_samples(path):
+            pytest.fail("analyze read the samples before its memory check")
+
+        monkeypatch.setattr(cli, "load_samples", load_samples)
+        monkeypatch.setattr(simulator, "_MEMORY_BUDGET", simulator.memory_need(16, 2) - 1)
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--circuit", circuit_4x4, "--samples",
+                     str(tmp_path / "s.bin"), "-o", str(out)]) == EXIT_RESOURCE
+        assert not out.exists()
+
     def test_out_of_memory_exits_4(self, small_circuit, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.00 GiB")
@@ -383,6 +400,13 @@ class TestGenerateVariantsReport:
         assert main(argv) == EXIT_OK
         assert _artifacts(out) == first
         assert rb.load_circuit(str(out)).n_cycles == 6
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_generate_seed_outside_64_bits_exits_2(self, tmp_path, seed):
+        out = tmp_path / "c.json"
+        assert main(["generate", "--topology", "grid:2x2", "--cycles", "2",
+                     "--seed", seed, "-o", str(out)]) == EXIT_INPUT
+        assert not out.exists()
 
     def test_generate_deep22(self, tmp_path):
         out = tmp_path / "c.json"
