@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, circuit as circuit_mod, costmodel, simulator, xeb
+from . import calibration, circuit as circuit_mod, costmodel, rng, simulator, xeb
 from .errors import InputError, ResourceLimitError, json_object, reading
 from .gates import DEFAULT_FSIM, FsimParams
 from .samples import load_samples, save_samples, sidecar_path
@@ -54,6 +54,15 @@ def _dump_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
+    """A CSV file of ``header`` and ``rows``, floats as ``.17g``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def _write_manifest(primary: str, command: str, config: dict,
@@ -208,18 +217,18 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _write_cdf_csv(path: str, rec, fidelity: float, points: int = 512) -> None:
+def _cdf_rows(part: int, rec, points: int = 512):
+    """Up to ``points`` (part, x, empirical CDF, model CDF) rows of one
+    part's scaled probabilities x = D*p, the model at the part's fidelity."""
+    fidelity = xeb.linear_xeb(rec).fidelity
     x = np.sort(rec.dim * rec.probs)
     n = x.size
-    take = np.unique(np.linspace(0, n - 1, min(points, n)).astype(int))
-    with open(path, "w") as fh:
-        fh.write("x,empirical_cdf,model_cdf\n")
-        for i in take:
-            fh.write(f"{x[i]:.17g},{(i + 1) / n:.17g},"
-                     f"{float(xeb.pt_cdf(x[i], fidelity)):.17g}\n")
+    for i in np.unique(np.linspace(0, n - 1, min(points, n)).astype(int)):
+        yield part, x[i], (i + 1) / n, float(xeb.pt_cdf(x[i], fidelity))
 
 
 def cmd_analyze(args) -> int:
+    rng.check_seed(args.seed)  # before any work: the bootstrap may not draw
     circ = circuit_mod.load_circuit(args.circuit)
     xeb.scored_parts(circ)  # the memory check, before the samples are read
     samples = load_samples(args.samples)
@@ -253,15 +262,16 @@ def cmd_analyze(args) -> int:
         "ks": ks_entries[0],
         "ks_records": ks_entries,
     }
-    if args.bootstrap and len(records) == 1:
-        sigma_boot, _ = xeb.bootstrap_xeb(records[0], args.bootstrap, args.seed)
+    if args.bootstrap:
+        sigma_boot, _ = xeb.bootstrap_xeb(records, args.bootstrap, args.seed)
         doc["sigma_bootstrap"] = sigma_boot
         doc["bootstrap_resamples"] = args.bootstrap
     _dump_json(args.output, {"format": "rcsbench.analysis.v1", "instances": [doc],
                              "hypothesis_failures": failures})
     outputs = [args.output]
     if args.csv:
-        _write_cdf_csv(args.csv, records[0], xeb.linear_xeb(records[0]).fidelity)
+        _write_csv(args.csv, ("part", "x", "empirical_cdf", "model_cdf"),
+                   (row for k, rec in enumerate(records) for row in _cdf_rows(k, rec)))
         outputs.append(args.csv)
     _write_manifest(args.output, "analyze", {
         "bootstrap": args.bootstrap, "min_p_fhat": args.min_p_fhat,
@@ -312,11 +322,9 @@ def cmd_calibrate(args) -> int:
     _dump_json(args.output, doc)
     outputs = [args.output]
     if args.trace_csv:
-        with open(args.trace_csv, "w") as fh:
-            fh.write("patch,iteration,loss\n")
-            for i, p in enumerate(result.patches):
-                for k, value in enumerate(p.trace):
-                    fh.write(f"{i},{k},{value:.17g}\n")
+        _write_csv(args.trace_csv, ("patch", "iteration", "loss"),
+                   ((i, k, value) for i, p in enumerate(result.patches)
+                    for k, value in enumerate(p.trace)))
         outputs.append(args.trace_csv)
     _write_manifest(args.output, "calibrate", {
         "patches": args.patches, "trainable": list(trainable),
@@ -375,10 +383,7 @@ def cmd_cost_tnc(args) -> int:
     _dump_json(args.output, doc)
     outputs = [args.output]
     if args.restarts_csv:
-        with open(args.restarts_csv, "w") as fh:
-            fh.write("restart,total_flops\n")
-            for i, cost in enumerate(restart_costs):
-                fh.write(f"{i},{cost:.17g}\n")
+        _write_csv(args.restarts_csv, ("restart", "total_flops"), enumerate(restart_costs))
         outputs.append(args.restarts_csv)
     _write_manifest(args.output, "cost tnc", {
         "open_qubits": args.open_qubits, "max_rank": args.max_rank,
@@ -438,9 +443,7 @@ def cmd_cost_sfa(args) -> int:
             if cut.spectra else []),
     }
     if args.n_samples is not None:
-        # modeled runtime: effective paths times both halves' statevector work
-        per_path = 4.0 * sum(2.0 ** len(part) for part in parts)
-        report = _sfa_runtime(costmodel.balanced_paths(cut) / speedup * per_path, args)
+        report = _sfa_runtime(costmodel.sfa_flops(cut, parts, speedup), args)
         doc["runtime_extrapolation"] = {
             "n_samples": args.n_samples,
             "cores": args.cores,
@@ -489,10 +492,7 @@ def cmd_report(args) -> int:
     _dump_json(args.output, doc)
     outputs = [args.output]
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("analysis,fidelity,sigma,p_at_fhat,p_at_zero\n")
-            for r in rows:
-                fh.write(f"{r[0]},{r[1]:.17g},{r[2]:.17g},{r[3]:.17g},{r[4]:.17g}\n")
+        _write_csv(args.csv, ("analysis", "fidelity", "sigma", "p_at_fhat", "p_at_zero"), rows)
         outputs.append(args.csv)
     _write_manifest(args.output, "report", {"dir": args.dir},
                     [str(p) for p in paths], outputs)
@@ -554,7 +554,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fail (exit 3) if the KS p-value at F=Fhat is below")
     p.add_argument("--max-p-zero", type=float,
                    help="fail (exit 3) if the KS p-value at F=0 is above")
-    p.add_argument("--csv", help="write (x, empirical CDF, model CDF) rows")
+    p.add_argument("--csv", help="write (part, x, empirical CDF, model CDF) rows "
+                                 "for every scored part")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_analyze)
 
@@ -582,7 +583,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "in parts")
     q.add_argument("--max-rank", type=int, default=30,
                    help="largest allowed intermediate tensor rank (>= 0); a "
-                        "cap below --open-qubits is met by slicing open qubits")
+                        "rank-r intermediate holds 2^r amplitudes; a cap below "
+                        "--open-qubits is met by slicing open qubits")
     q.add_argument("--restarts", type=int, default=64)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--n-samples", type=float)

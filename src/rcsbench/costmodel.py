@@ -2,22 +2,21 @@
 sampling-cost extrapolation, and split-simulation (Schroedinger-Feynman
 style) cut analysis with operator-Schmidt truncation.
 
-Cost convention: merging two tensors costs the product of the dimensions of
-the union of their indices, counting one complex multiply-add as one
-operation.  An index is summed out of a merge result when no other tensor
-carries it and it is not open.  Slicing fixes index values to bound the
-largest intermediate tensor, multiplying the work by the slice count.
-Slicing an open index computes the amplitude batch in parts, one part per
-slice; ``total_flops`` counts all parts.  The network's gate tensors and
-the cut census take their gates from `Circuit.gates`, the one gate order:
-tensor ``g{k}`` is gate k, the simulator's site k.
+Cost convention: every index is a qubit wire of dimension 2, so a tensor of
+rank r has 2^r entries.  Merging tensors A and B costs 2^|A | B|, counting
+one complex multiply-add as one operation.  An index is summed out of a
+merge result when no other tensor carries it and it is not open.  Slicing
+fixes index values to bound the largest intermediate tensor, multiplying
+the work by the slice count, 2^s for s sliced indices.  Slicing an open
+index computes the amplitude batch in parts, one part per slice;
+``total_flops`` counts all parts.  The network's gate tensors and the cut
+census take their gates from `Circuit.gates`, the one gate order: tensor
+``g{k}`` is gate k, the simulator's site k.
 
 In a valid network every index sits on exactly two live tensors, or on one
 if it is open, and a merge keeps it so.  Hence the result of merging A and
 B is their symmetric difference ``A ^ B``: the shared indices are summed
-out and every other index still has its second holder (or is open).  The
-merge costs the size of ``A | B``.  A size is the exact integer product of
-the dimensions, made a float once, so it does not depend on set order.
+out and every other index still has its second holder (or is open).
 
 The greedy search holds each live tensor's index set as an integer bitmask
 (bit k is the k-th index of ``TensorNetwork.indices``) and each live
@@ -25,9 +24,7 @@ tensor's neighbours, the tensors it shares an index with, as a set.  By the
 same invariant the neighbours of the result of merging a and b are those of
 a and of b, less a and b.  Scored pairs wait on a heap and are dropped when
 they surface dead; the few best live pairs a randomised restart did not
-choose wait in a short sorted held list instead.  A size depends only on the
-mask's popcount in each dimension's bitmask, so each search memoises sizes
-by those counts.
+choose wait in a short sorted held list instead.
 
 Paths are in single-assignment form: the network's tensors are 0..n-1 and
 the k-th merge (from 0) makes tensor n+k, so a merge names its operands by
@@ -68,15 +65,20 @@ _GREEDY_TOP_K = 4
 
 @dataclass(frozen=True)
 class TensorNetwork:
-    """Structural tensor network: ids, index lists, index dimensions.
+    """Structural tensor network: tensor ids with their index lists, and the
+    open indices.  Every index is a qubit wire of dimension 2.
 
     Every index must appear on exactly two tensors (contracted) or on exactly
     one tensor and in ``open_indices`` (open).
     """
 
     tensors: tuple[tuple[str, tuple[str, ...]], ...]
-    indices: dict[str, int]
     open_indices: tuple[str, ...]
+
+    @property
+    def indices(self) -> tuple[str, ...]:
+        """The index names in order of first appearance."""
+        return tuple(dict.fromkeys(name for _, idx in self.tensors for name in idx))
 
     def validate(self) -> None:
         occ = Counter()
@@ -87,9 +89,6 @@ class TensorNetwork:
         open_set = set(self.open_indices)
         if len(open_set) != len(self.open_indices):
             raise InputError("duplicate open index")
-        for name in occ:
-            if name not in self.indices:
-                raise InputError(f"index {name} has no dimension")
         for name, count in occ.items():
             expected = 1 if name in open_set else 2
             if count != expected:
@@ -154,12 +153,10 @@ def circuit_to_tn(circuit: Circuit, open_qubits=()) -> TensorNetwork:
 
     wire = {q: 0 for q in circuit.qubits}
     current: dict[int, str] = {}  # each qubit's latest index
-    dims: dict[str, int] = {}
 
     def fresh(q: int) -> str:
         name = current[q] = f"q{q}.{wire[q]}"
         wire[q] += 1
-        dims[name] = 2
         return name
 
     tensors = [(f"in:{q}", (fresh(q),)) for q in circuit.qubits]
@@ -167,7 +164,7 @@ def circuit_to_tn(circuit: Circuit, open_qubits=()) -> TensorNetwork:
         tensors.append((f"g{k}", (*map(current.get, qubits), *map(fresh, qubits))))
     tensors += [(f"out:{q}", (current[q],)) for q in circuit.qubits if q not in open_set]
     open_indices = tuple(current[q] for q in circuit.qubits if q in open_set)
-    tn = TensorNetwork(tuple(tensors), dims, open_indices)
+    tn = TensorNetwork(tuple(tensors), open_indices)
     tn.validate()
     return tn
 
@@ -183,10 +180,9 @@ def _as_float(count: int) -> float:
             "exceeds the float range") from None
 
 
-def _size(indices, dims) -> float:
-    """Entry count of a tensor over ``indices``: the exact integer product of
-    their dimensions, so it does not depend on the iteration order."""
-    return _as_float(math.prod(dims[name] for name in indices))
+def _size(rank: int) -> float:
+    """Entry count 2^rank of a rank-``rank`` tensor, as a float."""
+    return _as_float(1 << rank)
 
 
 def replay_path(
@@ -199,7 +195,6 @@ def replay_path(
     total cost, largest result rank, per-step result index sets, final index
     set).  Raises `InputError` unless the path has n-1 merges, each of two
     distinct tensors that exist and are not yet merged."""
-    dims = tn.indices
     n = len(tn.tensors)
     if len(merges) != n - 1:
         raise InputError(f"path has {len(merges)} merges, expected {n - 1}")
@@ -214,7 +209,7 @@ def replay_path(
             raise InputError(f"merge ({a}, {b}) reuses a merged tensor")
         used[a] = used[b] = True
         ta, tb = tensors[a], tensors[b]
-        costs.append(_size(ta | tb, dims))
+        costs.append(_size(len(ta | tb)))
         keep = ta ^ tb
         tensors.append(keep)
         largest = max(largest, len(keep))
@@ -232,16 +227,14 @@ def find_path_greedy_full(
     the ``_GREEDY_TOP_K`` best candidates.  Disconnected components are
     contracted independently and joined by outer products at the end.
     Deterministic per (seed, restarts): ties and the final winner resolve by
-    (cost, restart).  The network's neighbour pairs are scored once; each
-    restart starts from a copy of that heap and costs its own merges, so no
-    restart is replayed.
+    (cost, restart); the seed is checked even if no restart draws.  The
+    network's neighbour pairs are scored once; each restart starts from a
+    copy of that heap and costs its own merges, so no restart is replayed.
 
     A live tensor's index set is an integer bitmask (bit k is the k-th index
-    of ``tn.indices``), and its size is the exact product of its dimensions,
-    as `replay_path` counts it.  Sizes are memoised per search, keyed by the
-    mask's popcount in each dimension's bitmask; a new entry is the exact
-    integer product made a float once, so a size past the float range still
-    raises `ResourceLimitError`.  Each live tensor keeps the set of tensors it
+    of ``tn.indices``), and its size is 2 to the mask's popcount, as
+    `replay_path` counts it; a size past the float range raises
+    `ResourceLimitError`.  Each live tensor keeps the set of tensors it
     shares an index with; by the two-holder invariant the neighbours of the
     result of merging a and b are those of a and of b, less a and b.
 
@@ -253,29 +246,13 @@ def find_path_greedy_full(
     k best are the same as popping k live pairs and pushing the rest back.
     """
     tn.validate()
+    rng.check_seed(seed)
     if restarts < 1:
         raise InputError("need at least one restart")
     bits = {name: 1 << k for k, name in enumerate(tn.indices)}
-    by_dim: dict[int, int] = {}
-    for name, dim in tn.indices.items():
-        by_dim[dim] = by_dim.get(dim, 0) | bits[name]
-    dim_masks = tuple(by_dim.values())
-    width = len(tn.indices).bit_length()  # room for any popcount
-    memo: dict[int, float] = {}
-
-    def size(mask: int) -> float:
-        key = 0
-        for dim_mask in dim_masks:
-            key = key << width | (mask & dim_mask).bit_count()
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = _as_float(math.prod(
-                dim ** (mask & dim_mask).bit_count() for dim, dim_mask in by_dim.items()))
-        return out
-
     n = len(tn.tensors)
     leaves = [sum(bits[name] for name in idx) for _, idx in tn.tensors]
-    sizes = [size(mask) for mask in leaves]
+    sizes = [_size(mask.bit_count()) for mask in leaves]
     holders: dict[str, list[int]] = defaultdict(list)
     for i, (_, idx) in enumerate(tn.tensors):
         for name in idx:
@@ -285,14 +262,14 @@ def find_path_greedy_full(
         if len(h) == 2:
             nbrs[h[0]].add(h[1])
             nbrs[h[1]].add(h[0])
-    heap = [(size(leaves[a] ^ leaves[b]) - sizes[a] - sizes[b], a, b)
+    heap = [(_size((leaves[a] ^ leaves[b]).bit_count()) - sizes[a] - sizes[b], a, b)
             for a in range(n) for b in nbrs[a] if a < b]
     heapq.heapify(heap)
     best: ContractionPath | None = None
     totals = []
     for r in range(restarts):
         gen = rng.stream(seed, rng.Stream.PATH_SEARCH, index=r) if r else None
-        merges, costs, largest = _greedy_once(leaves, sizes, nbrs, heap, size, gen)
+        merges, costs, largest = _greedy_once(leaves, sizes, nbrs, heap, gen)
         total = float(sum(costs))
         totals.append(total)
         if best is None or total < best.total_flops:
@@ -300,7 +277,7 @@ def find_path_greedy_full(
     return best, tuple(totals)
 
 
-def _greedy_once(leaves, sizes, nbrs, heap, size, gen):
+def _greedy_once(leaves, sizes, nbrs, heap, gen):
     """One greedy contraction of the tensors with index bitmasks ``leaves``,
     sizes ``sizes`` and neighbour sets ``nbrs``, from the scored initial
     ``heap`` of ``(score, i, j)`` entries, i < j; the arguments are not
@@ -337,13 +314,13 @@ def _greedy_once(leaves, sizes, nbrs, heap, size, gen):
         c = len(masks)
         ma, mb = masks[a], masks[b]
         keep = ma ^ mb
-        size_c = size(keep)
+        size_c = _size(keep.bit_count())
         masks.append(keep)
         sizes.append(size_c)
         live[a] = live[b] = False
         live.append(True)
         merges.append((a, b))
-        costs.append(size(ma | mb))
+        costs.append(_size((ma | mb).bit_count()))
         largest = max(largest, keep.bit_count())
         near = nbrs[a]
         near |= nbrs[b]
@@ -356,7 +333,7 @@ def _greedy_once(leaves, sizes, nbrs, heap, size, gen):
             others.discard(a)
             others.discard(b)
             others.add(c)
-            heappush(heap, (size(masks[j] ^ keep) - sizes[j] - size_c, j, c))
+            heappush(heap, (_size((masks[j] ^ keep).bit_count()) - sizes[j] - size_c, j, c))
     return tuple(merges), costs, largest
 
 
@@ -397,7 +374,7 @@ def slice_network(
         over = still
         votes = +votes
     costs, total, largest, _, _ = replay_path(tn, path.merges, frozenset(sliced))
-    n_slices = math.prod(tn.indices[name] for name in sliced)
+    n_slices = 1 << len(sliced)
     return SliceResult(
         sliced_indices=tuple(sorted(sliced)),
         n_slices=n_slices,
@@ -538,3 +515,11 @@ def sfa_speedup(cut: CutAnalysis, fidelity_budget: float) -> float:
     for rank in ranks:
         speedup /= rank
     return float(speedup)
+
+
+def sfa_flops(cut: CutAnalysis, parts, speedup: float) -> float:
+    """Modelled flops per sample of a split simulation cut into ``parts``:
+    effective paths, the balanced 4^g over ``speedup``, times one path's
+    work, 4 * (2^|A| + 2^|B|).  No executor checks this model yet."""
+    per_path = 4.0 * sum(2.0 ** len(part) for part in parts)
+    return balanced_paths(cut) / speedup * per_path

@@ -33,15 +33,20 @@ class Stream(IntEnum):
     PATH_SEARCH = 0x07
 
 
+def check_seed(seed: int) -> None:
+    """Raise `InputError` for a seed outside [0, 2^64)."""
+    if not 0 <= seed < _SEED_LIMIT:
+        raise InputError(f"seed {seed} is outside [0, 2^64)")
+
+
 def stream(seed: int, role: Stream, index: int = 0) -> np.random.Generator:
     """Return the generator for ``(seed, role, index)``.
 
     Distinct ``index`` values give independent substreams, used e.g. for
     per-trajectory or per-restart randomness.  A seed outside [0, 2^64) is
-    an `InputError`.
+    an `InputError` (`check_seed`).
     """
-    if not 0 <= seed < _SEED_LIMIT:
-        raise InputError(f"seed {seed} is outside [0, 2^64)")
+    check_seed(seed)
     if not 0 <= index < _MAX_INDEX:
         raise ValueError(f"stream index out of range: {index}")
     # an explicit uint64 key: a list holding a word >= 2^63 would become float64

@@ -131,22 +131,28 @@ def ks_test(rec: ProbabilityRecord, f_hypothesis: float) -> tuple[float, float]:
 
 
 def bootstrap_xeb(
-    rec: ProbabilityRecord,
+    records: list[ProbabilityRecord],
     n_resamples: int = 2500,
     seed: int = 0,
 ) -> tuple[float, np.ndarray]:
-    """Resample the probabilities with replacement and recompute the
-    fidelity; returns (std of resampled fidelities, the fidelities)."""
+    """Resample the samples with replacement and recompute the fidelity;
+    returns (std of resampled fidelities, the fidelities).  ``records`` are
+    the parts' records over the same samples; a resample's fidelity is the
+    product of its parts' raw (not collision-normalised) D * mean(p) - 1
+    over one set of drawn indices."""
     if n_resamples < 100:
         raise InputError("need at least 100 bootstrap resamples")
+    if len({rec.n_samples for rec in records}) != 1:
+        raise InputError("need one or more records of one sample count")
+    n = records[0].n_samples
     gen = rng.stream(seed, rng.Stream.BOOTSTRAP)
-    n = rec.n_samples
-    fids = np.empty(n_resamples)
+    fids = np.ones(n_resamples)
     chunk = max(1, _BOOTSTRAP_CHUNK // max(n, 1))  # the draws do not depend on it
     for lo in range(0, n_resamples, chunk):
         hi = min(lo + chunk, n_resamples)
         idx = gen.integers(0, n, size=(hi - lo, n))
-        fids[lo:hi] = rec.dim * rec.probs[idx].mean(axis=1) - 1.0
+        for rec in records:
+            fids[lo:hi] *= rec.dim * rec.probs[idx].mean(axis=1) - 1.0
     return float(np.std(fids, ddof=1)), fids
 
 

@@ -13,7 +13,8 @@ The adjoint gradient is checked against a sweep that stores every op's
 input: `adjoint_stored` runs a compiled program's fused matrices with plain
 numpy matmuls and transposes, not the package's executor, and keeps each
 op's input instead of recomputing it from the op's output.
-Every size is the exact integer product of the dimensions.  Paths are
+Every index has dimension 2, so a tensor over a set of indices has 2^len
+entries, counted as an exact integer made a float.  Paths are
 replayed by counting each index's occurrences (open indices get
 one phantom occurrence) instead of by the package's symmetric-difference
 rule, and the slicing oracle replays the whole path that way after every
@@ -159,10 +160,14 @@ def pt_pdf(x, fidelity: float):
     return (fidelity * x + (1.0 - fidelity)) * np.exp(-x)
 
 
+def _size(indices) -> float:
+    """Entry count 2^len(indices) of a tensor over ``indices``."""
+    return float(2 ** len(indices))
+
+
 def exhaustive_min_cost(tn) -> float:
     """Minimum contraction cost by depth-first search over set partitions,
     memoized on the frozenset of remaining tensor groups."""
-    dims = tn.indices
     open_set = frozenset(tn.open_indices)
     leaves = [frozenset(idx) for _, idx in tn.tensors]
     n = len(leaves)
@@ -181,12 +186,6 @@ def exhaustive_min_cost(tn) -> float:
     def indices_cached(group):
         return indices_of(group)
 
-    def size(indices) -> float:
-        out = 1.0
-        for x in indices:
-            out *= dims[x]
-        return out
-
     memo: dict[frozenset, float] = {}
 
     def best(groups: frozenset) -> float:
@@ -200,7 +199,7 @@ def exhaustive_min_cost(tn) -> float:
             for j in range(i + 1, len(groups_list)):
                 a, b = groups_list[i], groups_list[j]
                 merged = a | b
-                cost = size(indices_cached(a) | indices_cached(b))
+                cost = _size(indices_cached(a) | indices_cached(b))
                 rest = (groups - {a, b}) | {merged}
                 out = min(out, cost + best(frozenset(rest)))
         memo[groups] = out
@@ -209,28 +208,12 @@ def exhaustive_min_cost(tn) -> float:
     return best(frozenset(frozenset((i,)) for i in range(n)))
 
 
-def matrix_chain_min_cost(chain_dims: list[int]) -> float:
-    """Classic matrix-chain DP; cost of (p,q)x(q,r) is p*q*r."""
-    n = len(chain_dims) - 1
-    cost = [[0.0] * n for _ in range(n)]
-    for span in range(1, n):
-        for i in range(n - span):
-            j = i + span
-            cost[i][j] = min(
-                cost[i][k] + cost[k + 1][j]
-                + chain_dims[i] * chain_dims[k + 1] * chain_dims[j + 1]
-                for k in range(i, j)
-            )
-    return cost[0][n - 1]
-
-
 def replay_by_occupancy(tn, merges, sliced=frozenset()):
     """Replay a path by occurrence counts: a merge result keeps each index of
     its operands that some other tensor still carries, and every unsliced
     open index carries one phantom occurrence so it is never summed out.
     Returns what `replay_path` returns: (step costs, total cost, largest
     result rank, per-step result index sets, final index set)."""
-    dims = tn.indices
     n = len(tn.tensors)
     tensors = [frozenset(idx) - sliced for _, idx in tn.tensors]
     occ = Counter()
@@ -242,7 +225,7 @@ def replay_by_occupancy(tn, merges, sliced=frozenset()):
     largest = 0
     for a, b in merges:
         union = tensors[a] | tensors[b]
-        costs.append(float(math.prod(dims[name] for name in union)))
+        costs.append(_size(union))
         for name in tensors[a]:
             occ[name] -= 1
         for name in tensors[b]:
@@ -267,13 +250,9 @@ def slice_by_replay(tn, path, cap: int) -> SliceResult:
             break
         votes = Counter(name for fs in results if len(fs) > cap for name in fs)
         sliced.add(min(votes, key=lambda k: (-votes[k], k)))
-    n_slices = math.prod(tn.indices[name] for name in sliced)
+    n_slices = 2 ** len(sliced)
     return SliceResult(tuple(sorted(sliced)), n_slices, float(n_slices) * total,
                        total, largest)
-
-
-def _size(indices, dims) -> float:
-    return float(math.prod(dims[name] for name in indices))
 
 
 def find_path_optimal(tn, max_tensors: int = 12) -> ContractionPath:
@@ -284,7 +263,6 @@ def find_path_optimal(tn, max_tensors: int = 12) -> ContractionPath:
     if n > max_tensors:
         raise ResourceLimitError(
             f"optimal search limited to {max_tensors} tensors, got {n}")
-    dims = tn.indices
     full = (1 << n) - 1
     # A subset's open indices, filled in as the masks are visited by size:
     # the symmetric difference of its tensors' (the two-holder invariant).
@@ -307,7 +285,7 @@ def find_path_optimal(tn, max_tensors: int = 12) -> ContractionPath:
                     cost = (
                         best[sub]
                         + best[other]
-                        + _size(indices[sub] | indices[other], dims)
+                        + _size(indices[sub] | indices[other])
                     )
                     if cost < best_cost:
                         best_cost, best_sub = cost, sub
@@ -336,7 +314,6 @@ def greedy_by_index_sets(tn, seed: int, restarts: int):
     are the other holders of its indices.  Restart 0 takes the best score,
     restart r > 0 draws among the 4 best from the path-search stream
     ``(seed, r)``.  Returns (best path, every restart's total)."""
-    dims = tn.indices
     leaves = [frozenset(idx) for _, idx in tn.tensors]
     holders = defaultdict(set)
     for i, fs in enumerate(leaves):
@@ -347,8 +324,8 @@ def greedy_by_index_sets(tn, seed: int, restarts: int):
     for r in range(restarts):
         gen = rng.stream(seed, rng.Stream.PATH_SEARCH, index=r) if r else None
         nodes = dict(enumerate(leaves))
-        size = [_size(fs, dims) for fs in leaves]
-        heap = [(_size(leaves[a] ^ leaves[b], dims) - size[a] - size[b], a, b)
+        size = [_size(fs) for fs in leaves]
+        heap = [(_size(leaves[a] ^ leaves[b]) - size[a] - size[b], a, b)
                 for a, b in pairs]
         heapq.heapify(heap)
         owners = {name: set(h) for name, h in holders.items()}
@@ -370,9 +347,9 @@ def greedy_by_index_sets(tn, seed: int, restarts: int):
             c = len(size)
             ta, tb = nodes.pop(a), nodes.pop(b)
             keep = nodes[c] = ta ^ tb
-            size.append(_size(keep, dims))
+            size.append(_size(keep))
             merges.append((a, b))
-            costs.append(_size(ta | tb, dims))
+            costs.append(_size(ta | tb))
             largest = max(largest, len(keep))
             neighbours = set()
             for name in keep:
@@ -381,7 +358,7 @@ def greedy_by_index_sets(tn, seed: int, restarts: int):
                 neighbours |= h
                 h.add(c)
             for j in neighbours:
-                heapq.heappush(heap, (_size(nodes[j] ^ keep, dims) - size[j] - size[c], j, c))
+                heapq.heappush(heap, (_size(nodes[j] ^ keep) - size[j] - size[c], j, c))
         total = float(sum(costs))
         totals.append(total)
         if best is None or total < best.total_flops:

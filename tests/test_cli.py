@@ -367,6 +367,19 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.fixture(scope="module")
+def patch_4x4(circuit_4x4, tmp_path_factory):
+    """The 4x4, 8-cycle circuit patched into two 8-qubit halves, and 2000
+    ideal samples of the patch."""
+    root = tmp_path_factory.mktemp("patch4x4")
+    patch, samples = str(root / "p.json"), str(root / "s.bin")
+    assert main(["variants", "--circuit", circuit_4x4, "--mode", "patch",
+                 "-o", patch]) == EXIT_OK
+    assert main(["sample", "--circuit", patch, "-n", "2000", "--seed", "3",
+                 "-o", samples]) == EXIT_OK
+    return patch, samples
+
+
 class TestAnalyze:
     def test_csv_rerun_byte_identical(self, small_circuit, tmp_path):
         circuit, samples = small_circuit
@@ -378,11 +391,41 @@ class TestAnalyze:
         assert main(argv) == EXIT_OK
         assert _artifacts(out) + (csv.read_bytes(),) == first
         header, *rows = first[2].decode().splitlines()
-        assert header == "x,empirical_cdf,model_cdf"
-        empirical = [float(row.split(",")[1]) for row in rows]
+        assert header == "part,x,empirical_cdf,model_cdf"
+        assert {row.split(",")[0] for row in rows} == {"0"}
+        empirical = [float(row.split(",")[2]) for row in rows]
         assert len(rows) > 1
         assert all(a <= b for a, b in zip(empirical, empirical[1:]))
         assert empirical[-1] == 1.0
+
+    def test_patch_bootstraps_and_writes_every_part(self, patch_4x4, tmp_path):
+        circuit, samples = patch_4x4
+        out, csv = tmp_path / "a.json", tmp_path / "cdf.csv"
+        assert main(["analyze", "--circuit", circuit, "--samples", samples,
+                     "--bootstrap", "500", "--csv", str(csv), "-o", str(out)]) == EXIT_OK
+        inst = json.loads(out.read_text())["instances"][0]
+        assert [r["n_qubits"] for r in inst["ks_records"]] == [8, 8]
+        assert inst["bootstrap_resamples"] == 500
+        assert 0.5 < inst["sigma_bootstrap"] / inst["sigma"] < 2.0
+        header, *rows = csv.read_text().splitlines()
+        assert header == "part,x,empirical_cdf,model_cdf"
+        parts = [row.split(",") for row in rows]
+        assert sorted({p[0] for p in parts}) == ["0", "1"]
+        for part in ("0", "1"):
+            empirical = [float(p[2]) for p in parts if p[0] == part]
+            assert len(empirical) > 1
+            assert all(a <= b for a, b in zip(empirical, empirical[1:]))
+            assert empirical[-1] == 1.0
+
+    @pytest.mark.parametrize("which, bootstrap", [("whole", "0"), ("patch", "0"),
+                                                  ("patch", "200")])
+    def test_negative_seed_exits_2_before_any_work(self, small_circuit, patch_4x4,
+                                                   tmp_path, which, bootstrap):
+        circuit, samples = small_circuit if which == "whole" else patch_4x4
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--circuit", circuit, "--samples", samples,
+                     "--bootstrap", bootstrap, "--seed", "-1", "-o", str(out)]) == EXIT_INPUT
+        assert list(tmp_path.iterdir()) == []
 
 
 def _artifacts(out):
@@ -619,6 +662,14 @@ class TestCost:
 
     def test_zero_restarts_exits_2(self, cost_circuit, tmp_path):
         assert _tnc(cost_circuit, tmp_path / "tnc.json", "--restarts", "0") == EXIT_INPUT
+
+    @pytest.mark.parametrize("restarts", ["1", "2"])
+    def test_negative_seed_exits_2_whatever_the_restarts(self, cost_circuit, tmp_path,
+                                                         restarts):
+        # restart 0 draws no stream; the seed is checked all the same
+        assert _tnc(cost_circuit, tmp_path / "tnc.json", "--restarts", restarts,
+                    "--restarts-csv", str(tmp_path / "r.csv"), "--seed", "-1") == EXIT_INPUT
+        assert list(tmp_path.iterdir()) == []
 
     def test_tnc_past_float_range_exits_4(self, tmp_path):
         circuit = str(tmp_path / "c.json")

@@ -11,7 +11,6 @@ from rcsbench.costmodel import (
     ContractionPath,
     CutAnalysis,
     TensorNetwork,
-    _size,
     circuit_to_tn,
     cut_analysis,
     estimate_sampling_cost,
@@ -30,23 +29,20 @@ from oracles import (
     exhaustive_min_cost,
     find_path_optimal,
     greedy_by_index_sets,
-    matrix_chain_min_cost,
     replay_by_occupancy,
     slice_by_replay,
 )
 
 
-def random_tn(n_tensors, gen, extra_edges=None, dim_range=(2, 3)):
+def random_tn(n_tensors, gen, extra_edges=None):
     """Random connected network with a spanning tree plus extra edges."""
     tensors = [[] for _ in range(n_tensors)]
-    dims = {}
     k = 0
 
     def add_edge(i, j):
         nonlocal k
         name = f"e{k}"
         k += 1
-        dims[name] = int(gen.integers(*dim_range))
         tensors[i].append(name)
         tensors[j].append(name)
 
@@ -61,12 +57,10 @@ def random_tn(n_tensors, gen, extra_edges=None, dim_range=(2, 3)):
         if gen.random() < 0.3:
             name = f"o{k}"
             k += 1
-            dims[name] = 2
             tensors[i].append(name)
             open_idx.append(name)
     return TensorNetwork(
         tuple((f"t{i}", tuple(ix)) for i, ix in enumerate(tensors)),
-        dims,
         tuple(open_idx),
     )
 
@@ -109,30 +103,34 @@ class TestCircuitToTn:
         with pytest.raises(InputError):
             circuit_to_tn(c, open_qubits=(99,))
 
+    def test_indices_in_order_of_first_appearance(self, grid_3x4):
+        tn = TensorNetwork((("a", ("j", "i")), ("b", ("i", "k")), ("c", ("k", "j"))), ())
+        assert tn.indices == ("j", "i", "k")
+        # a circuit's wires appear as they are made: every input, then each
+        # gate's outputs
+        c = rb.standard_circuit(grid_3x4, 2, seed=1)
+        tn = circuit_to_tn(c)
+        wires = [f"q{q}.0" for q in c.qubits]
+        made = {q: 0 for q in c.qubits}
+        for _, qubits, _ in c.gates():
+            for q in qubits:
+                made[q] += 1
+                wires.append(f"q{q}.{made[q]}")
+        assert tn.indices == tuple(wires)
+
 
 class TestPaths:
     def test_two_tensor_network(self):
-        tn = TensorNetwork((("a", ("i", "j")), ("b", ("j", "k"))),
-                           {"i": 3, "j": 4, "k": 5}, ("i", "k"))
+        tn = TensorNetwork((("a", ("i", "j")), ("b", ("j", "k"))), ("i", "k"))
         g = find_path_greedy_full(tn, restarts=1)[0]
         o = find_path_optimal(tn)
         assert g.merges == ((0, 1),)
-        assert g.total_flops == o.total_flops == 60
-
-    def test_matrix_chain_oracle(self):
-        dims = [7, 2, 9, 3]
-        tn = TensorNetwork(
-            (("m1", ("d0", "d1")), ("m2", ("d1", "d2")), ("m3", ("d2", "d3"))),
-            {"d0": dims[0], "d1": dims[1], "d2": dims[2], "d3": dims[3]},
-            ("d0", "d3"),
-        )
-        o = find_path_optimal(tn)
-        assert o.total_flops == matrix_chain_min_cost(dims)
+        assert g.total_flops == o.total_flops == 8
 
     def test_greedy_within_2x_of_optimal(self):
         gen = np.random.default_rng(0)
         for trial in range(50):
-            tn = random_tn(int(gen.integers(3, 9)), gen, dim_range=(2, 3))
+            tn = random_tn(int(gen.integers(3, 9)), gen)
             g = find_path_greedy_full(tn, seed=trial, restarts=16)[0]
             o = find_path_optimal(tn)
             assert o.total_flops <= g.total_flops + 1e-9
@@ -141,7 +139,7 @@ class TestPaths:
     def test_optimal_matches_partition_oracle(self):
         gen = np.random.default_rng(1)
         for trial in range(20):
-            tn = random_tn(int(gen.integers(3, 7)), gen, dim_range=(2, 4))
+            tn = random_tn(int(gen.integers(3, 7)), gen)
             o = find_path_optimal(tn)
             assert o.total_flops == pytest.approx(exhaustive_min_cost(tn))
 
@@ -173,9 +171,7 @@ class TestPaths:
 
     def test_disconnected_components_handled(self):
         tn = TensorNetwork(
-            (("a", ("i",)), ("b", ("i",)), ("c", ("j",)), ("d", ("j",))),
-            {"i": 2, "j": 2}, (),
-        )
+            (("a", ("i",)), ("b", ("i",)), ("c", ("j",)), ("d", ("j",))), ())
         path = find_path_greedy_full(tn, restarts=1)[0]
         _, _, _, _, final = replay_path(tn, path.merges)
         assert final == frozenset()
@@ -189,8 +185,7 @@ class TestPaths:
         ((0, 1), (2, 3), (3, 2)),  # one merge too many
     ])
     def test_malformed_path_rejected(self, merges):
-        tn = TensorNetwork((("a", ("i",)), ("b", ("i", "j")), ("c", ("j",))),
-                           {"i": 2, "j": 2}, ())
+        tn = TensorNetwork((("a", ("i",)), ("b", ("i", "j")), ("c", ("j",))), ())
         replay_path(tn, ((0, 1), (2, 3)))
         with pytest.raises(InputError):
             replay_path(tn, merges)
@@ -199,7 +194,7 @@ class TestPaths:
         gen = np.random.default_rng(7)
         open_sliced = 0
         for _ in range(200):
-            tn = random_tn(int(gen.integers(2, 10)), gen, dim_range=(2, 5))
+            tn = random_tn(int(gen.integers(2, 10)), gen)
             n = len(tn.tensors)
             live, merges = list(range(n)), []
             while len(live) > 1:
@@ -218,8 +213,7 @@ class TestPaths:
         """Two components, one with an open index, plus a rank-0 tensor."""
         return TensorNetwork(
             (("a", ("i", "j")), ("b", ("j", "k")), ("c", ("k", "i")), ("s", ()),
-             ("d", ("l", "m")), ("e", ("m", "x")), ("f", ("l",))),
-            {"i": 2, "j": 3, "k": 2, "l": 2, "m": 4, "x": 2}, ("x",))
+             ("d", ("l", "m")), ("e", ("m", "x")), ("f", ("l",))), ("x",))
 
     def test_greedy_golden(self, demo60):
         """Paths and restart totals pinned from the occupancy-count search:
@@ -232,7 +226,7 @@ class TestPaths:
         assert digest(tn) == (
             "9ff461976b9b57acd941cd2c86816fb97e53a9434ae5b1211e9515e67095485b")
         assert digest(self.disconnected_with_scalar()) == (
-            "c887c3a1ca09f45927d0db050e30c8b6390d0084d19ef4c09487505dde67734d")
+            "fb9212b9782b51c3da562087153a0b0bb7a2b8e871aea80b496a92f038a9b144")
         # cost60's search: demo60 at 24 cycles, circuit seed 1, 16 restarts
         tn = circuit_to_tn(rb.standard_circuit(demo60, 24, seed=1))
         assert digest(tn, restarts=16) == (
@@ -240,7 +234,7 @@ class TestPaths:
 
     def test_greedy_matches_index_set_oracle(self, grid_3x4):
         gen = np.random.default_rng(11)
-        networks = [random_tn(int(gen.integers(2, 13)), gen, dim_range=(2, 5))
+        networks = [random_tn(int(gen.integers(2, 13)), gen)
                     for _ in range(100)]
         assert sum(len(tn.open_indices) for tn in networks) > 0
         for tn in networks:
@@ -256,7 +250,7 @@ class TestPaths:
         # Larger networks, where the held candidates outlive several merges
         # and new pairs score below them.
         gen = np.random.default_rng(12)
-        networks = [random_tn(int(gen.integers(20, 41)), gen, dim_range=(2, 5))
+        networks = [random_tn(int(gen.integers(20, 41)), gen)
                     for _ in range(12)]
         for cycles in (4, 8):
             c = rb.standard_circuit(grid_3x4, cycles, seed=cycles)
@@ -266,23 +260,21 @@ class TestPaths:
                 assert (find_path_greedy_full(tn, seed=seed, restarts=8)
                         == greedy_by_index_sets(tn, seed, 8))
 
-    def test_size_is_exact_in_any_order(self):
-        dims = {f"a{k:02d}": 3 for k in range(25)} | {f"b{k:02d}": 5 for k in range(25)}
-        names = sorted(dims)
-        want = float(math.prod(dims.values()))
-        assert _size(names, dims) == want
-        assert _size(names[::-1], dims) == want
-
     def test_size_past_float_range_is_a_resource_limit(self):
         # Merging the two tensors leaves 1200 open indices: 2^1200 entries.
         left = tuple(f"l{k}" for k in range(600))
         right = tuple(f"r{k}" for k in range(600))
         tn = TensorNetwork(
             tensors=(("a", left + ("s",)), ("b", right + ("s",))),
-            indices={name: 2 for name in left + right + ("s",)},
             open_indices=left + right)
         with pytest.raises(ResourceLimitError):
             find_path_greedy_full(tn, restarts=1)
+
+    def test_seed_checked_with_one_restart(self):
+        tn = TensorNetwork((("a", ("i",)), ("b", ("i",))), ())
+        for seed in (-1, 2**64):
+            with pytest.raises(InputError):
+                find_path_greedy_full(tn, seed=seed, restarts=1)
 
     def test_optimal_size_guard(self):
         gen = np.random.default_rng(2)
@@ -302,8 +294,7 @@ class TestSlicing:
         assert res.total_flops == path.total_flops
 
     def test_single_merge_slice_count_two(self):
-        tn = TensorNetwork((("a", ("i", "j")), ("b", ("j", "k"))),
-                           {"i": 2, "j": 2, "k": 2}, ("i", "k"))
+        tn = TensorNetwork((("a", ("i", "j")), ("b", ("j", "k"))), ("i", "k"))
         path = find_path_greedy_full(tn, restarts=1)[0]
         assert path.largest_intermediate_rank == 2
         res = slice_network(tn, path, 1)
@@ -314,7 +305,7 @@ class TestSlicing:
         gen = np.random.default_rng(3)
         done = 0
         while done < 10:
-            tn = random_tn(20, gen, dim_range=(2, 3))
+            tn = random_tn(20, gen)
             path = find_path_greedy_full(tn, seed=done, restarts=8)[0]
             cap = path.largest_intermediate_rank - 1
             if cap < 1:
@@ -333,18 +324,30 @@ class TestSlicing:
         res = slice_network(tn, path, 5)
         assert res.largest_intermediate_rank <= 5
         assert set(res.sliced_indices) & set(tn.open_indices)
-        assert res.n_slices == math.prod(tn.indices[k] for k in res.sliced_indices)
+        assert res.n_slices == 2 ** len(res.sliced_indices)
         assert res.total_flops == res.n_slices * res.per_slice_flops
         with pytest.raises(InputError):
             slice_network(tn, path, -1)
 
     def test_rejects_index_on_three_tensors(self):
         tn = TensorNetwork(
-            (("a", ("i",)), ("b", ("i",)), ("c", ("i", "j")), ("d", ("j",))),
-            {"i": 2, "j": 2}, ())
+            (("a", ("i",)), ("b", ("i",)), ("c", ("i", "j")), ("d", ("j",))), ())
         path = ContractionPath(((0, 1), (2, 3), (4, 5)), (2.0, 4.0, 1.0), 7.0, 1)
         with pytest.raises(InputError):
             slice_network(tn, path, 0)
+
+    def test_slicing_golden(self, demo60):
+        """cost60's slicing: demo60 at 24 cycles, circuit seed 1, 16 restarts,
+        search seed 0, cap 30."""
+        tn = circuit_to_tn(rb.standard_circuit(demo60, 24, seed=1))
+        path = find_path_greedy_full(tn, seed=0, restarts=16)[0]
+        res = slice_network(tn, path, 30)
+        assert len(res.sliced_indices) == 94
+        assert res.n_slices == 2**94
+        assert res.total_flops == 4.510909046752242e+41
+        assert res.largest_intermediate_rank == 30
+        assert hashlib.sha256(repr(res.sliced_indices).encode()).hexdigest() == (
+            "9ad63628f171d034a131839b174fd7505e2da5475944b6a59a44def8eb32e8d2")
 
     def test_matches_replay_after_each_slice(self, grid_3x4):
         gen = np.random.default_rng(4)

@@ -158,4 +158,4 @@ def test_probabilities_of_samples_hold_only_their_output(circuit):
 def test_bootstrap_chunk_bounds_its_memory():
     gen = np.random.default_rng(5)
     rec = xeb.ProbabilityRecord(gen.exponential(size=20_000) / (1 << 16), 16)
-    assert traced_peak(lambda: rb.bootstrap_xeb(rec, 2500, seed=1)) <= 4.5 * 2**20
+    assert traced_peak(lambda: rb.bootstrap_xeb([rec], 2500, seed=1)) <= 4.5 * 2**20

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, special, stats
 
 import rcsbench as rb
-from rcsbench import simulator, xeb
+from rcsbench import rng, simulator, xeb
 from rcsbench.circuit import grid_parts
 from rcsbench.errors import InputError, ResourceLimitError
 from rcsbench.samples import pack_bits
@@ -59,7 +59,7 @@ class TestSigma:
         ss = rb.sample_noisy_speckle(state, 0.4, 50_000, seed=22)
         rec = rb.probabilities_of_samples(dist, ss)
         sigma = rb.xeb_sigma(rec)
-        sigma_boot, _ = rb.bootstrap_xeb(rec, 2500, seed=23)
+        sigma_boot, _ = rb.bootstrap_xeb([rec], 2500, seed=23)
         assert abs(sigma_boot - sigma) / sigma < 0.10
 
 
@@ -170,41 +170,64 @@ class TestKsTest:
 class TestBootstrap:
     def test_constant_probs_zero(self):
         rec = ProbabilityRecord(np.full(1000, 1 / 4096), 12)
-        sigma, fids = rb.bootstrap_xeb(rec, 200, seed=0)
+        sigma, fids = rb.bootstrap_xeb([rec], 200, seed=0)
         assert sigma == 0.0
 
     def test_deterministic_per_seed(self):
         gen = np.random.default_rng(27)
         rec = model_draws(0.5, 5000, gen)
-        a = rb.bootstrap_xeb(rec, 300, seed=1)
-        b = rb.bootstrap_xeb(rec, 300, seed=1)
+        a = rb.bootstrap_xeb([rec], 300, seed=1)
+        b = rb.bootstrap_xeb([rec], 300, seed=1)
         assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
     def test_histogram_approximately_gaussian(self):
         gen = np.random.default_rng(28)
         rec = model_draws(0.5, 20_000, gen)
-        _, fids = rb.bootstrap_xeb(rec, 2500, seed=2)
+        _, fids = rb.bootstrap_xeb([rec], 2500, seed=2)
         assert stats.normaltest(fids).pvalue > 0.01
 
     def test_gaussian_fit_agrees(self):
         gen = np.random.default_rng(29)
         rec = model_draws(0.5, 20_000, gen)
-        sigma_boot, fids = rb.bootstrap_xeb(rec, 2500, seed=3)
+        sigma_boot, fids = rb.bootstrap_xeb([rec], 2500, seed=3)
         sigma_fit = fit_gaussian_sigma(fids)
         assert abs(sigma_fit - sigma_boot) / sigma_boot < 0.10
 
     def test_chunking_does_not_change_resamples(self, monkeypatch):
         gen = np.random.default_rng(30)
         rec = model_draws(0.5, 1001, gen)
-        want = rb.bootstrap_xeb(rec, 101, seed=4)
+        want = rb.bootstrap_xeb([rec], 101, seed=4)
         monkeypatch.setattr(xeb, "_BOOTSTRAP_CHUNK", 2 * 1001)  # 2 rows, then 1
-        got = rb.bootstrap_xeb(rec, 101, seed=4)
+        got = rb.bootstrap_xeb([rec], 101, seed=4)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
     def test_rejects_few_resamples(self):
         rec = ProbabilityRecord(np.full(100, 0.01), 8)
         with pytest.raises(InputError):
-            rb.bootstrap_xeb(rec, 50, seed=0)
+            rb.bootstrap_xeb([rec], 50, seed=0)
+
+    @pytest.mark.parametrize("n_parts", [1, 2, 3])
+    def test_parts_share_each_draw(self, n_parts, monkeypatch):
+        """Every part's fidelity is taken over the same resampled indices,
+        drawn as one (resamples, samples) matrix, and the resample's fidelity
+        is their product; chunking changes nothing."""
+        gen = np.random.default_rng(31)
+        records = [model_draws(0.6, 1001, gen, n_qubits=6 + k) for k in range(n_parts)]
+        idx = rng.stream(5, rng.Stream.BOOTSTRAP).integers(0, 1001, size=(150, 1001))
+        want = np.prod([rec.dim * rec.probs[idx].mean(axis=1) - 1.0 for rec in records],
+                       axis=0)
+        monkeypatch.setattr(xeb, "_BOOTSTRAP_CHUNK", 7 * 1001)
+        sigma, fids = rb.bootstrap_xeb(records, 150, seed=5)
+        assert np.array_equal(fids, want)
+        assert sigma == float(np.std(want, ddof=1))
+
+    def test_rejects_parts_of_unequal_length(self):
+        recs = [ProbabilityRecord(np.full(100, 0.01), 8),
+                ProbabilityRecord(np.full(101, 0.01), 8)]
+        with pytest.raises(InputError):
+            rb.bootstrap_xeb(recs, 100, seed=0)
+        with pytest.raises(InputError):
+            rb.bootstrap_xeb([], 100, seed=0)
 
 
 class TestCombination:
