@@ -30,10 +30,12 @@ transpose at the end restores the canonical order.  The executor alternates
 between two flat work buffers and never writes into the state it is given:
 `execute` allocates them once per run, writes |0...0> into the first and
 returns the other with the final transpose, and each trajectory worker
-thread allocates them once.  `run`, the trajectory replay, the calibration
-loss (on programs with gate sites swapped in, `Program.with_sites`),
-`apply_single`, `apply_two` (one-op programs) and `adjoint_gradient`'s
-forward sweep all run `_execute`; its backward sweep undoes the same GEMMs.
+thread holds three, its ideal cursor and two work buffers, whose roles
+rotate as the cursor advances.  `run`, the trajectory replay, the
+calibration loss (on programs with gate sites swapped in,
+`Program.with_sites`), `apply_single`, `apply_two` (one-op programs) and
+`adjoint_gradient`'s forward sweep all run `_execute`; its backward sweep
+undoes the same GEMMs.
 
 Ideal and speckle draws invert the cumulative Born distribution through an
 index table (Chen & Asau 1974): with m the largest power of two <= min(2^n,
@@ -47,26 +49,30 @@ uniforms at a time (`_DRAW_CHUNK`).
 
 Memory, in states of 2^n amplitudes: `run`, sampling from its state,
 `xeb.measured_xeb` (per part) and the calibration loss hold 2, the work
-buffers.  Trajectories hold their checkpoints (none for cycle 0: a replay
-from it writes |0...0> into a work buffer), 2^n float64 for the ideal
-cumulative distribution (1/2 state), and 2 per worker; each
-replay builds its cumulative distribution in its worker's buffers.  The
-adjoint sweep holds 4, two pairs of conj(psi) and conj(lambda), at any
-depth.  Before it allocates, each path adds up these bytes
-(`memory_need`) and raises `ResourceLimitError` if they exceed the
-machine's physical memory (`check_memory`): a run of 28 qubits needs
-8 GiB, and one of 40 qubits 32 TiB.
+buffers.  Trajectories hold 3 per worker, its ideal cursor and two replay
+buffers, and 2^n float64 for the ideal cumulative distribution (1/2
+state), at any depth; each replay builds its cumulative distribution in its
+worker's replay buffers.  The adjoint sweep holds 4, two pairs of conj(psi)
+and conj(lambda), at any depth.  Before it allocates, each path adds up
+these bytes (`memory_need`) and raises `ResourceLimitError` if they exceed
+the machine's physical memory (`check_memory`): a run of 28 qubits needs 8
+GiB, and one of 40 qubits 32 TiB.
 
 Two noise models ship: a speckle mixture (each sample comes from the ideal
 distribution with probability F, uniform otherwise) and Pauli-trajectory
 injection (after each gate site, that is each single-qubit gate and each
 two-qubit gate, an error with the per-gate probability inserts a uniformly
 random non-identity Pauli on the touched qubits; one bitstring is drawn per
-trajectory).  Trajectories run on ``threads`` workers, the calling thread
-among them (`fan_out`, which calibration's patches also use): each worker
-takes the next trajectory index from one shared iterator, and each
-trajectory draws from its own substream, so the words do not depend on the
-thread count.
+trajectory).  Each trajectory draws its faults from its own substream.  A
+faulty one replays the circuit from its first faulty op, the earliest op
+that holds one of its fault sites, with the faulty sites swapped in
+(`Program.with_sites`), starting from the ideal state before that op.  The
+faulty trajectories run on ``threads`` workers, the calling thread among
+them (`fan_out`, which calibration's patches also use), in order of their
+first faulty op: each worker takes the next from one shared iterator and
+advances its own ideal cursor, op by op from |0...0>, to the trajectory's
+first faulty op, so no state is stored per cycle and the words do not
+depend on the thread count.
 """
 from __future__ import annotations
 
@@ -96,9 +102,6 @@ _MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 # 8-cycle circuit and 200 noisy trajectories of it fastest and tied 3 on a
 # 20-qubit, 8-cycle circuit; 5 and 6 were slower on all three.
 _GROUP_QUBITS = 4
-
-# Checkpoint budget for trajectory replay (bytes of saved cycle states).
-_CHECKPOINT_BUDGET = 512 << 20
 
 # Uniforms drawn and looked up per pass of `_draw_words`: its temporaries
 # are a few arrays of this many elements, whatever the number of draws.
@@ -599,55 +602,40 @@ def sample_trajectory(
     rate), one Pauli per error site in circuit order, and the uniform that
     picks its bitstring.
 
-    The ideal pass keeps the state at cycle boundaries, in the compiled
-    layout of that boundary, every stride-th cycle within a memory budget.
-    An errorful trajectory resumes from the last checkpoint before the cycle
-    of its first error, and replays the rest with each Pauli folded into the
-    fused op that holds its site.
+    Every trajectory's draws come first, and a fault-free one takes its
+    word from the ideal distribution.  The faulty ones run in order of
+    their first faulty op, then of index.  That op is the earliest that
+    holds one of their fault sites, which need not hold the lowest site:
+    site order and op order differ within a cycle.  A worker advances its
+    ideal cursor to the trajectory's first faulty op, then replays the rest
+    from it, with each Pauli folded into the fused op that holds its site,
+    in its two other buffers, so the cursor is never written.
     """
-    n, n_cycles = circuit.n_qubits, circuit.n_cycles
+    n = circuit.n_qubits
     if n_samples < 1:
         raise InputError(f"need at least one sample, got {n_samples}")
     if threads < 1:
         raise InputError(f"need at least one thread, got {threads}")
-
-    stride = 1
-    state_bytes = memory_need(n, 1)
-    while (stride < n_cycles
-           and state_bytes * len(range(stride, n_cycles, stride)) > _CHECKPOINT_BUDGET):
-        stride *= 2
-    states = len(range(stride, n_cycles, stride)) + 2 * min(threads, n_samples)
-    check_memory(memory_need(n, states, 1),
+    check_memory(memory_need(n, 3 * min(threads, n_samples), 1),
                  f"sampling {n_samples} trajectories of {n} qubits on {threads} threads")
 
     program = compile_circuit(circuit)
+    ops = [op for cycle in program.cycles for op in cycle]
+    op_of = {s: i for i, op in enumerate(ops) for s in op.sites}
     e_vec = np.array([noise.e2 if len(s.qubits) == 2 else noise.e1
                       for s in program.sites])
+    any_noise = len(e_vec) > 0 and float(e_vec.max()) > 0.0
 
-    # Checkpoint i > 0 is the state before cycle i * stride, copied out of the
-    # work buffers for the replays to read; a replay from cycle 0 starts at _vacuum.
-    checkpoints = [None]
     work = _work_buffers(n)
-    psi = _vacuum(work)
-    for c, ops in enumerate(program.cycles):
-        if c and c % stride == 0:
-            checkpoints.append(psi.copy())
-        psi = _execute(ops, psi, work)
+    psi = _execute(ops, _vacuum(work), work)
     ideal_cum = _cumulative(psi, program.layout, work, out=np.empty(1 << n))
 
-    any_noise = len(e_vec) > 0 and float(e_vec.max()) > 0.0
-    local = threading.local()  # each worker thread's work buffers
-    local.work = work          # the calling thread reuses the ideal pass's
-    del psi, work
     words = np.empty(n_samples, dtype=np.uint64)
-
-    def one_trajectory(t: int) -> None:
+    plans = []  # (first faulty op, index, site -> matrix with its Pauli, uniform)
+    for t in range(n_samples):
         gen = rng.stream(seed, rng.Stream.TRAJECTORY, index=t)
         err_at = np.nonzero(gen.random(len(e_vec)) < e_vec)[0] if any_noise else ()
-        if len(err_at) == 0:
-            words[t] = np.searchsorted(ideal_cum, gen.random(), side="right")
-            return
-        faulty: dict[int, np.ndarray] = {}  # site -> matrix with its Pauli
+        faulty: dict[int, np.ndarray] = {}
         for s in err_at:
             site = program.sites[s]
             if len(site.qubits) == 2:
@@ -656,19 +644,33 @@ def sample_trajectory(
             else:
                 pauli = _PAULIS[int(gen.integers(0, 3)) + 1]
             faulty[int(s)] = pauli @ site.matrix
-        k = program.sites[err_at[0]].cycle // stride
-        work = getattr(local, "work", None)
-        if work is None:
-            work = local.work = _work_buffers(n)
-        # the replay runs at least the faulty cycle, so amps ends in a work
-        # buffer, which then takes the cumulative distribution
-        amps = checkpoints[k] if k else _vacuum(work)
-        for ops in program.with_sites(faulty).cycles[k * stride:]:
-            amps = _execute(ops, amps, work)
-        cum = _cumulative(amps, program.layout, work, _float_view(amps))
-        words[t] = np.searchsorted(cum, gen.random(), side="right")
+        if faulty:
+            plans.append((min(map(op_of.get, faulty)), t, faulty, gen.random()))
+        else:
+            words[t] = np.searchsorted(ideal_cum, gen.random(), side="right")
+    plans.sort(key=lambda plan: plan[:2])
 
-    fan_out(one_trajectory, n_samples, threads)
+    local = threading.local()  # each worker's cursor, its op index and two buffers
+    local.work = work          # the calling thread reuses the ideal pass's
+
+    def one_trajectory(i: int) -> None:
+        first, t, faulty, u = plans[i]
+        if not hasattr(local, "cursor"):
+            if not hasattr(local, "work"):
+                local.work = _work_buffers(n)
+            local.cursor, local.at = zero_state(n).amplitudes, 0
+        if local.at < first:  # the cursor's old buffer becomes a work buffer
+            psi = _execute(ops[local.at:first], local.cursor, local.work)
+            local.work = (local.cursor, _spare(local.work, psi))
+            local.cursor, local.at = psi, first
+        # the replay runs at least the first faulty op, so psi ends in a
+        # replay buffer, which then takes the cumulative distribution
+        replay = [op for cycle in program.with_sites(faulty).cycles for op in cycle]
+        psi = _execute(replay[first:], local.cursor, local.work)
+        cum = _cumulative(psi, program.layout, local.work, _float_view(psi))
+        words[t] = np.searchsorted(cum, u, side="right")
+
+    fan_out(one_trajectory, len(plans), threads)
     return SampleSet(n, words, meta={"model": "trajectory", "seed": seed})
 
 

@@ -25,7 +25,7 @@ and independent of any chunking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,10 +42,13 @@ _BOOTSTRAP_CHUNK = 1 << 18
 
 @dataclass(frozen=True)
 class ProbabilityRecord:
-    """Ideal probabilities of each sampled bitstring."""
+    """Ideal probabilities of each sampled bitstring, and the ideal
+    collision ratio D*sum(p^2) - 1 of the distribution that they were looked
+    up in, which the fidelity estimate divides by (1 leaves it raw)."""
 
     probs: np.ndarray
     n_qubits: int
+    collision: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
@@ -84,6 +87,13 @@ def xeb_sigma(rec: ProbabilityRecord) -> float:
     if rec.n_samples < 2:
         raise InputError("need at least two samples for an uncertainty")
     return float(rec.dim * np.sqrt(np.var(rec.probs, ddof=1) / rec.n_samples))
+
+
+def _part_fidelity(rec: ProbabilityRecord, mean_p):
+    """The fidelity of one part, (D * mean(p) - 1) / C with C the record's
+    collision ratio, for the mean ``mean_p`` of the record's probabilities or
+    of a resample of them: `measured_xeb` and `bootstrap_xeb` both use it."""
+    return (rec.dim * mean_p - 1.0) / rec.collision
 
 
 def linear_xeb(rec: ProbabilityRecord) -> XebEstimate:
@@ -138,8 +148,8 @@ def bootstrap_xeb(
     """Resample the samples with replacement and recompute the fidelity;
     returns (std of resampled fidelities, the fidelities).  ``records`` are
     the parts' records over the same samples; a resample's fidelity is the
-    product of its parts' raw (not collision-normalised) D * mean(p) - 1
-    over one set of drawn indices."""
+    product of its parts' collision-normalised fidelities over one set of
+    drawn indices, as `measured_xeb`'s is over all samples."""
     if n_resamples < 100:
         raise InputError("need at least 100 bootstrap resamples")
     if len({rec.n_samples for rec in records}) != 1:
@@ -152,7 +162,7 @@ def bootstrap_xeb(
         hi = min(lo + chunk, n_resamples)
         idx = gen.integers(0, n, size=(hi - lo, n))
         for rec in records:
-            fids[lo:hi] *= rec.dim * rec.probs[idx].mean(axis=1) - 1.0
+            fids[lo:hi] *= _part_fidelity(rec, rec.probs[idx].mean(axis=1))
     return float(np.std(fids, ddof=1)), fids
 
 
@@ -190,7 +200,8 @@ def measured_xeb(circuit, samples: SampleSet):
     multiplied (whole-system XEB is not normalizable for a product state).
     Any other circuit is one part.  The memory of the largest part is
     checked before any part is simulated (`scored_parts`).  Returns
-    (estimate, records) with one probability record per part.
+    (estimate, records) with one probability record per part, which carries
+    the part's collision ratio.
     """
     if samples.n_qubits != circuit.n_qubits:
         raise InputError("sample width does not match the circuit")
@@ -204,11 +215,11 @@ def measured_xeb(circuit, samples: SampleSet):
             sub = extract_subcircuit(circuit, part)
             sub_samples = select_bits(samples, [pos[q] for q in part])
         dist = simulator.probabilities(simulator.run(sub))
-        records.append(probabilities_of_samples(dist, sub_samples))
-        est = linear_xeb(records[-1])
-        collision = float(dist.size * np.sum(dist**2) - 1.0)
-        estimates.append(XebEstimate(est.fidelity / collision, est.sigma / collision,
-                                     est.n_samples))
+        rec = replace(probabilities_of_samples(dist, sub_samples),
+                      collision=float(dist.size * np.sum(dist**2) - 1.0))
+        records.append(rec)
+        estimates.append(XebEstimate(float(_part_fidelity(rec, np.mean(rec.probs))),
+                                     xeb_sigma(rec) / rec.collision, rec.n_samples))
     est = estimates[0] if len(estimates) == 1 else product_xeb(estimates)
     return est, records
 

@@ -72,19 +72,28 @@ def dense_run_sites(circuit, replaced: dict[int, np.ndarray]) -> np.ndarray:
     """`dense_run` with the given gate sites' matrices replaced by arbitrary
     ones.  Sites count the gates as `Program.sites` does: per cycle the
     single-qubit gates by position, then the two-qubit gates in order."""
+    return dense_runs(circuit, [replaced])[:, 0]
+
+
+def dense_runs(circuit, replacements: list[dict[int, np.ndarray]]) -> np.ndarray:
+    """`dense_run_sites` for each dict of replaced sites, one final state per
+    column: each gate's full-space matrix is built once and multiplied into
+    the columns that keep it, and each replaced matrix into its own column."""
     n = circuit.n_qubits
     pos = {q: i for i, q in enumerate(circuit.qubits)}
-    site = itertools.count()
-    state = np.zeros(1 << n, dtype=complex)
-    state[0] = 1.0
+    gates = []
     for cyc in circuit.cycles:
-        for i, g in enumerate(cyc.single):
-            u = replaced.get(next(site), sq_matrix(g))
-            state = dense_single(n, i, u) @ state
-        for a, b, p in cyc.two_qubit:
-            u = replaced.get(next(site), fsim_matrix(p))
-            state = dense_two(n, pos[a], pos[b], u) @ state
-    return state
+        gates += [(dense_single, (i,), sq_matrix(g)) for i, g in enumerate(cyc.single)]
+        gates += [(dense_two, (pos[a], pos[b]), fsim_matrix(p)) for a, b, p in cyc.two_qubit]
+    states = np.zeros((1 << n, len(replacements)), dtype=complex)
+    states[0] = 1.0
+    for site, (dense, qubits, u) in enumerate(gates):
+        swapped = [k for k, replaced in enumerate(replacements) if site in replaced]
+        kept = states[:, swapped]
+        states = dense(n, *qubits, u) @ states
+        for k, column in zip(swapped, kept.T):
+            states[:, k] = dense(n, *qubits, replacements[k][site]) @ column
+    return states
 
 
 def adjoint_stored(program, cotangent, sites):

@@ -172,8 +172,9 @@ class TestSample:
         first = _outputs(out)
         assert _sample_trajectory(trajectory_inputs, out, 1) == EXIT_OK
         assert _outputs(out) == first
-        assert _sample_trajectory(trajectory_inputs, out, 2) == EXIT_OK
-        assert _outputs(out) == first
+        for threads in (2, 3):
+            assert _sample_trajectory(trajectory_inputs, out, threads) == EXIT_OK
+            assert _outputs(out) == first
         assert rb.load_samples(str(out)).n_samples == 300
 
     def test_trajectory_zero_threads_exits_2(self, trajectory_inputs, tmp_path):
@@ -406,7 +407,9 @@ class TestAnalyze:
         inst = json.loads(out.read_text())["instances"][0]
         assert [r["n_qubits"] for r in inst["ks_records"]] == [8, 8]
         assert inst["bootstrap_resamples"] == 500
-        assert 0.5 < inst["sigma_bootstrap"] / inst["sigma"] < 2.0
+        # the resamples spread the collision-normalised fidelity that sigma
+        # propagates: raw resamples read 0.69 sigma here (collision ratios 0.83)
+        assert abs(inst["sigma_bootstrap"] / inst["sigma"] - 1) < 0.1
         header, *rows = csv.read_text().splitlines()
         assert header == "part,x,empirical_cdf,model_cdf"
         parts = [row.split(",") for row in rows]

@@ -16,8 +16,8 @@ from rcsbench.simulator import (_execute, _work_buffers, adjoint_gradient,
                                 compile_circuit, execute, fan_out, zero_state)
 
 from conftest import random_fsim
-from oracles import (adjoint_stored, dense_run, dense_run_sites, dense_single, dense_two,
-                     draw_words_by_searchsorted)
+from oracles import (adjoint_stored, dense_run, dense_run_sites, dense_runs, dense_single,
+                     dense_two, draw_words_by_searchsorted)
 
 
 # Words of sample_trajectory for a 3x4, 6-cycle circuit (seed 3) with
@@ -559,19 +559,50 @@ class TestTrajectory:
         est = rb.linear_xeb(rb.probabilities_of_samples(dist, ss))
         assert abs(est.fidelity - 1.0) < 3 * est.sigma
 
-    @pytest.mark.parametrize("budget_states", [None, 2])
-    def test_golden_words(self, grid_3x4, monkeypatch, budget_states):
-        # pins the error sites, the Pauli draw order and the final draw; a
-        # budget of 2 states keeps every 2nd cycle, so replays also run
-        # ideal cycles between a checkpoint and the first error
-        from rcsbench import simulator
-
-        if budget_states:
-            monkeypatch.setattr(simulator, "_CHECKPOINT_BUDGET", budget_states * 16 << 12)
+    def test_golden_words(self, grid_3x4):
+        # pins the error sites, the Pauli draw order and the final draw
         c = rb.standard_circuit(grid_3x4, 6, seed=3)
         noise = rb.NoiseModel(e1=0.01, e2=0.02)
         ss = rb.sample_trajectory(c, noise, 300, seed=12, threads=1)
         assert ss.words.tolist() == list(GOLDEN_TRAJECTORY_WORDS)
+
+    def test_words_match_dense_runs_of_their_faults(self, grid_3x4):
+        # each trajectory's faults and final uniform, rebuilt from its
+        # stream: its word's interval of the cumulative distribution of the
+        # dense faulty run holds the uniform
+        c = rb.standard_circuit(grid_3x4, 6, seed=3)
+        noise = rb.NoiseModel(e1=0.01, e2=0.02)
+        words = rb.sample_trajectory(c, noise, 300, seed=12, threads=2).words
+        program = compile_circuit(c)
+        op_of = {s: i for i, op in enumerate(op for ops in program.cycles for op in ops)
+                 for s in op.sites}
+        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                  np.diag([1, -1])]
+        replacements, uniforms, disagree = [], [], 0
+        for t in range(len(words)):
+            gen = rng.stream(12, rng.Stream.TRAJECTORY, index=t)
+            faulty = {}
+            for s, site in enumerate(program.sites):
+                rate = noise.e2 if len(site.qubits) == 2 else noise.e1
+                if gen.random() < rate:
+                    faulty[s] = site
+            for s, site in faulty.items():
+                if len(site.qubits) == 2:
+                    p1, p2 = divmod(int(gen.integers(0, 15)) + 1, 4)
+                    pauli = np.kron(paulis[p1], paulis[p2])
+                else:
+                    pauli = paulis[int(gen.integers(0, 3)) + 1]
+                faulty[s] = pauli @ site.matrix
+            replacements.append(faulty)
+            uniforms.append(gen.random())
+            disagree += bool(faulty) and op_of[min(faulty)] > min(map(op_of.get, faulty))
+        # faults whose lowest site is not in their first faulty op
+        assert disagree > 0
+        probs = np.abs(dense_runs(c, replacements)) ** 2
+        cum = np.cumsum(probs, axis=0) / probs.sum(axis=0)
+        cum = np.vstack([np.zeros(len(words)), cum])
+        for t, (w, u) in enumerate(zip(words.astype(np.intp), uniforms)):
+            assert cum[w, t] - 1e-12 <= u <= cum[w + 1, t] + 1e-12, t
 
     def test_thread_count_invariant(self, grid_3x4):
         c = rb.standard_circuit(grid_3x4, 6, seed=3)
