@@ -4,8 +4,9 @@ Conventions: qubit 0 is the most significant bit of the state index, and the
 sampled word equals that index.  For a two-qubit gate the first qubit argument
 is the high bit of the 4x4 matrix basis.  Amplitudes are complex128.
 
-A circuit is compiled once (`compile_circuit`) into a program of fused ops,
-whose gate site k is gate k of `Circuit.gates`, the one gate order.
+A circuit is compiled once (`compile_circuit`) into a program: one list of
+fused ops, in execution order, whose gate site k is gate k of
+`Circuit.gates`, the one gate order.
 Within a cycle every single-qubit gate comes before the two-qubit layer, so
 the cycle is a product of blocks: ``fsim @ kron(u_i, u_j)`` for a two-qubit
 gate on (i, j), with the single-qubit gates of its qubits absorbed, and
@@ -50,9 +51,8 @@ uniforms at a time (`_DRAW_CHUNK`).
 Memory, in states of 2^n amplitudes: `run`, sampling from its state,
 `xeb.measured_xeb` (per part) and the calibration loss hold 2, the work
 buffers.  Trajectories hold 3 per worker, its ideal cursor and two replay
-buffers, and 2^n float64 for the ideal cumulative distribution (1/2
-state), at any depth; each replay builds its cumulative distribution in its
-worker's replay buffers.  The adjoint sweep holds 4, two pairs of conj(psi)
+buffers, at any depth; each worker builds every cumulative distribution in
+these buffers.  The adjoint sweep holds 4, two pairs of conj(psi)
 and conj(lambda), at any depth.  Before it allocates, each path adds up
 these bytes (`memory_need`) and raises `ResourceLimitError` if they exceed
 the machine's physical memory (`check_memory`): a run of 28 qubits needs 8
@@ -67,11 +67,13 @@ trajectory).  Each trajectory draws its faults from its own substream.  A
 faulty one replays the circuit from its first faulty op, the earliest op
 that holds one of its fault sites, with the faulty sites swapped in
 (`Program.with_sites`), starting from the ideal state before that op.  The
-faulty trajectories run on ``threads`` workers, the calling thread among
-them (`fan_out`, which calibration's patches also use), in order of their
-first faulty op: each worker takes the next from one shared iterator and
-advances its own ideal cursor, op by op from |0...0>, to the trajectory's
-first faulty op, so no state is stored per cycle and the words do not
+trajectories run as plans on ``threads`` workers, the calling thread among
+them (`fan_out`, which calibration's patches also use): the faulty ones in
+order of their first faulty op, then one plan of all the fault-free ones,
+whose first faulty op is the program's end.  Each worker takes the next
+plan from one shared iterator and advances its own ideal cursor, op by op
+from |0...0>, to the plan's first faulty op, so no state is stored per
+cycle, each ideal op runs at most once per worker, and the words do not
 depend on the thread count.
 """
 from __future__ import annotations
@@ -184,7 +186,7 @@ class _Op:
 
 @dataclass(frozen=True)
 class Program:
-    """A circuit compiled into fused ops, one tuple of ops per cycle.
+    """A circuit compiled into one tuple of fused ops, in execution order.
 
     ``sites`` lists every gate site in the order of `Circuit.gates`, the
     one gate order.  ``layout`` is the qubit of each bit of the amplitude
@@ -192,7 +194,7 @@ class Program:
     """
 
     sites: tuple[GateSite, ...]
-    cycles: tuple[tuple[_Op, ...], ...]
+    ops: tuple[_Op, ...]
     layout: tuple[int, ...]
 
     def with_sites(self, replaced: dict[int, np.ndarray]) -> Program:
@@ -209,10 +211,8 @@ class Program:
                             for b, u in zip(op.blocks, op.singles))
             return _op(op.perm, op.blocks, singles, sites, op.sites)
 
-        cycles = tuple(
-            tuple(refused(op) if op.sites.intersection(replaced) else op for op in ops)
-            for ops in self.cycles)
-        return Program(tuple(sites), cycles, self.layout)
+        ops = tuple(refused(op) if op.sites.intersection(replaced) else op for op in self.ops)
+        return Program(tuple(sites), ops, self.layout)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,7 +306,7 @@ def compile_circuit(circuit: Circuit) -> Program:
         by_cycle[c].append(len(sites))
         sites.append(GateSite(c, tuple(pos[q] for q in qubits), matrix))
     layout = None  # |0...0> reads the same in every layout
-    cycles = []
+    ops: list[_Op] = []
     for ids in by_cycle:
         groups: list[list[_Block]] = []
         used: set[int] = set()
@@ -317,7 +317,6 @@ def compile_circuit(circuit: Circuit) -> Program:
                 used = set()
             groups[-1].append(blk)
             used.update(blk.qubits)
-        ops = []
         for run in _disjoint_runs(groups):
             # one transpose puts the run's qubits in front, in its order; each
             # op then rotates its own qubits from the front to the back
@@ -330,8 +329,7 @@ def compile_circuit(circuit: Circuit) -> Program:
                 ops.append(_op(perm, tuple(blocks), singles, sites, fused))
                 perm = None
             layout = start[len(order):] + order
-        cycles.append(tuple(ops))
-    return Program(tuple(sites), tuple(cycles), layout or tuple(range(n)))
+    return Program(tuple(sites), tuple(ops), layout or tuple(range(n)))
 
 
 def _disjoint_runs(groups: list[list[_Block]]) -> list[list[list[_Block]]]:
@@ -401,7 +399,7 @@ def run(circuit: Circuit) -> StateVector:
     """Evolve |0...0> through every cycle of the circuit.
 
     The circuit is compiled once into fused ops (see `compile_circuit`),
-    which the executor applies cycle by cycle.
+    which the executor applies in order.
     """
     n = circuit.n_qubits
     check_memory(memory_need(n, 2), f"a {n}-qubit run")
@@ -412,9 +410,7 @@ def execute(program: Program) -> np.ndarray:
     """Final amplitudes, in canonical order, of the program run on |0...0>.
     Holds the two work buffers and returns one of them."""
     work = _work_buffers(len(program.layout))
-    psi = _vacuum(work)
-    for ops in program.cycles:
-        psi = _execute(ops, psi, work)
+    psi = _execute(program.ops, _vacuum(work), work)
     return _canonical(psi, program.layout, _spare(work, psi))
 
 
@@ -439,17 +435,16 @@ def adjoint_gradient(program: Program, cotangent, sites):
             raise InputError(f"{s} is not a two-qubit gate site of the program")
     n = len(program.layout)
     shape = (2,) * n
-    ops = [op for cycle in program.cycles for op in cycle]
     pairs = np.empty((2, 2, 1 << n), complex)
     work = (pairs[0, 0], pairs[1, 0])
-    psi = _execute(ops, _vacuum(work), work)
+    psi = _execute(program.ops, _vacuum(work), work)
     value, lam = cotangent(_canonical(psi, program.layout, _spare(work, psi)))
     pair, spare = pairs if psi is work[0] else pairs[::-1]
     np.conjugate(psi, out=psi)
     np.conjugate(lam.reshape(shape).transpose(program.layout), out=pair[1].reshape(shape))
     del psi, lam  # only the pair is carried back
     envs = {}
-    for op in reversed(ops):
+    for op in reversed(program.ops):
         k = len(op.matrix)
         np.matmul(op.matrix.T, pair.reshape(2, -1, k).transpose(0, 2, 1),
                   out=spare.reshape(2, k, -1))
@@ -602,36 +597,34 @@ def sample_trajectory(
     rate), one Pauli per error site in circuit order, and the uniform that
     picks its bitstring.
 
-    Every trajectory's draws come first, and a fault-free one takes its
-    word from the ideal distribution.  The faulty ones run in order of
+    Every trajectory's draws come first.  The faulty ones run in order of
     their first faulty op, then of index.  That op is the earliest that
     holds one of their fault sites, which need not hold the lowest site:
     site order and op order differ within a cycle.  A worker advances its
     ideal cursor to the trajectory's first faulty op, then replays the rest
     from it, with each Pauli folded into the fused op that holds its site,
-    in its two other buffers, so the cursor is never written.
+    in its two other buffers, so the cursor is never written.  The
+    fault-free ones are one last plan: its worker advances its cursor to
+    the end and draws all their words from the ideal final state at once.
     """
     n = circuit.n_qubits
     if n_samples < 1:
         raise InputError(f"need at least one sample, got {n_samples}")
     if threads < 1:
         raise InputError(f"need at least one thread, got {threads}")
-    check_memory(memory_need(n, 3 * min(threads, n_samples), 1),
+    check_memory(memory_need(n, 3 * min(threads, n_samples)),
                  f"sampling {n_samples} trajectories of {n} qubits on {threads} threads")
 
     program = compile_circuit(circuit)
-    ops = [op for cycle in program.cycles for op in cycle]
+    ops = program.ops
     op_of = {s: i for i, op in enumerate(ops) for s in op.sites}
     e_vec = np.array([noise.e2 if len(s.qubits) == 2 else noise.e1
                       for s in program.sites])
     any_noise = len(e_vec) > 0 and float(e_vec.max()) > 0.0
 
-    work = _work_buffers(n)
-    psi = _execute(ops, _vacuum(work), work)
-    ideal_cum = _cumulative(psi, program.layout, work, out=np.empty(1 << n))
-
     words = np.empty(n_samples, dtype=np.uint64)
     plans = []  # (first faulty op, index, site -> matrix with its Pauli, uniform)
+    fault_free, fault_free_u = [], []
     for t in range(n_samples):
         gen = rng.stream(seed, rng.Stream.TRAJECTORY, index=t)
         err_at = np.nonzero(gen.random(len(e_vec)) < e_vec)[0] if any_noise else ()
@@ -647,30 +640,30 @@ def sample_trajectory(
         if faulty:
             plans.append((min(map(op_of.get, faulty)), t, faulty, gen.random()))
         else:
-            words[t] = np.searchsorted(ideal_cum, gen.random(), side="right")
+            fault_free.append(t)
+            fault_free_u.append(gen.random())
     plans.sort(key=lambda plan: plan[:2])
+    if fault_free:  # last, so its worker's cursor need not survive it
+        plans.append((len(ops), np.array(fault_free), {}, np.array(fault_free_u)))
 
     local = threading.local()  # each worker's cursor, its op index and two buffers
-    local.work = work          # the calling thread reuses the ideal pass's
 
-    def one_trajectory(i: int) -> None:
+    def one_plan(i: int) -> None:
         first, t, faulty, u = plans[i]
         if not hasattr(local, "cursor"):
-            if not hasattr(local, "work"):
-                local.work = _work_buffers(n)
+            local.work = _work_buffers(n)
             local.cursor, local.at = zero_state(n).amplitudes, 0
         if local.at < first:  # the cursor's old buffer becomes a work buffer
             psi = _execute(ops[local.at:first], local.cursor, local.work)
             local.work = (local.cursor, _spare(local.work, psi))
             local.cursor, local.at = psi, first
-        # the replay runs at least the first faulty op, so psi ends in a
-        # replay buffer, which then takes the cumulative distribution
-        replay = [op for cycle in program.with_sites(faulty).cycles for op in cycle]
-        psi = _execute(replay[first:], local.cursor, local.work)
+        # a faulty replay ends in a replay buffer; the fault-free plan
+        # replays nothing, and its cumulative distribution overwrites the cursor
+        psi = _execute(program.with_sites(faulty).ops[first:], local.cursor, local.work)
         cum = _cumulative(psi, program.layout, local.work, _float_view(psi))
         words[t] = np.searchsorted(cum, u, side="right")
 
-    fan_out(one_trajectory, len(plans), threads)
+    fan_out(one_plan, len(plans), threads)
     return SampleSet(n, words, meta={"model": "trajectory", "seed": seed})
 
 

@@ -38,29 +38,23 @@ from rcsbench.gates import fsim_matrix, sq_matrix
 from rcsbench.simulator import _block_environments
 
 
-def dense_single(n: int, qubit: int, u: np.ndarray) -> sparse.csr_matrix:
-    """Full-space matrix for a 2x2 gate; qubit 0 is the most significant."""
-    left = sparse.identity(1 << qubit)
-    right = sparse.identity(1 << (n - qubit - 1))
-    return sparse.kron(sparse.kron(left, u), right, format="csr")
-
-
-def dense_two(n: int, q1: int, q2: int, u: np.ndarray) -> sparse.csr_matrix:
-    """Full-space matrix for a 4x4 gate on (q1, q2); q1 is the high gate bit."""
-    d = 1 << n
-    s1, s2 = n - 1 - q1, n - 1 - q2
-    index = np.arange(d)
-    base = index[((index >> s1) | (index >> s2)) & 1 == 0]
-    rows, cols, vals = [], [], []
-    for c1, c2 in itertools.product((0, 1), repeat=2):
-        col = base | (c1 << s1) | (c2 << s2)
-        for b1, b2 in itertools.product((0, 1), repeat=2):
-            rows.append(base | (b1 << s1) | (b2 << s2))
-            cols.append(col)
-            vals.append(np.full(base.size, u[(b1 << 1) | b2, (c1 << 1) | c2], dtype=complex))
+def dense_gate(n: int, qubits: tuple[int, ...], u: np.ndarray) -> sparse.csr_matrix:
+    """Full-space matrix for a 2^k x 2^k gate on k distinct ``qubits``;
+    qubit 0 is the most significant bit of the state index, and
+    ``qubits[0]`` the most significant bit of the gate's basis."""
+    k = len(qubits)
+    shifts = [n - 1 - q for q in qubits]
+    index = np.arange(1 << n)
+    base = index[index & sum(1 << s for s in shifts) == 0]
+    # the state-index bits of each gate basis state
+    spread = [sum(((b >> (k - 1 - j)) & 1) << s for j, s in enumerate(shifts))
+              for b in range(1 << k)]
+    pairs = list(itertools.product(range(1 << k), repeat=2))
     return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(d, d))
+        (np.concatenate([np.full(base.size, u[r, c], dtype=complex) for r, c in pairs]),
+         (np.concatenate([base | spread[r] for r, _ in pairs]),
+          np.concatenate([base | spread[c] for _, c in pairs]))),
+        shape=(1 << n, 1 << n))
 
 
 def dense_run(circuit) -> np.ndarray:
@@ -83,16 +77,16 @@ def dense_runs(circuit, replacements: list[dict[int, np.ndarray]]) -> np.ndarray
     pos = {q: i for i, q in enumerate(circuit.qubits)}
     gates = []
     for cyc in circuit.cycles:
-        gates += [(dense_single, (i,), sq_matrix(g)) for i, g in enumerate(cyc.single)]
-        gates += [(dense_two, (pos[a], pos[b]), fsim_matrix(p)) for a, b, p in cyc.two_qubit]
+        gates += [((i,), sq_matrix(g)) for i, g in enumerate(cyc.single)]
+        gates += [((pos[a], pos[b]), fsim_matrix(p)) for a, b, p in cyc.two_qubit]
     states = np.zeros((1 << n, len(replacements)), dtype=complex)
     states[0] = 1.0
-    for site, (dense, qubits, u) in enumerate(gates):
+    for site, (qubits, u) in enumerate(gates):
         swapped = [k for k, replaced in enumerate(replacements) if site in replaced]
         kept = states[:, swapped]
-        states = dense(n, *qubits, u) @ states
+        states = dense_gate(n, qubits, u) @ states
         for k, column in zip(swapped, kept.T):
-            states[:, k] = dense(n, *qubits, replacements[k][site]) @ column
+            states[:, k] = dense_gate(n, qubits, replacements[k][site]) @ column
     return states
 
 
@@ -102,11 +96,10 @@ def adjoint_stored(program, cotangent, sites):
     backward sweep carries mu = conj(lambda) back alone.  Only the split of
     an op's environment into its blocks is the package's."""
     n = len(program.layout)
-    ops = [op for cycle in program.cycles for op in cycle]
     inputs = []
     psi = np.zeros(1 << n, dtype=complex)
     psi[0] = 1
-    for op in ops:
+    for op in program.ops:
         if op.perm is not None:
             psi = psi.reshape((2,) * n).transpose(op.perm).reshape(-1)
         inputs.append(psi)
@@ -116,7 +109,7 @@ def adjoint_stored(program, cotangent, sites):
     value, lam = cotangent(psi)
     mu = np.conjugate(lam.reshape((2,) * n).transpose(program.layout), order="C")
     wanted, envs = set(sites), {}
-    for op, psi_in in zip(reversed(ops), reversed(inputs)):
+    for op, psi_in in zip(reversed(program.ops), reversed(inputs)):
         k = len(op.matrix)
         mu = mu.reshape(-1, k)
         if not op.sites.isdisjoint(wanted):

@@ -245,8 +245,7 @@ class TestGradient:
         fired = [i for _, i in problem.coupler_sites]
         assert max(fired.count(i) for i in set(fired)) >= 3
         trained = {site for site, _ in problem.coupler_sites}
-        ops = [op for cycle in compile_circuit(patch).cycles for op in cycle]
-        assert max(len(op.sites & trained) for op in ops) >= 2
+        assert max(len(op.sites & trained) for op in compile_circuit(patch).ops) >= 2
 
         gen = np.random.default_rng(4)
         x = pack_params(base, couplers, trainable) + gen.uniform(-0.05, 0.05, problem.dim)

@@ -16,8 +16,8 @@ from rcsbench.simulator import (_execute, _work_buffers, adjoint_gradient,
                                 compile_circuit, execute, fan_out, zero_state)
 
 from conftest import random_fsim
-from oracles import (adjoint_stored, dense_run, dense_run_sites, dense_runs, dense_single,
-                     dense_two, draw_words_by_searchsorted)
+from oracles import (adjoint_stored, dense_gate, dense_run, dense_run_sites, dense_runs,
+                     draw_words_by_searchsorted)
 
 
 # Words of sample_trajectory for a 3x4, 6-cycle circuit (seed 3) with
@@ -115,12 +115,12 @@ class TestApplyOps:
                 q = int(gen.integers(0, n))
                 u = random_unitary(2, gen)
                 rb.apply_single(st, q, u)
-                ref = dense_single(n, q, u) @ ref
+                ref = dense_gate(n, (q,), u) @ ref
             else:
                 q1, q2 = (int(v) for v in gen.choice(n, 2, replace=False))
                 u = random_unitary(4, gen)
                 rb.apply_two(st, (q1, q2), u)
-                ref = dense_two(n, q1, q2, u) @ ref
+                ref = dense_gate(n, (q1, q2), u) @ ref
             worst = max(worst, float(np.max(np.abs(st.amplitudes - ref))))
         assert worst <= 1e-10
 
@@ -130,7 +130,7 @@ class TestApplyOps:
         for q in range(n):
             st = random_state(n, gen)
             u = random_unitary(2, gen)
-            ref = dense_single(n, q, u) @ st.amplitudes
+            ref = dense_gate(n, (q,), u) @ st.amplitudes
             rb.apply_single(st, q, u)
             assert np.max(np.abs(st.amplitudes - ref)) <= 1e-12
         for q1 in range(n):
@@ -139,7 +139,7 @@ class TestApplyOps:
                     continue
                 st = random_state(n, gen)
                 u = random_unitary(4, gen)
-                ref = dense_two(n, q1, q2, u) @ st.amplitudes
+                ref = dense_gate(n, (q1, q2), u) @ st.amplitudes
                 rb.apply_two(st, (q1, q2), u)
                 assert np.max(np.abs(st.amplitudes - ref)) <= 1e-12
 
@@ -282,8 +282,7 @@ class TestCompiledProgram:
         want = np.zeros(1 << n, dtype=complex)
         want[0] = 1.0
         for site in swapped.sites:
-            dense = dense_single if len(site.qubits) == 1 else dense_two
-            want = dense(n, *site.qubits, site.matrix) @ want
+            want = dense_gate(n, site.qubits, site.matrix) @ want
         assert np.max(np.abs(execute(swapped) - want)) <= 1e-12
 
     def test_gate_sites_in_circuit_order(self, grid_3x4):
@@ -298,16 +297,18 @@ class TestCompiledProgram:
 
     @pytest.mark.parametrize("rows, cols", [(3, 4), (4, 5), (6, 10)])
     def test_at_most_one_transpose_per_cycle(self, rows, cols):
+        # every op holds gate sites of exactly one cycle, its cycle
         program = compile_circuit(random_param_circuit(rows, cols, 8, seed=37))
-        assert all(sum(op.perm is not None for op in ops) <= 1
-                   for ops in program.cycles)
+        cycles = [{program.sites[s].cycle for s in op.sites} for op in program.ops]
+        assert all(len(c) == 1 for c in cycles)
+        transposing = [c.pop() for c, op in zip(cycles, program.ops) if op.perm is not None]
+        assert len(transposing) == len(set(transposing))
 
     def test_executor_never_writes_its_input(self):
         program = compile_circuit(random_param_circuit(3, 4, 4, seed=38))
         psi = random_state(12, np.random.default_rng(38)).amplitudes
         before = psi.tobytes()
-        ops = [op for ops in program.cycles for op in ops]
-        out = _execute(ops, psi, _work_buffers(12))
+        out = _execute(program.ops, psi, _work_buffers(12))
         assert out is not psi
         assert psi.tobytes() == before
 
@@ -342,7 +343,7 @@ class TestAdjointGradient:
         program = compile_circuit(patch)
         # the first two-qubit site at each (blocks in op, position) found
         chosen = {}
-        for op in (op for ops in program.cycles for op in ops):
+        for op in program.ops:
             for b, block in enumerate(op.blocks):
                 if block.two is not None:
                     chosen.setdefault((len(op.blocks), b), block.two)
@@ -574,8 +575,7 @@ class TestTrajectory:
         noise = rb.NoiseModel(e1=0.01, e2=0.02)
         words = rb.sample_trajectory(c, noise, 300, seed=12, threads=2).words
         program = compile_circuit(c)
-        op_of = {s: i for i, op in enumerate(op for ops in program.cycles for op in ops)
-                 for s in op.sites}
+        op_of = {s: i for i, op in enumerate(program.ops) for s in op.sites}
         paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
                   np.diag([1, -1])]
         replacements, uniforms, disagree = [], [], 0
@@ -605,11 +605,43 @@ class TestTrajectory:
             assert cum[w, t] - 1e-12 <= u <= cum[w + 1, t] + 1e-12, t
 
     def test_thread_count_invariant(self, grid_3x4):
+        # faulty and fault-free trajectories; only the fault-free plan; and
+        # no fault-free plan
         c = rb.standard_circuit(grid_3x4, 6, seed=3)
-        noise = rb.NoiseModel(e1=0.01, e2=0.02)
-        a = rb.sample_trajectory(c, noise, 300, seed=12, threads=1)
-        b = rb.sample_trajectory(c, noise, 300, seed=12, threads=3)
-        assert np.array_equal(a.words, b.words)
+        words = {}
+        for noise in (rb.NoiseModel(e1=0.01, e2=0.02), rb.NoiseModel(),
+                      rb.NoiseModel(e1=1.0, e2=1.0)):
+            words[noise] = rb.sample_trajectory(c, noise, 300, seed=12, threads=1).words
+            for threads in (2, 3):
+                b = rb.sample_trajectory(c, noise, 300, seed=12, threads=threads)
+                assert np.array_equal(words[noise], b.words), (noise, threads)
+        # without noise, each word is one search of the ideal distribution
+        cum = np.cumsum(rb.probabilities(rb.run(c)))
+        u = [rng.stream(12, rng.Stream.TRAJECTORY, index=t).random() for t in range(300)]
+        want = np.searchsorted(cum / cum[-1], u, side="right")
+        assert np.array_equal(words[rb.NoiseModel()], want)
+
+    def test_each_ideal_op_runs_once_per_worker(self, grid_3x4, monkeypatch):
+        # a cursor advance starts with an op of the program itself; a replay
+        # starts with its first faulty op, re-fused, or runs no op at all
+        programs, advances = [], []
+
+        def compile_and_keep(circuit):
+            programs.append(compile_circuit(circuit))
+            return programs[-1]
+
+        def execute_and_count(ops, psi, work):
+            if ops and any(ops[0] is op for op in programs[0].ops):
+                advances.append(len(ops))
+            return _execute(ops, psi, work)
+
+        monkeypatch.setattr(simulator, "compile_circuit", compile_and_keep)
+        monkeypatch.setattr(simulator, "_execute", execute_and_count)
+        c = rb.standard_circuit(grid_3x4, 6, seed=3)
+        words = rb.sample_trajectory(c, rb.NoiseModel(e1=0.01, e2=0.02), 300, seed=12).words
+        assert words.tolist() == list(GOLDEN_TRAJECTORY_WORDS)
+        assert len(advances) > 1
+        assert sum(advances) == len(programs[0].ops)
 
     def test_fan_out_under_fast_thread_switching(self, grid_3x4):
         # more workers than cores, switching about every microsecond: an
