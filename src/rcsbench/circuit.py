@@ -7,7 +7,8 @@ gate parameters): per cycle, each active qubit draws uniformly from
 {sqrt_x, sqrt_y, sqrt_w}, by default excluding the gate it received in the
 previous cycle; the two-qubit layer applies the iSWAP-like gate on every
 enabled coupler of the cycle's pattern, with one shared parameter set per
-coupler.  The patch and elided variants drop the two-qubit gates that
+coupler.  A layer's two-qubit gates form a matching, checked when its
+`Cycle` is made.  The patch and elided variants drop the two-qubit gates that
 join two parts of a partition (`grid_parts`) from every cycle or from all
 but the last few, through one filter, and store the parts (format v2 of the
 circuit document).  A patch's state is a product over its parts, and a patch
@@ -41,12 +42,20 @@ class Cycle:
     """One circuit cycle: a full single-qubit layer, then one two-qubit layer.
 
     ``single`` is aligned with ``Circuit.qubits``; ``two_qubit`` holds
-    (a, b, params) with a < b linear indices.
+    (a, b, params) with a < b linear indices and forms a matching, checked
+    here: two gates that share a qubit raise `InputError`.
     """
 
     pattern: str
     single: tuple[SingleQubitGate, ...]
     two_qubit: tuple[tuple[int, int, FsimParams], ...]
+
+    def __post_init__(self) -> None:
+        seen: set[int] = set()
+        for q in (q for a, b, _ in self.two_qubit for q in (a, b)):
+            if q in seen:
+                raise InputError(f"qubit {q} is in two two-qubit gates of one layer")
+            seen.add(q)
 
 
 @dataclass(frozen=True)

@@ -7,36 +7,34 @@ is the high bit of the 4x4 matrix basis.  Amplitudes are complex128.
 A circuit is compiled once (`compile_circuit`) into a program: one list of
 fused ops, in execution order, whose gate site k is gate k of
 `Circuit.gates`, the one gate order.
-Within a cycle every single-qubit gate comes before the two-qubit layer, so
-the cycle is a product of blocks: ``fsim @ kron(u_i, u_j)`` for a two-qubit
-gate on (i, j), with the single-qubit gates of its qubits absorbed, and
-``u_i`` alone for a qubit with no partner.  The blocks are packed in qubit
-order into groups of at most ``_GROUP_QUBITS`` qubits, and each group is one
-dense 2^k x 2^k op.  Two-qubit gates of one cycle that share a qubit are kept
-in their order and never fused into the same op.
+Within a cycle every single-qubit gate comes before the two-qubit layer, and
+that layer is a matching (`Cycle`), so the cycle is a product of blocks on
+disjoint qubits: ``fsim @ kron(u_i, u_j)`` for a two-qubit gate on (i, j),
+with the single-qubit gates of its qubits absorbed, and ``u_i`` alone for a
+qubit with no partner.  The blocks are packed in qubit order into groups of
+at most ``_GROUP_QUBITS`` qubits, and each group is one dense 2^k x 2^k op,
+so a cycle's ops act on disjoint qubits.
 
 The state is held as flat amplitudes in a rotating layout (Haener & Steiger,
 arXiv:1704.01127): the layout lists the qubit of each bit, most significant
 first.  An op whose qubits lead the layout is one GEMM,
 ``psi(K, R)^T @ M^T -> (R, K)``, which reads its qubits at the front and
-writes them to the back.  The ops of a cycle run in runs of consecutive ops
-on disjoint qubits; the first op of a run transposes the state once so that
-the run's qubits lead in the run's order (``_Op.perm``), and every later op
-of the run finds its qubits in front.  A run over every qubit ends in the
-layout it started from, so a cycle costs at most one transpose, plus one for
-each further run that a layer of two-qubit gates sharing a qubit needs.  The
-layouts depend only on the circuit and are fixed at compile time; the
-program starts from |0...0>, which reads the same in every layout, and one
-transpose at the end restores the canonical order.  The executor alternates
-between two flat work buffers and never writes into the state it is given:
-`execute` allocates them once per run, writes |0...0> into the first and
-returns the other with the final transpose, and each trajectory worker
-thread holds three, its ideal cursor and two work buffers, whose roles
-rotate as the cursor advances.  `run`, the trajectory replay, the
-calibration loss (on programs with gate sites swapped in,
-`Program.with_sites`), `apply_single`, `apply_two` (one-op programs) and
-`adjoint_gradient`'s forward sweep all run `_execute`; its backward sweep
-undoes the same GEMMs.
+writes them to the back.  The first op of a cycle transposes the state once
+so that the cycle's qubits lead in the order of its ops (``_Op.perm``), and
+every later op of the cycle finds its qubits in front.  A cycle over every
+qubit ends in the layout it started from, so a cycle costs at most one
+transpose, taken by its first op.  The layouts depend only on the circuit
+and are fixed at compile time; the program starts from |0...0>, which reads
+the same in every layout, and one transpose at the end restores the
+canonical order.  The executor alternates between two flat work buffers
+and never writes into the state it is given: `execute` allocates them once
+per run, writes |0...0> into the first and returns the other with the final
+transpose, and each trajectory worker thread holds three, its ideal cursor
+and two work buffers, whose roles rotate as the cursor advances.  `run`,
+the trajectory replay, the calibration loss (on programs with gate sites
+swapped in, `Program.with_sites`), `apply_single`, `apply_two` (one-op
+programs) and `adjoint_gradient`'s forward sweep all run `_execute`; its
+backward sweep undoes the same GEMMs.
 
 Ideal and speckle draws invert the cumulative Born distribution through an
 index table (Chen & Asau 1974): with m the largest power of two <= min(2^n,
@@ -51,12 +49,12 @@ uniforms at a time (`_DRAW_CHUNK`).
 Memory, in states of 2^n amplitudes: `run`, sampling from its state,
 `xeb.measured_xeb` (per part) and the calibration loss hold 2, the work
 buffers.  Trajectories hold 3 per worker, its ideal cursor and two replay
-buffers, at any depth; each worker builds every cumulative distribution in
-these buffers.  The adjoint sweep holds 4, two pairs of conj(psi)
-and conj(lambda), at any depth.  Before it allocates, each path adds up
-these bytes (`memory_need`) and raises `ResourceLimitError` if they exceed
-the machine's physical memory (`check_memory`): a run of 28 qubits needs 8
-GiB, and one of 40 qubits 32 TiB.
+buffers, at any depth, on one worker if no gate is noisy; each worker builds
+every cumulative distribution in these buffers.  The adjoint sweep holds 4,
+two pairs of conj(psi) and conj(lambda), at any depth.  Before it allocates,
+each path adds up these bytes (`memory_need`) and raises `ResourceLimitError`
+if they exceed the machine's physical memory (`check_memory`): a run of 28
+qubits needs 8 GiB, and one of 40 qubits 32 TiB.
 
 Two noise models ship: a speckle mixture (each sample comes from the ideal
 distribution with probability F, uniform otherwise) and Pauli-trajectory
@@ -274,29 +272,25 @@ def _canonical(psi: np.ndarray, layout: tuple[int, ...], out: np.ndarray) -> np.
 
 
 def _cycle_blocks(ids, sites) -> list[_Block]:
-    """The blocks of one cycle's gate sites ``ids``, single-qubit sites
-    first, in execution order: by dependency depth, then by lowest qubit."""
+    """The blocks of one cycle's gate sites ``ids``, on disjoint qubits: each
+    two-qubit gate with the single-qubit sites of its qubits absorbed, then
+    each remaining single-qubit site alone, sorted by lowest qubit."""
     free: dict[int, int] = {}
-    depth: dict[int, int] = {}
-    ranked = []
+    blocks = []
     for s in ids:
         qubits = sites[s].qubits
         if len(qubits) == 1:
             free[qubits[0]] = s
-            continue
-        i, j = qubits
-        si, sj = free.pop(i, None), free.pop(j, None)
-        d = max(depth.get(i, 0), depth.get(j, 0))
-        depth[i] = depth[j] = d + 1
-        ranked.append((d, min(i, j), _Block((i, j), (si, sj), s)))
-    for i, s in free.items():
-        ranked.append((0, i, _Block((i,), (s,), None)))
-    ranked.sort(key=lambda r: r[:2])
-    return [blk for _, _, blk in ranked]
+        else:
+            blocks.append(_Block(qubits, tuple(free.pop(q, None) for q in qubits), s))
+    blocks += [_Block((i,), (s,), None) for i, s in free.items()]
+    return sorted(blocks, key=lambda b: min(b.qubits))
 
 
 def compile_circuit(circuit: Circuit) -> Program:
-    """Compile the circuit into fused ops of at most ``_GROUP_QUBITS`` qubits."""
+    """Compile the circuit into fused ops of at most ``_GROUP_QUBITS`` qubits:
+    per cycle, one run of ops on disjoint qubits whose first op alone may
+    transpose the state."""
     n = circuit.n_qubits
     pos = {q: i for i, q in enumerate(circuit.qubits)}
     sites: list[GateSite] = []
@@ -309,41 +303,22 @@ def compile_circuit(circuit: Circuit) -> Program:
     ops: list[_Op] = []
     for ids in by_cycle:
         groups: list[list[_Block]] = []
-        used: set[int] = set()
         for blk in _cycle_blocks(ids, sites):
-            if (not groups or used.intersection(blk.qubits)
-                    or len(used) + len(blk.qubits) > _GROUP_QUBITS):
+            if not groups or sum(len(b.qubits) for b in groups[-1] + [blk]) > _GROUP_QUBITS:
                 groups.append([])
-                used = set()
             groups[-1].append(blk)
-            used.update(blk.qubits)
-        for run in _disjoint_runs(groups):
-            # one transpose puts the run's qubits in front, in its order; each
-            # op then rotates its own qubits from the front to the back
-            order = tuple(q for blocks in run for b in blocks for q in b.qubits)
-            start = order + tuple(q for q in (layout or range(n)) if q not in order)
-            perm = None if layout in (None, start) else tuple(map(layout.index, start))
-            for blocks in run:
-                singles = tuple(_singles(b, sites) for b in blocks)
-                fused = frozenset(s for b in blocks for s in (*b.singles, b.two) if s is not None)
-                ops.append(_op(perm, tuple(blocks), singles, sites, fused))
-                perm = None
-            layout = start[len(order):] + order
+        # one transpose puts the cycle's qubits in front, in its order; each
+        # op then rotates its own qubits from the front to the back
+        order = tuple(q for blocks in groups for b in blocks for q in b.qubits)
+        start = order + tuple(q for q in (layout or range(n)) if q not in order)
+        perm = None if layout in (None, start) else tuple(map(layout.index, start))
+        for blocks in groups:
+            singles = tuple(_singles(b, sites) for b in blocks)
+            fused = frozenset(s for b in blocks for s in (*b.singles, b.two) if s is not None)
+            ops.append(_op(perm, tuple(blocks), singles, sites, fused))
+            perm = None
+        layout = start[len(order):] + order
     return Program(tuple(sites), tuple(ops), layout or tuple(range(n)))
-
-
-def _disjoint_runs(groups: list[list[_Block]]) -> list[list[list[_Block]]]:
-    """The groups split into runs of consecutive groups on disjoint qubits."""
-    runs: list[list[list[_Block]]] = []
-    used: set[int] = set()
-    for blocks in groups:
-        qubits = {q for b in blocks for q in b.qubits}
-        if not runs or used & qubits:
-            runs.append([])
-            used = set()
-        runs[-1].append(blocks)
-        used |= qubits
-    return runs
 
 
 def _check_qubit(state: StateVector, qubit: int) -> None:
@@ -612,7 +587,8 @@ def sample_trajectory(
         raise InputError(f"need at least one sample, got {n_samples}")
     if threads < 1:
         raise InputError(f"need at least one thread, got {threads}")
-    check_memory(memory_need(n, 3 * min(threads, n_samples)),
+    workers = min(threads, n_samples) if noise.e1 or noise.e2 else 1  # noiseless: one plan
+    check_memory(memory_need(n, 3 * workers),
                  f"sampling {n_samples} trajectories of {n} qubits on {threads} threads")
 
     program = compile_circuit(circuit)

@@ -5,6 +5,7 @@ import pytest
 
 import rcsbench as rb
 from rcsbench.circuit import (
+    Cycle,
     circuit_from_dict,
     circuit_to_dict,
     default_elide_keep_last,
@@ -12,7 +13,7 @@ from rcsbench.circuit import (
     grid_parts,
 )
 from rcsbench.errors import InputError
-from rcsbench.gates import GATE_KINDS
+from rcsbench.gates import GATE_KINDS, SingleQubitGate
 
 
 def crossing_count(circuit, side):
@@ -88,6 +89,13 @@ class TestGeneration:
         c = rb.standard_circuit(grid_3x4, 6, seed=0)
         for cyc in c.cycles:
             assert len(cyc.single) == c.n_qubits
+
+    def test_cycle_with_gates_sharing_a_qubit_rejected(self):
+        single = (SingleQubitGate.SQRT_X,) * 3
+        p = rb.DEFAULT_FSIM
+        with pytest.raises(InputError, match="qubit 1 "):
+            Cycle("A", single, ((0, 1, p), (1, 2, p)))
+        Cycle("A", single, ((0, 1, p),))
 
 
 class TestPatch:
@@ -263,6 +271,16 @@ class TestSerialization:
             circuit_from_dict(_patch_doc(c, grid_parts(c, col_cuts=(2,))))
         patch = rb.make_patch(c, grid_parts(c, col_cuts=(2,)))
         assert circuit_from_dict(_patch_doc(patch, patch.parts)) == patch
+
+    def test_layer_with_gates_sharing_a_qubit_rejected(self, grid_3x4):
+        # the second layer (pattern B) gains layer D's gate (1, 2); its own
+        # gate (1, 5) holds qubit 1 already
+        doc = circuit_to_dict(rb.standard_circuit(grid_3x4, 4, seed=9))
+        layers = doc["layers"]
+        assert [layer["pattern"] for layer in layers] == ["A", "B", "C", "D"]
+        layers[1]["two_qubit"].append(layers[3]["two_qubit"][0])
+        with pytest.raises(InputError, match="qubit 1 "):
+            circuit_from_dict(doc)
 
     @pytest.mark.parametrize("parts", [
         [list(range(12)), [0]], [list(range(6)), list(range(6, 11))], [list(range(12))],

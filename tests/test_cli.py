@@ -10,7 +10,7 @@ from oracles import draw_words_by_searchsorted
 
 import rcsbench as rb
 from rcsbench import cli, costmodel, rng, simulator
-from rcsbench.circuit import CIRCUIT_FORMAT
+from rcsbench.circuit import CIRCUIT_FORMAT, circuit_to_dict
 from rcsbench.cli import EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
 from rcsbench.topology import TOPOLOGY_FORMAT
 
@@ -343,6 +343,20 @@ class TestInputFiles:
                                     **edit}))
         assert main(_input_argv("circuit", str(path), small_circuit, tmp_path)) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_layer_with_gates_sharing_a_qubit_exits_2(self, tmp_path, capsys):
+        # a 3x4 circuit whose second layer gains layer D's gate (1, 2), next
+        # to its own (1, 5)
+        topo = rb.assign_patterns(rb.build_grid(3, 4))
+        doc = circuit_to_dict(rb.standard_circuit(topo, 4, seed=9))
+        doc["layers"][1]["two_qubit"].append(doc["layers"][3]["two_qubit"][0])
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sample", "--circuit", str(path), "-n", "10", "--seed", "1",
+                     "-o", str(tmp_path / "out")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and "qubit 1 " in err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_noise_rate_of_wrong_type_exits_2(self, small_circuit, tmp_path, capsys):
         path = tmp_path / "noise.json"

@@ -23,6 +23,7 @@ from rcsbench.calibration import (
 from rcsbench.errors import ResourceLimitError
 
 STATE = (1 << 16) * np.dtype(np.complex128).itemsize
+NOISE = rb.NoiseModel(e1=0.0016, e2=0.006)  # the reference gate error rates
 
 
 def traced_peak(fn) -> int:
@@ -104,8 +105,7 @@ def test_trajectory_memory_does_not_grow_with_depth(grid_4x4, n_cycles, threads)
     # are the circuit's and a faulty trajectory's, which re-fuses at most
     # every op
     circuit = rb.standard_circuit(grid_4x4, n_cycles, seed=3)
-    noise = rb.NoiseModel(e1=0.0016, e2=0.006)
-    peak = traced_peak(lambda: rb.sample_trajectory(circuit, noise, 100, seed=1,
+    peak = traced_peak(lambda: rb.sample_trajectory(circuit, NOISE, 100, seed=1,
                                                     threads=threads))
     assert peak - 2 * compiled_bytes(circuit) <= (3 * threads + 0.25) * STATE
 
@@ -124,17 +124,28 @@ def test_gradient_memory_does_not_grow_with_depth(grid_4x4, n_cycles):
 
 
 def test_budget_counts_the_states_each_path_holds(grid_4x4, monkeypatch):
-    # a run holds 2 states, one trajectory worker 3, two workers 6, and a
-    # patch solve 6 plus its float64 histogram
+    # a run holds 2 states, one trajectory worker 3, two noisy workers 6,
+    # and a patch solve 6 plus its float64 histogram
     circuit = rb.standard_circuit(grid_4x4, 1, seed=3)
     train = rb.sample_ideal(rb.run(circuit), 100, seed=1)
     monkeypatch.setattr(simulator, "_MEMORY_BUDGET", 3 * STATE)
     rb.measured_xeb(circuit, rb.sample_ideal(rb.run(circuit), 100, seed=2))
     rb.sample_trajectory(circuit, rb.NoiseModel(), 10, seed=1, threads=1)
     with pytest.raises(ResourceLimitError):
-        rb.sample_trajectory(circuit, rb.NoiseModel(), 10, seed=1, threads=2)
+        rb.sample_trajectory(circuit, NOISE, 10, seed=1, threads=2)
     with pytest.raises(ResourceLimitError):
         CalibrationProblem(circuit, train)
+
+
+def test_noiseless_trajectories_count_one_worker(circuit, monkeypatch):
+    # without noise every trajectory is fault-free: one plan, which one
+    # worker runs whatever the thread count
+    monkeypatch.setattr(simulator, "_MEMORY_BUDGET", simulator.memory_need(16, 3))
+    one = rb.sample_trajectory(circuit, rb.NoiseModel(), 100, seed=1, threads=1)
+    two = rb.sample_trajectory(circuit, rb.NoiseModel(), 100, seed=1, threads=2)
+    assert np.array_equal(two.words, one.words)
+    with pytest.raises(ResourceLimitError):
+        rb.sample_trajectory(circuit, NOISE, 100, seed=1, threads=2)
 
 
 def test_budget_counts_the_patches_solved_at_once(grid_4x4, monkeypatch):

@@ -237,16 +237,6 @@ class TestCompiledProgram:
         cycles[2] = replace(cycles[2], two_qubit=())
         assert_matches_oracle(replace(c, cycles=tuple(cycles)))
 
-    def test_two_qubit_gates_sharing_a_qubit(self):
-        # hand-built layer: chains through qubits 0-1-2-6 and 2-3 with a
-        # reversed pair (6, 2), a repeated pair (0, 1) and a separate (4, 5)
-        c = random_param_circuit(3, 4, 3, seed=35)
-        gen = np.random.default_rng(35)
-        gates = ((0, 1), (1, 2), (6, 2), (4, 5), (0, 1), (2, 3))
-        layer = replace(c.cycles[1], two_qubit=tuple(
-            (a, b, random_fsim(gen)) for a, b in gates))
-        assert_matches_oracle(replace(c, cycles=(c.cycles[0], layer, c.cycles[2])))
-
     @pytest.mark.parametrize("seed", [40, 41, 42])
     @pytest.mark.parametrize("rows, cols, n_cycles", [(3, 4, 8), (4, 4, 6)])
     def test_site_swap_matches_recompile(self, rows, cols, n_cycles, seed):
@@ -297,12 +287,36 @@ class TestCompiledProgram:
 
     @pytest.mark.parametrize("rows, cols", [(3, 4), (4, 5), (6, 10)])
     def test_at_most_one_transpose_per_cycle(self, rows, cols):
-        # every op holds gate sites of exactly one cycle, its cycle
+        # every op holds gate sites of exactly one cycle, its cycle, and
+        # only the first op of a cycle transposes
         program = compile_circuit(random_param_circuit(rows, cols, 8, seed=37))
         cycles = [{program.sites[s].cycle for s in op.sites} for op in program.ops]
         assert all(len(c) == 1 for c in cycles)
-        transposing = [c.pop() for c, op in zip(cycles, program.ops) if op.perm is not None]
-        assert len(transposing) == len(set(transposing))
+        cycle_of = [c.pop() for c in cycles]
+        assert cycle_of == sorted(cycle_of)
+        transposing = [i for i, op in enumerate(program.ops) if op.perm is not None]
+        assert len({cycle_of[i] for i in transposing}) == len(transposing)
+        assert all(i == 0 or cycle_of[i - 1] != cycle_of[i] for i in transposing)
+
+    def test_compiled_structure_golden(self, demo60):
+        """Op structure and final layout of demo60 at 24 cycles (seed 1) and
+        its quadrant patch: any change in block order, grouping or
+        transposes changes a digest.  The matrices are left out, as their
+        bytes depend on the BLAS."""
+        def digest(circuit):
+            program = compile_circuit(circuit)
+            h = hashlib.sha256()
+            for op in program.ops:
+                blocks = tuple((b.qubits, b.singles, b.two) for b in op.blocks)
+                h.update(repr((op.perm, blocks, sorted(op.sites))).encode())
+            h.update(repr(program.layout).encode())
+            return h.hexdigest()
+
+        c = rb.standard_circuit(demo60, 24, seed=1)
+        assert digest(c) == (
+            "f9bbff8076a5d952faca81c0b7546ae0505a4a34a5aa734da815f027c40a1449")
+        assert digest(rb.make_patch(c, grid_parts(c, (5,), (3,)))) == (
+            "ea44325d0c99f5b0098a887a3b9681c7f22cc7147bd3b44b37e27ec0d068cd8a")
 
     def test_executor_never_writes_its_input(self):
         program = compile_circuit(random_param_circuit(3, 4, 4, seed=38))
