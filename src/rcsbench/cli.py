@@ -338,6 +338,8 @@ def cmd_cost_tnc(args) -> int:
     if not 0 <= args.open_qubits <= len(circ.qubits):
         raise InputError(f"--open-qubits {args.open_qubits} is outside "
                          f"0..{len(circ.qubits)}, the circuit's qubit count")
+    if args.max_rank < 0:
+        raise InputError(f"--max-rank {args.max_rank} is negative")
     if (args.n_samples is None) != (args.fidelity is None):
         missing = "--fidelity" if args.fidelity is None else "--n-samples"
         raise InputError("the sampling cost needs both --n-samples and "

@@ -24,7 +24,11 @@ tensor's neighbours, the tensors it shares an index with, as a set.  By the
 same invariant the neighbours of the result of merging a and b are those of
 a and of b, less a and b.  Scored pairs wait on a heap and are dropped when
 they surface dead; the few best live pairs a randomised restart did not
-choose wait in a short sorted held list instead.
+choose wait in a short sorted held list instead.  Each pair is one int that
+packs its score above its two tensor ids, so the heap compares ints and
+sorts as (score, i, j) would.  Sizes come from a table of 2^r as floats.  A
+randomised restart takes its choices from buffered raw words of its stream,
+the values `numpy.random.Generator.integers` would draw one call at a time.
 
 Paths are in single-assignment form: the network's tensors are 0..n-1 and
 the k-th merge (from 0) makes tensor n+k, so a merge names its operands by
@@ -180,9 +184,19 @@ def _as_float(count: int) -> float:
             "exceeds the float range") from None
 
 
+# Entry count 2^r of a rank-r tensor as a float, for every rank whose count
+# is in the float range.
+_SIZES = [float(1 << r) for r in range(1024)]
+
+
 def _size(rank: int) -> float:
-    """Entry count 2^rank of a rank-``rank`` tensor, as a float."""
-    return _as_float(1 << rank)
+    """Entry count 2^rank of a rank-``rank`` tensor, as a float; a count past
+    the float range raises `ResourceLimitError`."""
+    try:
+        return _SIZES[rank]
+    except IndexError:
+        raise ResourceLimitError(
+            f"a count of 2^{rank} or more exceeds the float range") from None
 
 
 def replay_path(
@@ -238,12 +252,20 @@ def find_path_greedy_full(
     shares an index with; by the two-holder invariant the neighbours of the
     result of merging a and b are those of a and of b, less a and b.
 
+    A scored pair (i, j), i < j, is one packed int, ``(score << 2B) | (i <<
+    B) | j`` with ``B = (2n).bit_length()`` bits per tensor id (`_pair`), so
+    entries sort as ``(score, i, j)`` tuples would.  The score is computed
+    in floats, as `replay_path` counts sizes, and is integer-valued, so
+    ``int`` keeps its order and ties exactly.
+
     Each merge needs the ``_GREEDY_TOP_K`` best live pairs (one for restart
     0).  The k-1 a restart did not choose stay in a sorted held list, less
     those a merge killed; the heap is popped only while that list is short or
     the heap's best pair sorts below the worst held one, and a pair pushed
     out of the list goes back onto the heap.  The pairs are distinct, so the
     k best are the same as popping k live pairs and pushing the rest back.
+    A restart's choices are the draws ``gen.integers(0, k)`` would give,
+    taken from buffered raw words of its stream (`_uniform_draws`).
     """
     tn.validate()
     rng.check_seed(seed)
@@ -251,6 +273,7 @@ def find_path_greedy_full(
         raise InputError("need at least one restart")
     bits = {name: 1 << k for k, name in enumerate(tn.indices)}
     n = len(tn.tensors)
+    id_bits = (2 * n).bit_length()
     leaves = [sum(bits[name] for name in idx) for _, idx in tn.tensors]
     sizes = [_size(mask.bit_count()) for mask in leaves]
     holders: dict[str, list[int]] = defaultdict(list)
@@ -262,14 +285,19 @@ def find_path_greedy_full(
         if len(h) == 2:
             nbrs[h[0]].add(h[1])
             nbrs[h[1]].add(h[0])
-    heap = [(_size((leaves[a] ^ leaves[b]).bit_count()) - sizes[a] - sizes[b], a, b)
+    heap = [_pair(_size((leaves[a] ^ leaves[b]).bit_count()) - sizes[a] - sizes[b],
+                  a, b, id_bits)
             for a in range(n) for b in nbrs[a] if a < b]
     heapq.heapify(heap)
     best: ContractionPath | None = None
     totals = []
     for r in range(restarts):
         gen = rng.stream(seed, rng.Stream.PATH_SEARCH, index=r) if r else None
-        merges, costs, largest = _greedy_once(leaves, sizes, nbrs, heap, gen)
+        try:
+            merges, costs, largest = _greedy_once(leaves, sizes, nbrs, heap, id_bits, gen)
+        except IndexError:  # a rank past the end of the size table
+            raise ResourceLimitError(
+                f"a tensor of rank {len(_SIZES)} or more exceeds the float range") from None
         total = float(sum(costs))
         totals.append(total)
         if best is None or total < best.total_flops:
@@ -277,51 +305,102 @@ def find_path_greedy_full(
     return best, tuple(totals)
 
 
-def _greedy_once(leaves, sizes, nbrs, heap, gen):
+# A score below every finite one, for a growth that overflowed to -inf: two
+# network tensors of 2^1023 entries each.
+_SCORE_FLOOR = -(1 << 1024)
+
+
+def _pair(score: float, i: int, j: int, id_bits: int) -> int:
+    """The heap entry of pair (i, j), i < j < 2^id_bits, of integer-valued
+    growth ``score``: one int that sorts as ``(score, i, j)`` does.
+    `_greedy_once` packs the pairs it makes the same way, inline."""
+    key = _SCORE_FLOOR if score == -math.inf else int(score)
+    return (key << 2 * id_bits) | (i << id_bits) | j
+
+
+def _uniform_draws(gen: np.random.Generator):
+    """A function ``draw(k)``, 1 <= k < 2^32, whose calls give the values
+    successive ``gen.integers(0, k)`` calls would.  It takes 32-bit words
+    from 1024 raw 64-bit words of the bit generator at a time, low half
+    first, as numpy's ``next_uint32`` does, and applies numpy's bounded rule
+    (Lemire's): ``m = u32 * k``, drawn again while its low 32 bits are below
+    ``2^32 % k``, gives ``m >> 32``; k = 1 draws nothing.  It draws ahead,
+    so ``gen`` must serve nothing else."""
+    raw = gen.bit_generator.random_raw
+
+    def uint32s():
+        while True:
+            for word in raw(1024).tolist():
+                yield word & 0xFFFFFFFF
+                yield word >> 32
+
+    next_u32 = uint32s().__next__
+
+    def draw(k: int) -> int:
+        if k == 1:
+            return 0
+        m = next_u32() * k
+        threshold = 0x100000000 % k
+        while m & 0xFFFFFFFF < threshold:
+            m = next_u32() * k
+        return m >> 32
+
+    return draw
+
+
+def _greedy_once(leaves, sizes, nbrs, heap, id_bits, gen):
     """One greedy contraction of the tensors with index bitmasks ``leaves``,
     sizes ``sizes`` and neighbour sets ``nbrs``, from the scored initial
-    ``heap`` of ``(score, i, j)`` entries, i < j; the arguments are not
-    modified.  Returns the merges, each merge's cost (as `replay_path` counts
-    it) and the largest result rank."""
+    ``heap`` of `_pair` entries with ``id_bits`` bits per id; the arguments
+    are not modified.  Returns the merges, each merge's cost (as
+    `replay_path` counts it) and the largest result rank.  A size past the
+    float range runs off the end of ``_SIZES`` and raises `IndexError`."""
     masks = list(leaves)
     sizes = list(sizes)
     nbrs = [set(s) for s in nbrs]
     heap = list(heap)
-    live = [True] * len(masks)
+    n = len(masks)
+    live = [True] * n
     top_k = _GREEDY_TOP_K if gen is not None else 1
+    draw = _uniform_draws(gen) if gen is not None else None
+    id_mask = (1 << id_bits) - 1
+    score_shift = 2 * id_bits
+    size_of = _SIZES
     merges: list[tuple[int, int]] = []
     costs: list[float] = []
     largest = 0
     heappush, heappop = heapq.heappush, heapq.heappop
-    held: list[tuple[float, int, int]] = []
+    held: list[int] = []
 
-    for _ in range(len(masks) - 1):
+    for c in range(n, 2 * n - 1):
         # held + heap is every scored pair not yet chosen; held ends as the
         # top_k best live ones, sorted.
-        held = [entry for entry in held if live[entry[1]] and live[entry[2]]]
+        held = [e for e in held if live[e >> id_bits & id_mask] and live[e & id_mask]]
         while heap and (len(held) < top_k or heap[0] < held[-1]):
-            entry = heappop(heap)
-            if live[entry[1]] and live[entry[2]]:
-                insort(held, entry)
+            e = heappop(heap)
+            if live[e >> id_bits & id_mask] and live[e & id_mask]:
+                insort(held, e)
                 if len(held) > top_k:
                     heappush(heap, held.pop())
         if held:
-            _, a, b = held.pop(0 if gen is None else int(gen.integers(0, len(held))))
+            e = held.pop(0 if draw is None else draw(len(held)))
+            a, b = e >> id_bits & id_mask, e & id_mask
         else:
             # disconnected components: join the two smallest by outer product
             ids = [i for i, alive in enumerate(live) if alive]
             a, b = sorted(sorted(ids, key=lambda i: (sizes[i], i))[:2])
-        c = len(masks)
         ma, mb = masks[a], masks[b]
         keep = ma ^ mb
-        size_c = _size(keep.bit_count())
+        rank = keep.bit_count()
+        size_c = size_of[rank]
         masks.append(keep)
         sizes.append(size_c)
         live[a] = live[b] = False
         live.append(True)
         merges.append((a, b))
-        costs.append(_size((ma | mb).bit_count()))
-        largest = max(largest, keep.bit_count())
+        costs.append(size_of[(ma | mb).bit_count()])
+        if rank > largest:
+            largest = rank
         near = nbrs[a]
         near |= nbrs[b]
         near.discard(a)
@@ -333,7 +412,10 @@ def _greedy_once(leaves, sizes, nbrs, heap, gen):
             others.discard(a)
             others.discard(b)
             others.add(c)
-            heappush(heap, (_size((masks[j] ^ keep).bit_count()) - sizes[j] - size_c, j, c))
+            # finite: c has neighbours only if a and b shared an index; then
+            # |a | b| > rank, and that cost fit the table, so size_c <= 2^1022
+            score = size_of[(masks[j] ^ keep).bit_count()] - sizes[j] - size_c
+            heappush(heap, (int(score) << score_shift) | (j << id_bits) | c)
     return tuple(merges), costs, largest
 
 

@@ -12,7 +12,7 @@ import rcsbench as rb
 from rcsbench import cli, costmodel, rng, simulator
 from rcsbench.circuit import CIRCUIT_FORMAT, circuit_to_dict
 from rcsbench.cli import EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
-from rcsbench.topology import TOPOLOGY_FORMAT
+from rcsbench.topology import TOPOLOGY_FORMAT, topology_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +358,20 @@ class TestInputFiles:
         assert str(path) in err and "qubit 1 " in err
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_pattern_that_is_not_a_matching_exits_2(self, tmp_path, capsys):
+        # coupler (1, 5) joins pattern A, which already holds (5, 9)
+        doc = topology_to_dict(rb.assign_patterns(rb.build_grid(3, 4)))
+        for e in doc["couplers"]:
+            if (e["a"], e["b"]) == (1, 5):
+                e["pattern"] = "A"
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(doc))
+        assert main(["generate", "--topology", str(path), "--cycles", "4", "--seed", "1",
+                     "-o", str(tmp_path / "out")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and "pattern A is not a matching at qubit 5" in err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_noise_rate_of_wrong_type_exits_2(self, small_circuit, tmp_path, capsys):
         path = tmp_path / "noise.json"
         path.write_text(json.dumps({"e1": "x"}))
@@ -616,6 +630,19 @@ class TestCost:
         assert main(["cost", "tnc", "--circuit", cost_circuit, "--restarts", "1",
                      *flags, "-o", str(out)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_negative_max_rank_exits_2_before_the_search(self, cost_circuit, tmp_path,
+                                                         capsys, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("built or searched the network")
+
+        monkeypatch.setattr(costmodel, "circuit_to_tn", search)
+        monkeypatch.setattr(costmodel, "find_path_greedy_full", search)
+        out = tmp_path / "tnc.json"
+        assert main(["cost", "tnc", "--circuit", cost_circuit, "--restarts", "1",
+                     "--max-rank", "-1", "-o", str(out)]) == EXIT_INPUT
+        assert "--max-rank -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import rcsbench as rb
+from rcsbench import rng
 from rcsbench.circuit import grid_parts
 from rcsbench.costmodel import (
     SUMMIT_REFERENCE,
     ContractionPath,
     CutAnalysis,
     TensorNetwork,
+    _uniform_draws,
     circuit_to_tn,
     cut_analysis,
     estimate_sampling_cost,
@@ -269,6 +271,42 @@ class TestPaths:
             open_indices=left + right)
         with pytest.raises(ResourceLimitError):
             find_path_greedy_full(tn, restarts=1)
+
+    def test_size_past_float_range_inside_the_search_is_a_resource_limit(self):
+        # a(500 open, i) - b(i, j) - c(j, 600 open): every initial pair fits,
+        # but the pair made by the first merge spans the 1100 open indices.
+        left = tuple(f"l{k}" for k in range(500))
+        right = tuple(f"r{k}" for k in range(600))
+        tn = TensorNetwork(
+            tensors=(("a", left + ("i",)), ("b", ("i", "j")), ("c", ("j",) + right)),
+            open_indices=left + right)
+        for restarts in (1, 3):
+            with pytest.raises(ResourceLimitError):
+                find_path_greedy_full(tn, restarts=restarts)
+
+    def test_growth_past_float_range_sorts_first(self):
+        # Merging a and b, which share 1023 indices, grows by 1 - 2 * 2^1023,
+        # -inf in floats: it still goes before (c, d)'s growth of -3.
+        shared = tuple(f"s{k}" for k in range(1023))
+        tn = TensorNetwork(
+            (("a", shared), ("b", shared), ("c", ("x",)), ("d", ("x",))), ())
+        for restarts in (1, 4):
+            result = find_path_greedy_full(tn, seed=1, restarts=restarts)
+            assert result[0].merges == ((0, 1), (2, 3), (4, 5))
+            assert result == greedy_by_index_sets(tn, 1, restarts)
+
+    def test_uniform_draws_match_generator_integers(self):
+        """The restarts' buffered draws equal `Generator.integers(0, k)` for
+        k in 1..4, over about 4800 raw words, more than four refills of
+        1024.  k = 3 redraws once in 2^32; the k past 2^31 redraw about as
+        often as not, which pins the rule."""
+        gen = np.random.default_rng(5)
+        ks = [int(k) for k in gen.integers(1, 5, size=12_000)]
+        ks[100:1100] = [(2**31 + 1, 3 * 2**30, 2**32 - 1, 3)[i % 4] for i in range(1000)]
+        for r in (1, 2, 7):
+            draw = _uniform_draws(rng.stream(r, rng.Stream.PATH_SEARCH, index=r))
+            reference = rng.stream(r, rng.Stream.PATH_SEARCH, index=r)
+            assert [draw(k) for k in ks] == [int(reference.integers(0, k)) for k in ks]
 
     def test_seed_checked_with_one_restart(self):
         tn = TensorNetwork((("a", ("i",)), ("b", ("i",))), ())

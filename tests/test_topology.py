@@ -140,6 +140,17 @@ class TestSerialization:
         with pytest.raises(InputError):
             topology_from_dict(doc)
 
+    def test_rejects_pattern_that_is_not_a_matching(self, grid_3x4, tmp_path):
+        # coupler (1, 5) joins pattern A, which already holds (5, 9)
+        doc = topology_to_dict(grid_3x4)
+        for e in doc["couplers"]:
+            if (e["a"], e["b"]) == (1, 5):
+                e["pattern"] = "A"
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=r"pattern A is not a matching at qubit 5$"):
+            rb.load_topology(str(path))
+
     def test_file_round_trip(self, tmp_path, demo60):
         path = str(tmp_path / "topo.json")
         with open(path, "w") as fh:
