@@ -12,8 +12,13 @@ outside every patch keep the full circuit's parameters.
 cover every enabled coupler, including those that cross one split's
 boundaries.
 
-The training bitstrings enter the loss only through their histogram w over
-the D outcomes, so F = D * (w . p) - 1 for the candidate distribution p.
+The training bitstrings enter the loss only through their histogram over
+the D outcomes, so a training set enters as that histogram: exact int64
+counts, one per outcome.  `load_histogram` counts a sample file while
+reading it a chunk at a time (`samples.word_chunks`), so no training word is
+kept, and `histogram` counts an in-memory `SampleSet` by the same rule.  With
+w the counts over their total, F = D * (w . p) - 1 for the candidate
+distribution p.
 Each patch is compiled once.  An evaluation swaps the candidate couplers'
 fSim matrices into that program (`Program.with_sites`), and the optimizer
 gets the loss and its exact gradient from one forward and one backward sweep
@@ -26,11 +31,11 @@ The BFGS line search backtracks from the full step, halving it
 (`_BACKTRACK`) up to `_MAX_BACKTRACKS` = 40 times, until the Armijo
 condition holds with constant `_ARMIJO_C` = 1e-4.
 
-The loss is a deterministic pure function of (gamma, b_train); patch
+The loss is a deterministic pure function of (gamma, counts); patch
 optimizations are independent of each other and of evaluation order.  A
-patch solve holds six states and a float64 histogram of 2^n entries;
-`calibrate_patches` checks that the patches its workers may solve at once
-fit in physical memory before it solves any.
+training histogram holds 2^n int64 counts, and a patch solve six states and
+the float64 weights w; `calibrate_patches` checks that the patches its
+workers may solve at once fit in physical memory before it solves any.
 """
 from __future__ import annotations
 
@@ -41,7 +46,7 @@ import numpy as np
 from .circuit import Circuit, ParamMap, extract_subcircuit, grid_parts, part_of
 from .errors import InputError
 from .gates import FsimParams, fsim_derivative, fsim_matrix
-from .samples import SampleSet
+from .samples import SampleSet, read_sidecar, word_chunks
 from .simulator import (
     Program,
     adjoint_gradient,
@@ -86,9 +91,10 @@ class PatchPartition:
 class CalibrationProblem:
     """One patch's training problem.
 
-    ``b_train`` bitstrings are over the patch qubits (sorted ascending, first
-    qubit = most significant bit).  ``couplers`` are the couplers that fire
-    in ``patch_circuit``, sorted by key, and ``base`` is their parameters in
+    ``counts`` is the training histogram: counts[w] training bitstrings
+    read w, a word over the patch qubits (sorted ascending, first qubit =
+    most significant bit); see `load_histogram`.  ``couplers`` are the
+    couplers that fire in ``patch_circuit``, sorted by key, and ``base`` is their parameters in
     it (first firing wins): the start point.  ``gamma`` packs the trainable
     fields of each coupler in ``couplers`` order; untrained fields come from
     ``base``.  A patch where no coupler fires has nothing to calibrate.
@@ -102,11 +108,11 @@ class CalibrationProblem:
     """
 
     patch_circuit: Circuit
-    b_train: SampleSet
+    counts: np.ndarray
     trainable: tuple[str, ...] = PARAM_NAMES
     couplers: tuple[tuple[int, int], ...] = field(init=False)
     base: ParamMap = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)  # training histogram
+    weights: np.ndarray = field(init=False, repr=False)  # counts over their total
     program: Program = field(init=False, repr=False)     # the compiled patch
     # (gate site, coupler index) of each firing of a trained coupler
     coupler_sites: list[tuple[int, int]] = field(init=False, repr=False)
@@ -116,19 +122,23 @@ class CalibrationProblem:
         if not names <= set(PARAM_NAMES) or len(names) != len(self.trainable):
             raise InputError(f"trainable parameters {list(self.trainable)} are not "
                              f"distinct names among {list(PARAM_NAMES)}")
-        if self.b_train.n_qubits != self.patch_circuit.n_qubits:
-            raise InputError("training bitstring width does not match the patch")
-        if self.b_train.n_samples < 1:
-            raise InputError("training set holds no bitstrings")
         n = self.patch_circuit.n_qubits
         check_memory(_solve_bytes(n), f"a {n}-qubit patch")
+        counts = self.counts
+        if not (isinstance(counts, np.ndarray) and counts.dtype.kind in "iu"
+                and counts.shape == (1 << n,)):
+            raise InputError(f"a training histogram of the {n}-qubit patch is "
+                             f"{1 << n} integer counts, one per outcome")
+        if counts.min() < 0:
+            raise InputError("the training histogram holds a negative count")
+        total = int(counts.sum())
+        if total < 1:
+            raise InputError("training set holds no bitstrings")
         self.base = self.patch_circuit.coupler_params()
         if not self.base:
             raise InputError("no coupler fires in the patch; nothing to calibrate")
         self.couplers = tuple(sorted(self.base))
-        # SampleSet words fit the bitstring width, so the int64 view is exact.
-        counts = np.bincount(self.b_train.words.view(np.int64), minlength=1 << n)
-        self.weights = counts / float(self.b_train.n_samples)
+        self.weights = counts / float(total)
         self.program = compile_circuit(self.patch_circuit)
         index = {key: i for i, key in enumerate(self.couplers)}
         # site s is gate s; a single-qubit gate's 1-tuple is never a coupler key
@@ -144,8 +154,40 @@ class CalibrationProblem:
 def _solve_bytes(n_qubits: int) -> int:
     """Bytes one patch solve holds: the gradient's six states (the adjoint
     sweep's four and the cotangent's float64 temporaries) and the float64
-    training histogram."""
+    training weights."""
     return memory_need(n_qubits, 6, 1)
+
+
+def histogram_bytes(n_qubits: int) -> int:
+    """Bytes of the int64 training histogram of an n-qubit patch."""
+    return memory_need(n_qubits, 0, 1)
+
+
+def _count(n_qubits: int, chunks) -> np.ndarray:
+    """The training histogram of the word ``chunks``: counts[w], int64, of
+    each n-bit word w.  The words fit the width (`samples.check_words`), so
+    their int64 view is exact."""
+    check_memory(histogram_bytes(n_qubits), f"a {n_qubits}-qubit training histogram")
+    counts = np.zeros(1 << n_qubits, dtype=np.int64)
+    for words in chunks:
+        counts += np.bincount(words.view(np.int64), minlength=counts.size)
+    return counts
+
+
+def histogram(samples: SampleSet) -> np.ndarray:
+    """The training histogram of an in-memory sample set, by the counting
+    rule of `load_histogram`."""
+    return _count(samples.n_qubits, (samples.words,))
+
+
+def load_histogram(path: str, n_qubits: int) -> np.ndarray:
+    """The training histogram of the sample file ``path`` for an
+    ``n_qubits``-qubit patch, counted while the file is read a chunk at a
+    time.  The sidecar's width must be ``n_qubits``; it, the format and the
+    file's size are checked before any word is read, and each chunk's words
+    against the width (`samples.read_sidecar`, `samples.word_chunks`)."""
+    doc = read_sidecar(path, n_qubits)
+    return _count(n_qubits, word_chunks(path, doc))
 
 
 def pack_params(
@@ -213,7 +255,7 @@ def _candidate(gamma: np.ndarray,
 
 def loss(gamma: np.ndarray, problem: CalibrationProblem) -> float:
     """1 - F_XEB of the patch with candidate parameters, evaluated on the
-    training bitstrings.  Deterministic given (gamma, b_train)."""
+    training histogram.  Deterministic given gamma and the histogram."""
     _, program = _candidate(gamma, problem)
     dist = np.abs(execute(program)) ** 2
     return 1.0 - training_fidelity(problem.weights, dist)[0]
@@ -360,7 +402,7 @@ class CalibrationResult:
 def calibrate_patches(
     circuit: Circuit,
     patch_circuits: tuple[Circuit, ...],
-    trains: list[SampleSet],
+    histograms: list[np.ndarray],
     config: OptimizerConfig = OptimizerConfig(),
     trainable: tuple[str, ...] = PARAM_NAMES,
     threads: int = 1,
@@ -368,10 +410,11 @@ def calibrate_patches(
     """Independently minimize each patch's loss, on ``threads`` workers (see
     `simulator.fan_out`), and merge the optimized parameters into
     ``circuit``'s; a patch modifies only the couplers that fire in its
-    circuit."""
-    if len(trains) != len(patch_circuits):
+    circuit.  ``histograms`` holds each patch's training histogram
+    (`load_histogram`, `histogram`)."""
+    if len(histograms) != len(patch_circuits):
         raise InputError(
-            f"{len(patch_circuits)} patches but {len(trains)} training sets")
+            f"{len(patch_circuits)} patches but {len(histograms)} training sets")
 
     # the largest patches that ``threads`` workers may solve at once (none
     # for threads < 1, which `fan_out` rejects)
@@ -382,7 +425,7 @@ def calibrate_patches(
     solved: list[tuple[PatchResult, ParamMap]] = [None] * len(patch_circuits)
 
     def solve(i: int) -> None:
-        problem = CalibrationProblem(patch_circuits[i], trains[i], trainable)
+        problem = CalibrationProblem(patch_circuits[i], histograms[i], trainable)
         couplers = problem.couplers
         x0 = pack_params(problem.base, couplers, trainable)
         res = bfgs_minimize(lambda g: loss_and_gradient(g, problem), x0, config)

@@ -294,12 +294,17 @@ def cmd_calibrate(args) -> int:
         raise InputError(
             f"{len(patch_circuits)} patches need {len(patch_circuits)} "
             f"--train files, got {len(args.train)}")
-    trains = [load_samples(p) for p in args.train]
+    # every patch's training histogram is held until the last patch is solved
+    simulator.check_memory(
+        sum(calibration.histogram_bytes(c.n_qubits) for c in patch_circuits),
+        f"the training histograms of {len(patch_circuits)} patches")
+    histograms = [calibration.load_histogram(path, c.n_qubits)
+                  for path, c in zip(args.train, patch_circuits)]
     trainable = tuple(args.trainable.split(",")) if args.trainable else calibration.PARAM_NAMES
     config = calibration.OptimizerConfig(
         max_iters=args.max_iters, grad_tol=args.grad_tol)
     result = calibration.calibrate_patches(
-        circ, patch_circuits, trains, config=config, trainable=trainable, threads=args.threads)
+        circ, patch_circuits, histograms, config=config, trainable=trainable, threads=args.threads)
 
     doc = {
         "format": "rcsbench.calibration.v1",
@@ -340,6 +345,9 @@ def cmd_cost_tnc(args) -> int:
                          f"0..{len(circ.qubits)}, the circuit's qubit count")
     if args.max_rank < 0:
         raise InputError(f"--max-rank {args.max_rank} is negative")
+    if args.restarts < 1:
+        raise InputError(f"--restarts {args.restarts} is below 1")
+    rng.check_seed(args.seed)
     if (args.n_samples is None) != (args.fidelity is None):
         missing = "--fidelity" if args.fidelity is None else "--n-samples"
         raise InputError("the sampling cost needs both --n-samples and "

@@ -44,7 +44,9 @@ bisects only within the bucket; each word equals a binary search over the
 whole distribution.  Sampling from a state holds the state plus one float64
 per outcome (the probabilities, made cumulative in place) plus the draws: the
 8-byte words, the table (at most one entry per draw) and a fixed chunk of
-uniforms at a time (`_DRAW_CHUNK`).
+uniforms at a time (`_DRAW_CHUNK`).  The speckle mixture adds its one-byte
+mask per draw, and readout errors work on the words, a chunk of samples at
+a time, so neither holds more than a chunk beyond its input and output.
 
 Memory, in states of 2^n amplitudes: `run`, sampling from its state,
 `xeb.measured_xeb` (per part) and the calibration loss hold 2, the work
@@ -103,8 +105,9 @@ _MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 # 20-qubit, 8-cycle circuit; 5 and 6 were slower on all three.
 _GROUP_QUBITS = 4
 
-# Uniforms drawn and looked up per pass of `_draw_words`: its temporaries
-# are a few arrays of this many elements, whatever the number of draws.
+# Uniforms drawn per pass of the ideal, speckle and readout draws: their
+# temporaries are a few arrays of this many elements, whatever the number
+# of draws.
 _DRAW_CHUNK = 1 << 14
 
 _PAULIS = (
@@ -491,19 +494,30 @@ def _lookup(cum: np.ndarray, first: np.ndarray, u: np.ndarray) -> np.ndarray:
     return words
 
 
-def _draw_words(probs: np.ndarray, n_draws: int, gen: np.random.Generator) -> np.ndarray:
-    """``n_draws`` words from the Born probabilities ``probs``, which become
-    their normalised cumulative distribution in place: each uniform u draws
-    ``searchsorted(cum, u, side="right")``.  The uniforms are drawn and looked
-    up ``_DRAW_CHUNK`` at a time, which takes the same doubles from ``gen``
-    as one call for all of them."""
+def _chunks(n: int, size: int = _DRAW_CHUNK):
+    """Consecutive slices of at most ``size`` that cover range(n)."""
+    return (slice(start, min(start + size, n)) for start in range(0, n, size))
+
+
+def _inverse_cdf(probs: np.ndarray, n_draws: int) -> tuple[np.ndarray, np.ndarray]:
+    """The normalised cumulative distribution of the Born probabilities
+    ``probs``, made from them in place, and its index table for ``n_draws``
+    draws: `_lookup` turns a uniform u into ``searchsorted(cum, u,
+    side="right")``."""
     cum = np.cumsum(probs, out=probs)
     cum /= cum[-1]
-    first = _bucket_starts(cum, n_draws)
+    return cum, _bucket_starts(cum, n_draws)
+
+
+def _draw_words(probs: np.ndarray, n_draws: int, gen: np.random.Generator) -> np.ndarray:
+    """``n_draws`` words from the Born probabilities ``probs`` (which
+    `_inverse_cdf` consumes).  The uniforms are drawn and looked up
+    ``_DRAW_CHUNK`` at a time, which takes the same doubles from ``gen`` as
+    one call for all of them."""
+    cum, first = _inverse_cdf(probs, n_draws)
     words = np.empty(n_draws, dtype=np.uint64)
-    for start in range(0, n_draws, _DRAW_CHUNK):
-        stop = min(start + _DRAW_CHUNK, n_draws)
-        words[start:stop] = _lookup(cum, first, gen.random(stop - start))
+    for part in _chunks(n_draws):
+        words[part] = _lookup(cum, first, gen.random(part.stop - part.start))
     return words
 
 
@@ -519,20 +533,34 @@ def sample_ideal(state: StateVector, n_samples: int, seed: int) -> SampleSet:
 def sample_noisy_speckle(
     state: StateVector, fidelity: float, n_samples: int, seed: int
 ) -> SampleSet:
-    """Mixture sampling: ideal with probability ``fidelity``, else uniform."""
+    """Mixture sampling: ideal with probability ``fidelity``, else uniform.
+
+    The stream gives, in this order, one uniform per sample for the mask
+    (below ``fidelity`` is ideal), one per ideal sample, and the uniform
+    words.  Each is drawn ``_DRAW_CHUNK`` samples at a time, the ideal and
+    uniform draws straight into their places in the words: beyond the words
+    and the one-byte mask this holds the cumulative distribution, its index
+    table and one chunk."""
     if not 0.0 <= fidelity <= 1.0:
         raise InputError(f"fidelity {fidelity} outside [0, 1]")
     if n_samples < 1:
         raise InputError(f"need at least one sample, got {n_samples}")
     gen = rng.stream(seed, rng.Stream.SPECKLE)
-    ideal_mask = gen.random(n_samples) < fidelity
-    n_ideal = int(ideal_mask.sum())
+    ideal = np.empty(n_samples, dtype=bool)
+    for part in _chunks(n_samples):
+        np.less(gen.random(part.stop - part.start), fidelity, out=ideal[part])
+    n_ideal = int(np.count_nonzero(ideal))
     words = np.empty(n_samples, dtype=np.uint64)
     if n_ideal:
-        words[ideal_mask] = _draw_words(probabilities(state), n_ideal, gen)
-    n_unif = n_samples - n_ideal
-    if n_unif:
-        words[~ideal_mask] = gen.integers(0, state.dim, n_unif, dtype=np.uint64)
+        cum, first = _inverse_cdf(probabilities(state), n_ideal)
+        for part in _chunks(n_samples):
+            mask = ideal[part]
+            words[part][mask] = _lookup(cum, first, gen.random(np.count_nonzero(mask)))
+    if n_ideal < n_samples:
+        for part in _chunks(n_samples):
+            mask = ~ideal[part]
+            words[part][mask] = gen.integers(0, state.dim, np.count_nonzero(mask),
+                                             dtype=np.uint64)
     return SampleSet(state.n_qubits, words,
                      meta={"model": "speckle", "fidelity": fidelity, "seed": seed})
 
@@ -677,15 +705,26 @@ def fan_out(task, n: int, threads: int) -> None:
 
 
 def apply_readout_error(samples: SampleSet, noise: NoiseModel, seed: int) -> SampleSet:
-    """Flip each measured bit independently: 0->1 with e_r0, 1->0 with e_r1."""
+    """Flip each measured bit independently: 0->1 with e_r0, 1->0 with e_r1.
+
+    Bit j of sample i reads uniform i * n_qubits + j of the stream.  Whole
+    samples are taken about ``_DRAW_CHUNK`` uniforms at a time: their
+    uniforms into one (rows, n_qubits) buffer, then the word of the bits that
+    each would flip from 0 and the word of those it would flip from 1,
+    selected by the sample's own bits."""
     gen = rng.stream(seed, rng.Stream.READOUT)
-    bits = samples.bits()
-    u = gen.random(bits.shape)
-    flip = np.where(bits == 0, u < noise.e_r0, u < noise.e_r1)
-    flipped = bits ^ flip.astype(np.uint8)
+    n = samples.n_qubits
+    rows = max(1, _DRAW_CHUNK // n)
+    uniforms = np.empty((min(rows, samples.n_samples), n))
+    words = np.empty_like(samples.words)
+    for part in _chunks(samples.n_samples, rows):
+        w = samples.words[part]
+        u = gen.random(out=uniforms[:w.size])
+        flip = (pack_bits(u < noise.e_r0) & ~w) | (pack_bits(u < noise.e_r1) & w)
+        np.bitwise_xor(w, flip, out=words[part])
     meta = dict(samples.meta)
     meta["readout_error"] = {"e_r0": noise.e_r0, "e_r1": noise.e_r1, "seed": seed}
-    return SampleSet(samples.n_qubits, pack_bits(flipped), meta=meta)
+    return SampleSet(n, words, meta=meta)
 
 
 def predicted_fidelity(circuit: Circuit, noise: NoiseModel) -> float:

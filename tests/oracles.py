@@ -12,7 +12,11 @@ is checked against its index-set form (frozensets and per-index holders).
 The adjoint gradient is checked against a sweep that stores every op's
 input: `adjoint_stored` runs a compiled program's fused matrices with plain
 numpy matmuls and transposes, not the package's executor, and keeps each
-op's input instead of recomputing it from the op's output.
+op's input instead of recomputing it from the op's output; it splits an
+op's environment into its blocks by one `np.einsum` written from the
+Kronecker definition.  Readout errors and bit selection are computed on the
+(n_samples, n_qubits) bits matrix, with every uniform drawn at once, instead
+of on the words a chunk at a time.
 Every index has dimension 2, so a tensor over a set of indices has 2^len
 entries, counted as an exact integer made a float.  Paths are
 replayed by counting each index's occurrences (open indices get
@@ -35,7 +39,6 @@ from rcsbench import rng
 from rcsbench.costmodel import ContractionPath, SliceResult
 from rcsbench.errors import InputError, ResourceLimitError
 from rcsbench.gates import fsim_matrix, sq_matrix
-from rcsbench.simulator import _block_environments
 
 
 def dense_gate(n: int, qubits: tuple[int, ...], u: np.ndarray) -> sparse.csr_matrix:
@@ -94,7 +97,7 @@ def adjoint_stored(program, cotangent, sites):
     """`simulator.adjoint_gradient` by a forward sweep that keeps each op's
     GEMM input, so it needs no unitarity and holds one state per op; the
     backward sweep carries mu = conj(lambda) back alone.  Only the split of
-    an op's environment into its blocks is the package's."""
+    an op's environment into its blocks is `block_environments_by_einsum`."""
     n = len(program.layout)
     inputs = []
     psi = np.zeros(1 << n, dtype=complex)
@@ -113,11 +116,63 @@ def adjoint_stored(program, cotangent, sites):
         k = len(op.matrix)
         mu = mu.reshape(-1, k)
         if not op.sites.isdisjoint(wanted):
-            envs.update(_block_environments(op, mu.T @ psi_in.reshape(k, -1).T, wanted))
+            envs.update(block_environments_by_einsum(op, mu.T @ psi_in.reshape(k, -1).T, wanted))
         mu = op.matrix.T @ mu.T
         if op.perm is not None:
             mu = mu.reshape((2,) * n).transpose(np.argsort(op.perm))
     return value, envs
+
+
+def block_environments_by_einsum(op, env: np.ndarray, wanted: set) -> dict:
+    """Gamma_s of each wanted two-qubit site of the op, from its environment
+    E.  The op's matrix is kron(m_0, ..., m_{B-1}) over its blocks, so its
+    row and column indices split into one index per block, block 0 most
+    significant, and the environment of block b is E with every other
+    block's row and column contracted against m_c:
+    E_b[i, j] = sum E[r_0..i..r_B-1, c_0..j..c_B-1] * prod_{c != b} m_c[r_c, c_c].
+    A block's matrix is G @ S, so Gamma_s = E_b @ S^T."""
+    dims = [len(m) for m in op.mats]
+    rows = "abcdefgh"[:len(dims)]
+    cols = "ABCDEFGH"[:len(dims)]
+    tensor = env.reshape(dims + dims)
+    out = {}
+    for b, (block, s_mat) in enumerate(zip(op.blocks, op.singles)):
+        if block.two in wanted:
+            others = [c for c in range(len(dims)) if c != b]
+            spec = ",".join([rows + cols] + [rows[c] + cols[c] for c in others])
+            env_b = np.einsum(f"{spec}->{rows[b]}{cols[b]}", tensor,
+                              *(op.mats[c] for c in others))
+            out[block.two] = env_b @ s_mat.T
+    return out
+
+
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """(len(words), n) 0/1 matrix of the words, column 0 the most
+    significant of n bits."""
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    return ((words[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Words of the rows of a 0/1 matrix, column 0 most significant, as a
+    sum of shifted bits."""
+    shifts = np.arange(bits.shape[1] - 1, -1, -1, dtype=np.uint64)
+    return (bits.astype(np.uint64) << shifts[None, :]).sum(axis=1, dtype=np.uint64)
+
+
+def readout_by_bits(samples, noise, seed: int) -> np.ndarray:
+    """`simulator.apply_readout_error`'s words from the bits matrix: one
+    uniform per bit, drawn for the whole matrix at once in row order, and
+    each bit flipped at e_r0 if it is 0 and at e_r1 if it is 1."""
+    bits = _bits(samples.words, samples.n_qubits)
+    u = rng.stream(seed, rng.Stream.READOUT).random(bits.shape)
+    flip = np.where(bits == 0, u < noise.e_r0, u < noise.e_r1)
+    return _pack(bits ^ flip.astype(np.uint8))
+
+
+def select_bits_by_columns(samples, positions) -> np.ndarray:
+    """`samples.select_bits`'s words: the given columns of the bits matrix."""
+    return _pack(_bits(samples.words, samples.n_qubits)[:, list(positions)])
 
 
 def gradient_fd(fn, x: np.ndarray, h: float) -> np.ndarray:

@@ -10,6 +10,7 @@ from rcsbench.calibration import (
     PARAM_NAMES,
     bfgs_minimize,
     calibrate_patches,
+    histogram,
     loss,
     loss_and_gradient,
     pack_params,
@@ -102,7 +103,7 @@ class TestLoss:
         _, truth, _, partition, patches, trains = two_patch_problem
         couplers = partition.internal[0]
         base = {k: truth[k] for k in couplers}
-        problem = CalibrationProblem(patches[0], trains[0], trainable=("theta", "phi"))
+        problem = CalibrationProblem(patches[0], histogram(trains[0]), trainable=("theta", "phi"))
         x = pack_params(base, couplers, ("theta", "phi"))
         value = loss(x, problem)
         sigma = rb.xeb_sigma(rb.probabilities_of_samples(
@@ -117,7 +118,7 @@ class TestLoss:
         uniform = rb.SampleSet(
             patches[0].n_qubits,
             gen.integers(0, 1 << patches[0].n_qubits, 100_000, dtype=np.uint64))
-        problem = CalibrationProblem(patches[0], uniform)
+        problem = CalibrationProblem(patches[0], histogram(uniform))
         value = loss(pack_params(base, couplers), problem)
         assert abs(value - 1.0) < 0.05
 
@@ -125,7 +126,7 @@ class TestLoss:
         _, truth, _, partition, patches, trains = two_patch_problem
         couplers = partition.internal[0]
         base = {k: truth[k] for k in couplers}
-        problem = CalibrationProblem(patches[0], trains[0], trainable=("theta",))
+        problem = CalibrationProblem(patches[0], histogram(trains[0]), trainable=("theta",))
         x = pack_params(base, couplers, ("theta",))
         assert loss(x + 0.1, problem) > loss(x, problem)
 
@@ -133,14 +134,14 @@ class TestLoss:
         _, truth, _, partition, patches, trains = two_patch_problem
         couplers = partition.internal[0]
         base = {k: truth[k] for k in couplers}
-        problem = CalibrationProblem(patches[0], trains[0])
+        problem = CalibrationProblem(patches[0], histogram(trains[0]))
         x = pack_params(base, couplers) + 0.01
         assert loss(x, problem) == loss(x, problem)
 
     def test_loss_matches_gather_formula(self, nine_qubit_patch):
         truth, couplers, patch, train = nine_qubit_patch
         base = {k: truth[k] for k in couplers}
-        problem = CalibrationProblem(patch, train)
+        problem = CalibrationProblem(patch, histogram(train))
         assert (problem.couplers, problem.base) == (couplers, base)
         x = pack_params(base, couplers) + 0.02
         mapping = unpack_params(x, base, couplers)
@@ -155,7 +156,7 @@ class TestLoss:
         first = replace(patch, cycles=patch.cycles[:1])
         fired = tuple(sorted((a, b) for a, b, _ in first.cycles[0].two_qubit))
         assert 0 < len(fired) < len(couplers)
-        problem = CalibrationProblem(first, train)
+        problem = CalibrationProblem(first, histogram(train))
         assert problem.couplers == fired
         assert problem.base == {k: truth[k] for k in fired}
 
@@ -163,19 +164,28 @@ class TestLoss:
         _, _, patch, train = nine_qubit_patch
         idle = replace(patch, cycles=tuple(replace(c, two_qubit=()) for c in patch.cycles))
         with pytest.raises(InputError):
-            CalibrationProblem(idle, train)
+            CalibrationProblem(idle, histogram(train))
 
     def test_repeated_trainable_name_rejected(self, nine_qubit_patch):
         # unpacking keeps the last copy, so the loss would ignore the first
         _, _, patch, train = nine_qubit_patch
         with pytest.raises(InputError):
-            CalibrationProblem(patch, train, trainable=("theta", "theta"))
+            CalibrationProblem(patch, histogram(train), trainable=("theta", "theta"))
+
+    def test_histogram_that_is_not_one_count_per_outcome_rejected(self, nine_qubit_patch):
+        _, _, patch, train = nine_qubit_patch
+        counts = histogram(train)
+        negative = counts.copy()
+        negative[3] = -1
+        for bad in (counts[:256], counts.astype(float), negative, list(counts)):
+            with pytest.raises(InputError):
+                CalibrationProblem(patch, bad)
 
     def test_empty_training_set_rejected(self, nine_qubit_patch):
         _, _, patch, _ = nine_qubit_patch
         empty = rb.SampleSet(patch.n_qubits, np.zeros(0, dtype=np.uint64))
         with pytest.raises(InputError):
-            CalibrationProblem(patch, empty)
+            CalibrationProblem(patch, histogram(empty))
 
     def test_pack_unpack_round_trip(self, two_patch_problem):
         _, truth, _, partition, _, _ = two_patch_problem
@@ -231,7 +241,7 @@ class TestGradient:
         _, truth, _, partition, patches, trains = two_patch_problem
         couplers = partition.internal[0]
         base = {k: truth[k] for k in couplers}
-        problem = CalibrationProblem(patches[0], trains[0], trainable=("theta", "phi"))
+        problem = CalibrationProblem(patches[0], histogram(trains[0]), trainable=("theta", "phi"))
         x = pack_params(base, couplers, ("theta", "phi"))
         _, grad = loss_and_gradient(x, problem)
         assert np.max(np.abs(grad)) < 0.02
@@ -240,7 +250,7 @@ class TestGradient:
     def test_adjoint_matches_finite_differences(self, nine_qubit_patch, trainable):
         truth, couplers, patch, train = nine_qubit_patch
         base = {k: truth[k] for k in couplers}
-        problem = CalibrationProblem(patch, train, trainable=trainable)
+        problem = CalibrationProblem(patch, histogram(train), trainable=trainable)
         # Couplers fire in several cycles, and some op fuses two trained sites.
         fired = [i for _, i in problem.coupler_sites]
         assert max(fired.count(i) for i in set(fired)) >= 3
@@ -311,7 +321,7 @@ class TestCalibration:
     def test_fixed_point_at_truth(self, two_patch_problem):
         _, truth, circuit, partition, patches, trains = two_patch_problem
         result = calibrate_patches(
-            circuit, patches, trains,
+            circuit, patches, [histogram(t) for t in trains],
             config=OptimizerConfig(max_iters=60, grad_tol=1e-6),
             trainable=("theta", "phi"))
         for keys in partition.internal:
@@ -331,7 +341,7 @@ class TestCalibration:
         start = rb.with_coupler_params(circuit, perturbed)
         _, start_patches = split_grid_patches(start, col_cuts=(4,))
         result = calibrate_patches(
-            start, start_patches, trains,
+            start, start_patches, [histogram(t) for t in trains],
             config=OptimizerConfig(max_iters=150, grad_tol=1e-6),
             trainable=("theta", "phi"))
         for keys in partition.internal:
@@ -341,7 +351,7 @@ class TestCalibration:
         for patch, train, pr in zip(start_patches, trains, result.patches):
             assert pr.after_loss <= pr.before_loss
             assert np.all(np.diff(pr.trace) <= 1e-12)
-            problem = CalibrationProblem(patch, train, trainable=("theta", "phi"))
+            problem = CalibrationProblem(patch, histogram(train), trainable=("theta", "phi"))
             assert problem.couplers == pr.couplers
             x0 = pack_params(perturbed, pr.couplers, ("theta", "phi"))
             assert pr.before_loss == loss(x0, problem)
@@ -362,7 +372,7 @@ class TestCalibration:
     def test_outside_couplers_untouched(self, two_patch_problem):
         _, truth, circuit, partition, patches, trains = two_patch_problem
         result = calibrate_patches(
-            circuit, patches, trains,
+            circuit, patches, [histogram(t) for t in trains],
             config=OptimizerConfig(max_iters=5, grad_tol=1e-6),
             trainable=("theta", "phi"))
         for key in partition.cross:
@@ -371,13 +381,14 @@ class TestCalibration:
     def test_thread_count_invariant(self, two_patch_problem):
         _, truth, circuit, partition, patches, trains = two_patch_problem
         cfg = OptimizerConfig(max_iters=3, grad_tol=1e-6)
-        a = calibrate_patches(circuit, patches, trains, config=cfg, threads=1,
+        counts = [histogram(t) for t in trains]
+        a = calibrate_patches(circuit, patches, counts, config=cfg, threads=1,
                               trainable=("theta",))
-        b = calibrate_patches(circuit, patches, trains, config=cfg, threads=2,
+        b = calibrate_patches(circuit, patches, counts, config=cfg, threads=2,
                               trainable=("theta",))
         assert a.params == b.params
 
     def test_training_set_count_checked(self, two_patch_problem):
         _, _, circuit, partition, patches, trains = two_patch_problem
         with pytest.raises(InputError):
-            calibrate_patches(circuit, patches, trains[:1])
+            calibrate_patches(circuit, patches, [histogram(trains[0])])

@@ -9,7 +9,7 @@ import pytest
 from oracles import draw_words_by_searchsorted
 
 import rcsbench as rb
-from rcsbench import cli, costmodel, rng, simulator
+from rcsbench import calibration, cli, costmodel, rng, samples, simulator
 from rcsbench.circuit import CIRCUIT_FORMAT, circuit_to_dict
 from rcsbench.cli import EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
 from rcsbench.topology import TOPOLOGY_FORMAT, topology_to_dict
@@ -125,6 +125,74 @@ class TestCalibrate:
         with pytest.raises(SystemExit) as exc:
             _calibrate(calibrate_inputs, tmp_path / "c.json", "--fd-step", "1e-3")
         assert exc.value.code == EXIT_INPUT
+
+
+def _with_first_train(argv, path):
+    """``argv`` with its first --train file replaced by ``path``."""
+    argv = list(argv)
+    argv[argv.index("--train") + 1] = str(path)
+    return argv
+
+
+def _train_file(tmp_path, n_words, n_qubits=6):
+    """A valid sample file of ``n_words`` random words of ``n_qubits`` bits;
+    the patches of ``calibrate_inputs`` have 6 qubits."""
+    path = tmp_path / "bad.bin"
+    words = np.random.default_rng(8).integers(0, 1 << n_qubits, n_words, dtype=np.uint64)
+    rb.save_samples(str(path), rb.SampleSet(n_qubits, words))
+    return path
+
+
+class TestCalibrateTrainingFiles:
+    """`calibrate` reads each training file in chunks into its histogram.  A
+    bad file exits 2, names itself and leaves nothing written."""
+
+    def _fails(self, argv, tmp_path, capsys, code=EXIT_INPUT):
+        out = tmp_path / "calibration.json"
+        assert _calibrate(argv, out) == code
+        assert not out.exists()
+        assert not (tmp_path / "calibration.json.manifest.json").exists()
+        return capsys.readouterr().err
+
+    def test_wide_word_past_the_first_chunk_exits_2(self, calibrate_inputs, tmp_path,
+                                                    capsys):
+        path = _train_file(tmp_path, samples._CHUNK_WORDS + 100)
+        bad = samples._CHUNK_WORDS + 7
+        raw = np.fromfile(path, dtype="<u8")
+        raw[bad] = 1 << 6
+        raw.tofile(path)
+        err = self._fails(_with_first_train(calibrate_inputs, path), tmp_path, capsys)
+        assert str(path) in err and f"word {bad} exceeds the 6-bit width" in err
+
+    @pytest.mark.parametrize("change", [-8, 8], ids=["fewer", "more"])
+    def test_word_count_other_than_the_sidecars_exits_2(self, calibrate_inputs, tmp_path,
+                                                        capsys, change):
+        path = _train_file(tmp_path, samples._CHUNK_WORDS + 100)
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:
+            fh.truncate(size + change)
+        err = self._fails(_with_first_train(calibrate_inputs, path), tmp_path, capsys)
+        assert f"{path} holds {size + change} bytes" in err
+
+    def test_sidecar_width_other_than_the_patchs_exits_2_before_any_word(
+            self, calibrate_inputs, tmp_path, capsys):
+        # the words are gone, so only a check made before reading them can
+        # name the width
+        path = _train_file(tmp_path, 100, n_qubits=5)
+        path.unlink()
+        err = self._fails(_with_first_train(calibrate_inputs, path), tmp_path, capsys)
+        assert f"{path} holds 5-bit samples, not 6-bit ones" in err
+
+    def test_histograms_that_do_not_fit_exit_4_before_any_file_is_read(
+            self, calibrate_inputs, tmp_path, capsys, monkeypatch):
+        def load(*args, **kwargs):
+            raise AssertionError("read a training file")
+
+        # one 6-qubit histogram fits, the two patches' do not
+        monkeypatch.setattr(simulator, "_MEMORY_BUDGET", calibration.histogram_bytes(6))
+        monkeypatch.setattr(calibration, "load_histogram", load)
+        err = self._fails(calibrate_inputs, tmp_path, capsys, code=EXIT_RESOURCE)
+        assert "training histograms of 2 patches" in err
 
 
 @pytest.fixture(scope="module")
@@ -706,6 +774,19 @@ class TestCost:
 
     def test_zero_restarts_exits_2(self, cost_circuit, tmp_path):
         assert _tnc(cost_circuit, tmp_path / "tnc.json", "--restarts", "0") == EXIT_INPUT
+
+    @pytest.mark.parametrize("flags", [("--restarts", "0"), ("--seed", "-1")])
+    def test_bad_search_flag_exits_2_before_the_network_is_built(
+            self, cost_circuit, tmp_path, capsys, monkeypatch, flags):
+        def build(*args, **kwargs):
+            raise AssertionError("built the network")
+
+        monkeypatch.setattr(costmodel, "circuit_to_tn", build)
+        out = tmp_path / "tnc.json"
+        assert main(["cost", "tnc", "--circuit", cost_circuit, *flags,
+                     "-o", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("restarts", ["1", "2"])
     def test_negative_seed_exits_2_whatever_the_restarts(self, cost_circuit, tmp_path,

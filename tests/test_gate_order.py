@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rcsbench as rb
-from rcsbench.calibration import CalibrationProblem
+from rcsbench.calibration import CalibrationProblem, histogram
 from rcsbench.circuit import grid_parts, make_elided, make_patch
 from rcsbench.costmodel import circuit_to_tn
 from rcsbench.gates import fsim_matrix, sq_matrix
@@ -72,7 +72,7 @@ def test_prediction_counts_the_sites_trajectories_draw_errors_for(circuits, name
 @pytest.mark.parametrize("name", DESK)
 def test_coupler_sites_are_the_two_qubit_sites(circuits, name):
     c = circuits[name]
-    problem = CalibrationProblem(c, rb.SampleSet(c.n_qubits, np.arange(4, dtype=np.uint64)))
+    problem = CalibrationProblem(c, histogram(rb.SampleSet(c.n_qubits, np.arange(4, dtype=np.uint64))))
     sites = problem.program.sites
     assert [s for s, _ in problem.coupler_sites] == [
         k for k, site in enumerate(sites) if len(site.qubits) == 2]

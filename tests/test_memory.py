@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import rcsbench as rb
-from rcsbench import simulator, xeb
+from rcsbench import samples, simulator, xeb
 from rcsbench.calibration import (
     CalibrationProblem,
     OptimizerConfig,
     calibrate_patches,
+    histogram,
+    load_histogram,
     loss_and_gradient,
     pack_params,
 )
@@ -92,6 +94,54 @@ def test_sampling_many_draws_holds_the_output_and_fixed_chunks(circuit):
     assert peak - 8 * n <= 0.5 * STATE + table + chunk
 
 
+def test_speckle_sampling_holds_the_words_the_mask_and_fixed_chunks(circuit):
+    # beyond the 8-byte words and the one-byte mask: the cumulative
+    # distribution, the index table and one chunk, whatever the draws
+    state = rb.run(circuit)
+    n = 1_000_000
+    table = ((1 << 16) + 1) * 8
+    chunk = 6 * 8 * simulator._DRAW_CHUNK
+    peak = traced_peak(lambda: rb.sample_noisy_speckle(state, 0.5, n, seed=1))
+    assert peak - 9 * n <= 0.5 * STATE + table + chunk
+
+
+def word_path_peaks(n_words: int) -> tuple[int, int]:
+    """Traced peaks of readout errors and of `select_bits` to 30 bits on
+    ``n_words`` random 60-bit words, beyond their output words."""
+    words = np.random.default_rng(3).integers(0, 1 << 60, n_words, dtype=np.uint64)
+    ss = rb.SampleSet(60, words)
+    noise = rb.NoiseModel(e_r0=0.0148, e_r1=0.0303)
+    readout = traced_peak(lambda: rb.apply_readout_error(ss, noise, seed=2))
+    gathered = traced_peak(lambda: samples.select_bits(ss, range(0, 60, 2)))
+    return readout - 8 * n_words, gathered - 8 * n_words
+
+
+def test_readout_and_bit_selection_hold_one_chunk_beyond_their_words():
+    # readout: one buffer of the uniforms of a chunk of samples, about
+    # _DRAW_CHUNK doubles, and its flags; selection: one chunk of words
+    small, large = word_path_peaks(100_000), word_path_peaks(400_000)
+    readout_chunk = 8 * simulator._DRAW_CHUNK
+    gather_chunk = 8 * samples._CHUNK_WORDS
+    assert abs(large[0] - small[0]) <= readout_chunk
+    assert abs(large[1] - small[1]) <= gather_chunk
+    assert max(small[0], large[0]) <= 1.5 * readout_chunk
+    assert max(small[1], large[1]) <= gather_chunk + 32 * 1024
+
+
+def test_histogram_reader_holds_one_chunk_beyond_its_counts(tmp_path):
+    # the 512 counts of 9-bit words, one chunk of words read and the
+    # bincount of one chunk, whatever the file's length
+    peaks = []
+    for n_words in (600_000, 2_400_000):
+        path = str(tmp_path / f"{n_words}.bin")
+        words = np.random.default_rng(4).integers(0, 512, n_words, dtype=np.uint64)
+        rb.save_samples(path, rb.SampleSet(9, words))
+        del words
+        peaks.append(traced_peak(lambda: load_histogram(path, 9)) - 8 * 512)
+    assert abs(peaks[1] - peaks[0]) <= 4096
+    assert max(peaks) <= 8 * samples._CHUNK_WORDS + 32 * 1024
+
+
 def test_measured_xeb_holds_two_states(circuit, program_bytes):
     samples = rb.sample_ideal(rb.run(circuit), 2000, seed=1)
     peak = traced_peak(lambda: rb.measured_xeb(circuit, samples))
@@ -117,7 +167,7 @@ def test_gradient_memory_does_not_grow_with_depth(grid_4x4, n_cycles):
     # programs are the patch's and the candidate's
     circuit = rb.standard_circuit(grid_4x4, n_cycles, seed=3)
     train = rb.sample_ideal(rb.run(circuit), 2000, seed=1)
-    problem = CalibrationProblem(circuit, train, ("theta", "phi"))
+    problem = CalibrationProblem(circuit, histogram(train), ("theta", "phi"))
     x = pack_params(problem.base, problem.couplers, ("theta", "phi"))
     peak = traced_peak(lambda: loss_and_gradient(x, problem))
     assert peak - 2 * compiled_bytes(circuit) <= 6 * STATE
@@ -134,7 +184,7 @@ def test_budget_counts_the_states_each_path_holds(grid_4x4, monkeypatch):
     with pytest.raises(ResourceLimitError):
         rb.sample_trajectory(circuit, NOISE, 10, seed=1, threads=2)
     with pytest.raises(ResourceLimitError):
-        CalibrationProblem(circuit, train)
+        CalibrationProblem(circuit, histogram(train))
 
 
 def test_noiseless_trajectories_count_one_worker(circuit, monkeypatch):
@@ -152,7 +202,8 @@ def test_budget_counts_the_patches_solved_at_once(grid_4x4, monkeypatch):
     # two 8-qubit patches: one solve at a time fits a budget of one solve
     circuit = rb.standard_circuit(grid_4x4, 2, seed=3)
     _, patches = rb.split_grid_patches(circuit, col_cuts=(2,))
-    trains = [rb.sample_ideal(rb.run(p), 100, seed=i) for i, p in enumerate(patches)]
+    trains = [histogram(rb.sample_ideal(rb.run(p), 100, seed=i))
+              for i, p in enumerate(patches)]
     monkeypatch.setattr(simulator, "_MEMORY_BUDGET", simulator.memory_need(8, 6, 1))
     config = OptimizerConfig(max_iters=0)
     calibrate_patches(circuit, patches, trains, config, threads=1)

@@ -17,7 +17,7 @@ from rcsbench.simulator import (_execute, _work_buffers, adjoint_gradient,
 
 from conftest import random_fsim
 from oracles import (adjoint_stored, dense_gate, dense_run, dense_run_sites, dense_runs,
-                     draw_words_by_searchsorted)
+                     draw_words_by_searchsorted, readout_by_bits)
 
 
 # Words of sample_trajectory for a 3x4, 6-cycle circuit (seed 3) with
@@ -721,6 +721,17 @@ class TestReadout:
         ss = rb.SampleSet(8, np.zeros(100, dtype=np.uint64))
         out = rb.apply_readout_error(ss, rb.NoiseModel(e_r0=1.0), seed=0)
         assert np.all(out.words == 0xFF)
+
+    @pytest.mark.parametrize("n_qubits", [1, 20, 60, 64])
+    def test_matches_the_bits_matrix_oracle(self, n_qubits):
+        # two chunks of whole samples and a part, e_r0 != e_r1
+        rows = max(1, simulator._DRAW_CHUNK // n_qubits)
+        words = np.random.default_rng(n_qubits).integers(
+            0, 1 << n_qubits, 2 * rows + 5, dtype=np.uint64)
+        ss = rb.SampleSet(n_qubits, words)
+        noise = rb.NoiseModel(e_r0=0.07, e_r1=0.31)
+        out = rb.apply_readout_error(ss, noise, seed=18)
+        assert np.array_equal(out.words, readout_by_bits(ss, noise, seed=18))
 
     def test_flip_rates_within_3_sigma(self):
         n, n_samples = 8, 100_000
